@@ -342,7 +342,6 @@ def essentially_noncentral(
 @dataclass(frozen=True)
 class Pi0Stratum:
     element: AffineWeylElement
-    word: tuple[int, ...]
     newton: QVec
     levi_rank: int
     pi1_levi: FinAbGroup
@@ -428,11 +427,9 @@ def pi0_predict(
     for x in members:
         nu = sigma.newton_vector(x)
         levi = levi_of(d, nu)
-        word, _ = w.reduced_word(x)
         strata.append(
             Pi0Stratum(
                 element=x,
-                word=word,
                 newton=nu,
                 levi_rank=levi.semisimple_rank,
                 pi1_levi=levi.pi1,
@@ -442,7 +439,9 @@ def pi0_predict(
                 translation_part_admissible=in_adm(d, mu, w.translation(x.lam)),
             )
         )
-    strata.sort(key=lambda s: (len(s.word), s.word))
+    # Not by reduced word: those depend on the history of the word cache,
+    # and the report must not depend on earlier queries.
+    strata.sort(key=lambda s: (s.element.length, s.element.key()))
     return Pi0Prediction(
         case="nonbasic-residually-split",
         group=None,

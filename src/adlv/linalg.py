@@ -34,49 +34,78 @@ def vec_mat(v: Sequence, a: Mat) -> Vec:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_neg(u: Sequence) -> Vec:
-    return tuple(-x for x in u)
-
-
-def vec_scale(c, u: Sequence) -> Vec:
-    return tuple(c * x for x in u)
 
 
 def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
-def mat_det(a: Mat):
-    """Determinant by fraction-free Bareiss elimination; exact for int input."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
+def _bareiss(m: list[list]) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968), in place.
+
+    Eliminates below the diagonal of the leading square block of the
+    integer rows `m`, carrying every further column along.  Each entry
+    left is a minor of the input, so every division is exact, and the
+    last pivot m[-1][len(m) - 1] is the determinant of the block with
+    its rows permuted.  Returns the sign of that permutation, or 0 when
+    the block is singular.
+    """
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
                 return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    if n and m[n - 1][n - 1] == 0:
+        return 0
+    return sign
+
+
+def mat_det(a: Mat):
+    """Determinant by fraction-free Bareiss elimination; exact for int input."""
+    m = [list(row) for row in a]
+    sign = _bareiss(m)
+    return sign * m[-1][-1] if m else 1
+
+
+def solve_bareiss(a: Mat, rhs: Sequence[int]) -> tuple[Vec, int]:
+    """Integers y and d = det(a) with a y = d rhs, for square integer a.
+
+    Bareiss elimination of [a | rhs], then back substitution scaled by
+    the last pivot.  y is the adjugate of a applied to rhs (Cramer's
+    rule), so it is integral and each division is exact: the solution
+    over Q is y / d with no Fraction formed.  When a is singular, d = 0
+    and y is the zero vector, whether or not the system is consistent.
+    """
+    n = len(a)
+    m = [list(row) + [b] for row, b in zip(a, rhs)]
+    sign = _bareiss(m)
+    if sign == 0:
+        return (0,) * n, 0
+    last = m[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = last * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return tuple(sign * v for v in y), sign * last
 
 
 def mat_inv_unimodular(a: Mat) -> Mat:

@@ -8,20 +8,28 @@ basis, and Frobenius acts as its diagram permutation scaled by q.
 
 The descent certificate solves (M - 1) L = target for the operator M of
 x . sigma . w^{-1}; invertibility is the no-eigenvalue-one property and
-a singular operator is reported as a counterexample candidate.
+a singular operator is reported as a counterexample candidate.  The
+operator and the solve stay in integers: simple reflections are applied
+as column updates, element actions are memoized per lattice, and the
+system is solved by one fraction-free elimination.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from .frobenius import FrobeniusDatum
-from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_fraction
+from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_bareiss
+
+# Element actions kept per lattice; the least recently used is dropped.
+ACTION_MEMO_SIZE = 1024
 
 
 def prime_of_residue_cardinality(q: int) -> int:
@@ -98,16 +106,12 @@ class PicClass:
 
 @dataclass(frozen=True)
 class PicOperator:
-    """Rational matrix over the affine simple basis with provenance."""
+    """Rational matrix over the affine simple basis."""
 
     matrix: Mat
-    provenance: str
 
     def __matmul__(self, other: "PicOperator") -> "PicOperator":
-        return PicOperator(
-            mat_mul(self.matrix, other.matrix),
-            f"{self.provenance}*{other.provenance}",
-        )
+        return PicOperator(mat_mul(self.matrix, other.matrix))
 
     def apply(self, cls: PicClass) -> PicClass:
         vals = mat_vec(self.matrix, cls.values())
@@ -125,9 +129,16 @@ class PicardLattice:
         self.group = group
         self.n = len(group.simple_affine)
         self.cartan = group.affine_cartan
+        # Column i of s_i's operator, eps_i - sum_k A_ik eps_k, as its
+        # nonzero (k, coefficient) terms.
+        self._reflection_columns = tuple(
+            tuple((k, (k == i) - a) for k, a in enumerate(row) if (k == i) != a)
+            for i, row in enumerate(self.cartan)
+        )
+        self._actions: OrderedDict[tuple, PicOperator] = OrderedDict()
 
     def identity_op(self) -> PicOperator:
-        return PicOperator(identity_matrix(self.n), "1")
+        return PicOperator(identity_matrix(self.n))
 
     def reflection_action(self, i: int) -> PicOperator:
         """eps_i -> eps_i - sum_j A_ij eps_j; other basis vectors fixed."""
@@ -139,34 +150,49 @@ class PicardLattice:
             )
             for r in range(self.n)
         )
-        return PicOperator(mat, f"s{i}")
+        return PicOperator(mat)
 
-    def permutation_action(self, perm: Sequence[int], label: str) -> PicOperator:
+    def permutation_action(self, perm: Sequence[int]) -> PicOperator:
         mat = tuple(
             tuple(1 if perm[c] == r else 0 for c in range(self.n))
             for r in range(self.n)
         )
-        return PicOperator(mat, label)
-
-    def omega_action(self, omega_perm: Sequence[int]) -> PicOperator:
-        return self.permutation_action(omega_perm, "omega")
+        return PicOperator(mat)
 
     def sigma_action(self, sigma: FrobeniusDatum) -> PicOperator:
-        perm_op = self.permutation_action(sigma.s_permutation, "sigma")
+        perm_op = self.permutation_action(sigma.s_permutation)
         q = sigma.q
         mat = tuple(tuple(q * x for x in row) for row in perm_op.matrix)
-        return PicOperator(mat, f"{q}.sigma")
+        return PicOperator(mat)
 
     def element_action(self, x: AffineWeylElement) -> PicOperator:
         """Product of reflection operators along a reduced word, then the
-        length-zero permutation."""
-        w = self.group
-        word, omega = w.reduced_word(x)
-        op = self.identity_op()
+        length-zero permutation.
+
+        Right multiplication by s_i changes only column i, to
+        col_i - sum_k A_ik col_k, and by a permutation only reorders the
+        columns, so the product is built column by column in O(n^2) per
+        letter.  Memoized by x.key(), keeping the ACTION_MEMO_SIZE most
+        recently used actions.
+        """
+        key = x.key()
+        hit = self._actions.get(key)
+        if hit is not None:
+            self._actions.move_to_end(key)
+            return hit
+        n = self.n
+        word, omega = self.group.reduced_word(x)
+        cols = [list(col) for col in identity_matrix(n)]
         for i in word:
-            op = op @ self.reflection_action(i)
+            terms = self._reflection_columns[i]
+            cols[i] = [sum(c * cols[k][r] for k, c in terms) for r in range(n)]
         if not omega.is_identity():
-            op = op @ self.omega_action(w.s_permutation_of(omega))
+            perm = self.group.s_permutation_of(omega)
+            cols = [cols[perm[c]] for c in range(n)]
+        op = PicOperator(tuple(zip(*cols)))
+        self._actions[key] = op
+        if len(self._actions) > ACTION_MEMO_SIZE:
+            self._actions.popitem(last=False)
         return op
 
     def word_action(self, word: Sequence, sigma: FrobeniusDatum | None = None) -> PicOperator:
@@ -181,7 +207,7 @@ class PicardLattice:
             elif isinstance(item, int):
                 op = op @ self.reflection_action(item)
             else:
-                op = op @ self.omega_action(self.group.s_permutation_of(item))
+                op = op @ self.permutation_action(self.group.s_permutation_of(item))
         return op
 
 
@@ -209,6 +235,13 @@ class DescentCertificate:
     invertible: bool = True
 
 
+@lru_cache(maxsize=8)
+def _lattice(group: AffineWeylGroup) -> PicardLattice:
+    """The lattice of `group`, shared by its certificates so that they
+    reuse one element_action memo; the eight most recent are kept."""
+    return PicardLattice(group)
+
+
 def descent_certificate(
     sigma: FrobeniusDatum,
     w: AffineWeylElement,
@@ -217,38 +250,48 @@ def descent_certificate(
 ) -> DescentCertificate:
     """A Picard class whose twist difference is dominant regular.
 
-    Builds the operator of x sigma w^{-1}, asserts that M - 1 is
-    invertible over Q, solves (M - 1) L = target (all-ones by default),
-    and scales L by a positive integer so every denominator is a power
-    of the residue characteristic.
+    Builds the integer operator M of x sigma w^{-1} and solves
+    (M - 1) L = target (all-ones by default) by one fraction-free
+    elimination.  Raises SingularOperator unless det(M - 1) != 0, also
+    when the singular system happens to be consistent.  Then scales L by
+    a positive integer so every denominator is a power of the residue
+    characteristic.
     """
     group = sigma.datum.weyl
     if not sigma.is_straight(w):
         raise NotStraight("descent certificate is defined at straight elements")
-    pic = PicardLattice(group)
-    op = pic.element_action(x) @ pic.sigma_action(sigma) @ pic.element_action(w.inverse())
+    pic = _lattice(group)
     n = pic.n
+    # x . sigma: sigma permutes the columns of x's action and scales by q.
+    perm = sigma.s_permutation
+    xs = tuple(
+        tuple(sigma.q * row[perm[c]] for c in range(n))
+        for row in pic.element_action(x).matrix
+    )
+    op = PicOperator(mat_mul(xs, pic.element_action(w.inverse()).matrix))
     m_minus_one = tuple(
-        tuple(op.matrix[r][c] - (1 if r == c else 0) for c in range(n))
-        for r in range(n)
+        tuple(v - (r == c) for c, v in enumerate(row))
+        for r, row in enumerate(op.matrix)
     )
     tgt = tuple(Fraction(t) for t in (target if target is not None else (1,) * n))
     if not all(t > 0 for t in tgt):
         raise AdlvError("target vector must be strictly positive")
-    sol = solve_fraction(m_minus_one, tgt)
-    if sol is None or tuple(mat_vec(m_minus_one, sol)) != tgt:
+    den = lcm(*(t.denominator for t in tgt))
+    rhs = tuple(t.numerator * (den // t.denominator) for t in tgt)
+    # L = y / (d * den) with (M - 1) y = d * rhs, checked in integers.
+    y, d = solve_bareiss(m_minus_one, rhs)
+    if d == 0 or mat_vec(m_minus_one, y) != tuple(d * b for b in rhs):
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
             "no-fixed-line property"
         )
     p = prime_of_residue_cardinality(sigma.q)
+    full = abs(d) * den
     scale = 1
-    for v in sol:
-        _e, rest = _split_p_power(v.denominator, p)
-        scale = scale * rest // gcd(scale, rest)
-    scaled = [v * scale for v in sol]
-    cls = PicClass.from_fractions(p, scaled)
-    diff = tuple(Fraction(x) for x in mat_vec(m_minus_one, scaled))
-    assert diff == tuple(t * scale for t in tgt)
+    for v in y:
+        _e, rest = _split_p_power(full // gcd(v, full), p)
+        scale = lcm(scale, rest)
+    cls = PicClass.from_fractions(p, [Fraction(v * scale, d * den) for v in y])
+    diff = tuple(Fraction(b * scale, den) for b in rhs)
     assert all(dv > 0 for dv in diff), "difference must be dominant regular"
     return DescentCertificate(operator=op, pic_class=cls, difference=diff)

@@ -290,8 +290,6 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
 
 def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
     """is_straight(w) iff is_fundamental(w, nu_w) over padded balls."""
-    from .concurrency import parallel_map
-
     runs = []
     ok = True
     for p in catalog():
@@ -301,15 +299,11 @@ def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
             elements = w.ball(
                 scales.fundamental_length, _designated_omegas(d), budget=scales.budget
             )
-
-            def equivalent(x):
-                nu = sigma.newton_vector(x)
-                return sigma.is_straight(x) == is_fundamental(d, sigma, x, nu)
-
             bad = [
                 w.to_json(x)
-                for x, good in zip(elements, parallel_map(equivalent, elements))
-                if not good
+                for x in elements
+                if sigma.is_straight(x)
+                != is_fundamental(d, sigma, x, sigma.newton_vector(x))
             ]
             ok = ok and not bad
             runs.append(

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from adlv.admissible import adm
 from adlv.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -13,6 +17,7 @@ from adlv.cli import (
     main,
     run,
 )
+from adlv.presets import preset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +74,27 @@ def test_straight_golden():
     assert [c["tag"]["nu"] for c in report["classes"]] == [
         ["0", "0"], ["1/2", "1/2"], ["1", "0"],
     ]
+
+
+def test_pi0_strata_order_is_independent_of_earlier_queries():
+    # Reduced words depend on the word cache's history; the strata order
+    # must not, so a cold process and a warmed one print the same report.
+    args = ["pi0", "--group", "C2_sc", "--mu", "1,1", "--b", "maximal"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    cold = subprocess.run(
+        [sys.executable, "-m", "adlv.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    ).stdout
+    d = preset("C2_sc").datum
+    adm(d, (2, 0))
+    adm(d, (4, 0))
+    warm = invoke(*args)
+    assert warm.exit_code == EXIT_OK, warm.output
+    assert warm.output == cold
+    assert len(json.loads(cold)["strata"]) > 1
 
 
 def test_adm_parahoric_flag():

@@ -1,8 +1,9 @@
 import doctest
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adlv.fgab as fgab_module
@@ -23,6 +24,7 @@ from adlv.linalg import (
     mat_vec,
     matrix_order,
     principal_minors_positive,
+    solve_bareiss,
     solve_fraction,
 )
 
@@ -150,3 +152,61 @@ def test_matrix_helpers():
     assert not principal_minors_positive(((2, -2), (-2, 2)))
     assert solve_fraction(((1, 1),), (3,)) == (Fraction(3), Fraction(0))
     assert solve_fraction(((1,), (1,)), (1, 2)) is None
+
+
+square_system = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: tuple(tuple(r) for r in rows)),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple),
+    )
+)
+
+
+def leibniz_det(a):
+    """Determinant as a signed sum over permutations, with no elimination."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for r, c in enumerate(perm):
+            term *= a[r][c]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_system)
+def test_solve_bareiss_agrees_with_solve_fraction(system):
+    a, rhs = system
+    det = leibniz_det(a)
+    assume(det != 0)
+    y, d = solve_bareiss(a, rhs)
+    assert d == det == mat_det(a)
+    assert mat_vec(a, y) == tuple(d * b for b in rhs)
+    assert tuple(Fraction(v, d) for v in y) == solve_fraction(a, rhs)
+
+
+def test_solve_bareiss_pivot_swap_gives_negative_determinant():
+    # A zero leading pivot forces a row swap at the first step.
+    y, d = solve_bareiss(((0, 1), (1, 0)), (1, 2))
+    assert d == -1
+    assert y == (-2, -1)  # x = (2, 1) = y / d
+    # Here the swap comes at the second step, after one elimination.
+    a = ((1, 2, 3), (2, 4, 5), (3, 5, 6))
+    y, d = solve_bareiss(a, (1, 1, 1))
+    assert d == -1 == leibniz_det(a)
+    assert mat_vec(a, y) == (d, d, d)
+    assert tuple(Fraction(v, d) for v in y) == solve_fraction(a, (1, 1, 1))
+
+
+def test_solve_bareiss_singular_consistent_reports_zero():
+    a = ((1, 2), (2, 4))
+    # Consistent, so the rational solver returns a particular solution...
+    assert solve_fraction(a, (1, 2)) == (Fraction(1), Fraction(0))
+    # ...but the determinant is 0, and that is what the integer solve reports.
+    assert solve_bareiss(a, (1, 2)) == ((0, 0), 0)
+    assert solve_bareiss(((0, 0), (0, 0)), (0, 0)) == ((0, 0), 0)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.errors import AdlvError, NotStraight, SupportViolation
+import adlv.picard as picard_module
+from adlv.errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import identity_matrix, mat_mul
 from adlv.picard import (
@@ -99,6 +100,22 @@ def test_omega_action_has_factor_one():
     assert sorted(x for row in op.matrix for x in row) == [0, 0, 1, 1]
 
 
+def test_element_action_matches_matrix_products_all_presets():
+    # The column updates must agree with the product of the full
+    # reflection and permutation matrices along the reduced word.
+    for p in catalog():
+        w = p.datum.weyl
+        pic = PicardLattice(w)
+        omegas = [o.element for o in w.omega_elements()]
+        for x in w.ball(3, omegas):
+            word, omega = w.reduced_word(x)
+            manual = identity_matrix(pic.n)
+            for i in word:
+                manual = mat_mul(manual, pic.reflection_action(i).matrix)
+            perm = pic.permutation_action(w.s_permutation_of(omega)).matrix
+            assert pic.element_action(x).matrix == mat_mul(manual, perm)
+
+
 def test_is_ample():
     assert is_ample(PicClass.ones(2, 3))
     assert not is_ample(PicClass.from_fractions(2, [Fraction(1), Fraction(0)]))
@@ -152,6 +169,34 @@ def test_descent_certificate_custom_target_and_errors():
         descent_certificate(sig, t, t, target=(Fraction(0), Fraction(1)))
     with pytest.raises(NotStraight):
         descent_certificate(sig, w.simple(0), w.simple(0))
+
+
+def test_descent_certificate_rejects_zero_determinant(monkeypatch):
+    # A singular M - 1 is a counterexample candidate even where the
+    # system (M - 1) L = target happens to be consistent.
+    d = preset("A1_sc").datum
+    t = d.weyl.translation((1,))
+    monkeypatch.setattr(
+        picard_module, "solve_bareiss", lambda a, rhs: ((0,) * len(rhs), 0)
+    )
+    with pytest.raises(SingularOperator):
+        descent_certificate(FrobeniusDatum(d, q=2), t, t)
+
+
+def test_element_action_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(picard_module, "ACTION_MEMO_SIZE", 3)
+    w = preset("A1_sc").datum.weyl
+    pic = PicardLattice(w)
+    xs = [w.translation((k,)) for k in range(5)]
+    ops = [pic.element_action(x) for x in xs]
+    assert len(pic._actions) == 3
+    assert pic.element_action(xs[-1]) is ops[-1]
+    # A dropped entry is rebuilt with the same matrix.
+    assert pic.element_action(xs[0]).matrix == ops[0].matrix
+    manual = identity_matrix(2)
+    for i in w.reduced_word(xs[3])[0]:
+        manual = mat_mul(manual, pic.reflection_action(i).matrix)
+    assert ops[3].matrix == manual
 
 
 def test_descent_certificate_mixed_tag_pairs():
