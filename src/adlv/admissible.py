@@ -51,7 +51,7 @@ class AdmissibleSet:
     mu_dominant: IntVec
     maximal: tuple[AffineWeylElement, ...]
     tau: OmegaElt
-    elements: frozenset[AffineWeylElement] | None = None
+    elements: frozenset[AffineWeylElement]
 
     @property
     def max_length(self) -> int:
@@ -59,17 +59,13 @@ class AdmissibleSet:
 
     @cached_property
     def sorted_elements(self) -> tuple[AffineWeylElement, ...]:
-        assert self.elements is not None
         w = self.datum.weyl
         return tuple(sorted(self.elements, key=lambda x: (w.length(x),) + x.key()))
 
     def __contains__(self, x: AffineWeylElement) -> bool:
-        if self.elements is not None:
-            return x in self.elements
-        return in_adm(self.datum, self.mu, x)
+        return x in self.elements
 
     def __len__(self) -> int:
-        assert self.elements is not None
         return len(self.elements)
 
 
@@ -149,7 +145,6 @@ def adm_parahoric(
     if not w.parabolic_is_finite(k_set):
         raise InfiniteParabolic(f"W_K infinite for K={sorted(k_set)}")
     base = adm(d, mu, budget=budget)
-    assert base.elements is not None
     seen = set(base.elements)
     frontier = list(base.elements)
     gens = [w.simple(i) for i in k_set]
@@ -194,7 +189,6 @@ def verify_straight_class_containment(
     conjugation plateau, so the class is swept by plateau closure.
     """
     aset = adm(d, mu, budget=budget)
-    assert aset.elements is not None
     straights = sigma.straight_elements_in(aset.elements)
     seen: set[AffineWeylElement] = set()
     classes = 0
@@ -204,7 +198,7 @@ def verify_straight_class_containment(
         if x in seen:
             continue
         classes += 1
-        members = sigma._plateau_info(x, budget).members
+        members = sigma.plateau(x, budget).members
         for y in members:
             seen.add(y)
             checked += 1

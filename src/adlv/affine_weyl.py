@@ -27,7 +27,6 @@ from .linalg import (
     Vec,
     dot,
     identity_matrix,
-    mat_inv_unimodular,
     mat_mul,
     mat_vec,
     principal_minors_positive,
@@ -72,9 +71,6 @@ class AffineWeylElement:
 
     def translation_part(self) -> IntVec:
         return self.lam
-
-    def finite_part(self) -> Mat:
-        return self.mat
 
     @property
     def length(self) -> int:
@@ -143,6 +139,11 @@ class AffineWeylGroup:
         index: dict[Mat, int] = {ident: 0}
         order: list[Mat] = [ident]
         words: list[tuple[int, ...]] = [()]
+        # The breadth-first search visits indices in increasing order, so
+        # left[g][k] ends up indexing gens[g] . order[k].  step[i - 1] =
+        # (g, p) records order[i] = gens[g] . order[p], with p < i.
+        left: list[list[int]] = [[] for _ in gens]
+        step: list[tuple[int, int]] = []
         frontier = [0]
         while frontier:
             nxt = []
@@ -154,17 +155,21 @@ class AffineWeylGroup:
                         index[prod] = len(order)
                         order.append(prod)
                         words.append((gi,) + words[idx])
+                        step.append((gi, idx))
                         nxt.append(index[prod])
+                    left[gi].append(index[prod])
             frontier = nxt
         self.w0_list: tuple[Mat, ...] = tuple(order)
         self.w0_index: dict[Mat, int] = index
         self.w0_words: tuple[tuple[int, ...], ...] = tuple(words)
         self.w0_identity = 0
         n = len(order)
-        self.w0_mul = [
-            [index[mat_mul(order[i], order[j])] for j in range(n)] for i in range(n)
-        ]
-        self.w0_inv = [index[mat_inv_unimodular(m)] for m in order]
+        # order[i] . order[k] = gens[g] . (order[p] . order[k]).
+        self.w0_mul = [list(range(n))]
+        for g, p in step:
+            row = left[g]
+            self.w0_mul.append([row[j] for j in self.w0_mul[p]])
+        self.w0_inv = [row.index(0) for row in self.w0_mul]
         # Length offsets: entry is 0 when u^{-1}(a) stays positive, else 1.
         pos = d.positive_roots
         posset = d.positive_set
@@ -333,29 +338,39 @@ class AffineWeylGroup:
         return self._bruhat(x.lam, x.u_idx, y.lam, y.u_idx)
 
     def _bruhat(self, xl: IntVec, xu: int, yl: IntVec, yu: int) -> bool:
-        if xl == yl and xu == yu:
-            return True
-        key = (xl, xu, yl, yu)
-        hit = self._bruhat_cache.get(key)
-        if hit is not None:
-            return hit
-        ly = self.length_of(yl, yu)
-        lx = self.length_of(xl, xu)
-        if lx >= ly:
-            self._bruhat_cache[key] = False
-            return False
-        # ly > lx >= 0, so y has a descent.
-        for s in self.simple_affine:
-            sy = s.element * AffineWeylElement(self, yl, yu)
-            if self.length(sy) < ly:
-                sx = s.element * AffineWeylElement(self, xl, xu)
-                if self.length(sx) < lx:
-                    res = self._bruhat(sx.lam, sx.u_idx, sy.lam, sy.u_idx)
-                else:
-                    res = self._bruhat(xl, xu, sy.lam, sy.u_idx)
-                self._bruhat_cache[key] = res
-                return res
-        raise AssertionError("positive-length element without descent")
+        """Walks the descent chain down to a known answer, then memoizes
+        every pair on the chain with it.  A loop, not recursion: the
+        chain is as long as l(y)."""
+        chain = []
+        while True:
+            if xl == yl and xu == yu:
+                res = True
+                break
+            key = (xl, xu, yl, yu)
+            hit = self._bruhat_cache.get(key)
+            if hit is not None:
+                res = hit
+                break
+            chain.append(key)
+            ly = self.length_of(yl, yu)
+            lx = self.length_of(xl, xu)
+            if lx >= ly:
+                res = False
+                break
+            # ly > lx >= 0, so y has a descent.
+            for s in self.simple_affine:
+                sy = s.element * AffineWeylElement(self, yl, yu)
+                if self.length(sy) < ly:
+                    break
+            else:
+                raise AssertionError("positive-length element without descent")
+            sx = s.element * AffineWeylElement(self, xl, xu)
+            if self.length(sx) < lx:
+                xl, xu = sx.lam, sx.u_idx
+            yl, yu = sy.lam, sy.u_idx
+        for key in chain:
+            self._bruhat_cache[key] = res
+        return res
 
     def covers_below(self, x: AffineWeylElement) -> list[tuple[AffineWeylElement, tuple[int, ...]]]:
         """Elements covered by x, each with an inherited reduced word.
@@ -568,12 +583,6 @@ class AffineWeylGroup:
     def has_right_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
         lx = self.length(x)
         return any(self.length(x * self.simple(i)) < lx for i in k_set)
-
-    def is_min_left_coset_rep(self, x: AffineWeylElement, k_set) -> bool:
-        return not self.has_left_descent_in(x, k_set)
-
-    def is_min_right_coset_rep(self, x: AffineWeylElement, k_set) -> bool:
-        return not self.has_right_descent_in(x, k_set)
 
     def min_coset_reps(
         self,

@@ -129,32 +129,31 @@ def _select_tag(spec: JobSpec, elements):
     return elements[idx]
 
 
+# First match wins; every other AdlvError is bad input.
+_EXIT_CODES = (
+    (HypothesisViolated, EXIT_HYPOTHESIS),
+    (BudgetExceeded, EXIT_BUDGET),
+    (SingularOperator, EXIT_COUNTEREXAMPLE),
+    (AdlvError, EXIT_USAGE),
+)
+
+
+def _error_report(exc: AdlvError) -> tuple[dict, int]:
+    """The JSON error body and exit code for a package error."""
+    if isinstance(exc, (UnknownPreset, SchemaError)):
+        message = str(exc)
+    else:
+        message = f"{type(exc).__name__}: {exc}"
+    code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return {"schema_version": SCHEMA_VERSION, "error": message}, code
+
+
 def run(spec: JobSpec) -> tuple[dict, int]:
     """Execute one command; returns (report, exit code)."""
     try:
         report = _dispatch(spec)
-    except (UnknownPreset, SchemaError) as exc:
-        return {"schema_version": SCHEMA_VERSION, "error": str(exc)}, EXIT_USAGE
-    except HypothesisViolated as exc:
-        return (
-            {"schema_version": SCHEMA_VERSION, "error": f"HypothesisViolated: {exc}"},
-            EXIT_HYPOTHESIS,
-        )
-    except BudgetExceeded as exc:
-        return (
-            {"schema_version": SCHEMA_VERSION, "error": f"BudgetExceeded: {exc}"},
-            EXIT_BUDGET,
-        )
-    except SingularOperator as exc:
-        return (
-            {"schema_version": SCHEMA_VERSION, "error": f"SingularOperator: {exc}"},
-            EXIT_COUNTEREXAMPLE,
-        )
     except AdlvError as exc:
-        return (
-            {"schema_version": SCHEMA_VERSION, "error": f"{type(exc).__name__}: {exc}"},
-            EXIT_USAGE,
-        )
+        return _error_report(exc)
     code = EXIT_OK
     if spec.command == "verify" and (
         not report["pass"] or report["counterexample_candidates"]
@@ -192,6 +191,14 @@ def _dispatch(spec: JobSpec) -> dict:
 
     datum, pre = _resolve_group(spec)
     w = datum.weyl
+    n_affine = len(w.simple_affine)
+    for i in spec.level:
+        if not 0 <= i < n_affine:
+            raise SchemaError(
+                f"/level: {i} is not an affine simple index 0..{n_affine - 1}"
+            )
+    if len(set(spec.level)) != len(spec.level):
+        raise SchemaError("/level: repeated index")
     base = {
         "schema_version": SCHEMA_VERSION,
         "command": spec.command,
@@ -370,25 +377,24 @@ def main():
     """Combinatorics of unions of affine Deligne-Lusztig varieties."""
 
 
-def _common(command):
-    def runner(group, sigma, mu, b, level, budget, emit, out):
-        try:
-            spec = JobSpec(
-                command=command,
-                group=group,
-                sigma=sigma,
-                mu=_parse_ints(mu),
-                b=b,
-                level=_parse_ints(level) or (),
-                budget=budget,
-                emit=emit,
-            )
-        except SchemaError as exc:
-            _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, out)
-            sys.exit(EXIT_USAGE)
+def _execute(command, out, mu=None, level=None, **fields):
+    """Build the JobSpec from the parsed options, run it, write the
+    report and exit with its code."""
+    try:
+        spec = JobSpec(
+            command=command, mu=_parse_ints(mu), level=_parse_ints(level) or (), **fields
+        )
+    except SchemaError as exc:
+        report, code = _error_report(exc)
+    else:
         report, code = run(spec)
-        _emit(report, out)
-        sys.exit(code)
+    _emit(report, out)
+    sys.exit(code)
+
+
+def _query(command):
+    def runner(**options):
+        _execute(command=command, **options)
 
     return runner
 
@@ -398,7 +404,7 @@ for _name in ("adm", "straight", "bgmu", "pi0", "pic-cert"):
         _group_opt(
             _sigma_opt(
                 _mu_opt(
-                    _b_opt(_level_opt(_budget_opt(_emit_opt(_out_opt(_common(_name))))))
+                    _b_opt(_level_opt(_budget_opt(_emit_opt(_out_opt(_query(_name))))))
                 )
             )
         )
@@ -420,30 +426,14 @@ def verify(scale, group, sigma, mu, budget, out):
     With --group and --mu, run only the admissible-set lemma verifiers
     on that datum.
     """
-    try:
-        spec = JobSpec(
-            command="verify",
-            scale=scale,
-            group=group,
-            sigma=sigma,
-            mu=_parse_ints(mu),
-            budget=budget,
-        )
-    except SchemaError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, out)
-        sys.exit(EXIT_USAGE)
-    report, code = run(spec)
-    _emit(report, out)
-    sys.exit(code)
+    _execute("verify", out, mu=mu, scale=scale, group=group, sigma=sigma, budget=budget)
 
 
 @main.command()
 @_out_opt
 def presets(out):
     """List the preset catalog."""
-    report, code = run(JobSpec(command="presets"))
-    _emit(report, out)
-    sys.exit(code)
+    _execute("presets", out)
 
 
 if __name__ == "__main__":

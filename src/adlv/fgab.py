@@ -215,12 +215,6 @@ class FinAbGroup:
         free = sum(1 for x in self._diag if x == 0)
         return tuple(torsion) + (0,) * free
 
-    @property
-    def projection_matrix(self) -> Mat:
-        """Rows of U giving the coordinates that survive in the quotient."""
-        _d, u, _v = self._snf
-        return tuple(u[i] for i in range(self.ambient_rank) if self._diag[i] != 1)
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         n = 1
@@ -263,9 +257,6 @@ class FinAbGroup:
 
     def coord_add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
         return self._coord_norm(tuple(x + y for x, y in zip(a, b)))
-
-    def coord_neg(self, a: Sequence[int]) -> Vec:
-        return self._coord_norm(tuple(-x for x in a))
 
     def _coord_norm(self, coords: Sequence[int]) -> Vec:
         out = []

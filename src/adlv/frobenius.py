@@ -20,6 +20,7 @@ from .linalg import (
     Mat,
     dot,
     identity_matrix,
+    mat_det,
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
@@ -44,12 +45,15 @@ class FrobeniusDatum:
         if q < 2:
             raise SchemaError("/q: residue cardinality must be at least 2")
         self.q = q
+        det = mat_det(self.matrix)
+        if det not in (1, -1):
+            raise SchemaError(f"/lattice_matrix: determinant {det} is not +-1")
         self.matrix_inv = mat_inv_unimodular(self.matrix)
         self._validate()
         self.residually_split = self.matrix == identity_matrix(datum.rank)
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
         self._u_perm: dict[int, int] = {}
-        self._plateau_cache: dict[AffineWeylElement, "_PlateauInfo"] = {}
+        self._plateau_cache: dict[AffineWeylElement, "Plateau"] = {}
 
     def _validate(self) -> None:
         d = self.datum
@@ -187,37 +191,16 @@ class FrobeniusDatum:
         s = w.simple(i)
         return s * x * self.apply(s)
 
-    def plateau(
-        self, x: AffineWeylElement, node_budget: int = 200_000
-    ) -> dict[AffineWeylElement, tuple]:
+    def plateau(self, x: AffineWeylElement, node_budget: int = 200_000) -> "Plateau":
         """Closure of x under equal-length twisted conjugation steps.
 
-        Returns element -> path, where a path is a tuple of simple
-        indices applied from x.  Raises BallExhausted past the budget.
+        Cached for every member; raises BallExhausted past the budget,
+        whether or not the plateau is cached.
         """
-        w = self.datum.weyl
-        lx = w.length(x)
-        out = {x: ()}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s in w.simple_affine:
-                    z = self.conj_step(s.index, y)
-                    if w.length(z) == lx and z not in out:
-                        out[z] = out[y] + (s.index,)
-                        nxt.append(z)
-                        if len(out) > node_budget:
-                            raise BallExhausted(
-                                f"plateau exceeds {node_budget} nodes"
-                            )
-            frontier = nxt
-        return out
-
-    def _plateau_info(self, x: AffineWeylElement, node_budget: int) -> "_PlateauInfo":
-        """Shared, cached view of the equal-length plateau through x."""
         hit = self._plateau_cache.get(x)
         if hit is not None:
+            if len(hit.members) > node_budget:
+                raise BallExhausted(f"plateau exceeds {node_budget} nodes")
             return hit
         w = self.datum.weyl
         lx = w.length(x)
@@ -242,7 +225,7 @@ class FrobeniusDatum:
                     break
             if descent:
                 break
-        info = _PlateauInfo(frozenset(members), descent)
+        info = Plateau(frozenset(members), descent)
         for m in members:
             self._plateau_cache[m] = info
         return info
@@ -301,7 +284,7 @@ class FrobeniusDatum:
                 cur = to
 
         while True:
-            info = self._plateau_info(cur, node_budget)
+            info = self.plateau(cur, node_budget)
             if info.descent is None:
                 return cur, (ReductionPath(x, tuple(path)) if want_path else None)
             y, i = info.descent
@@ -343,10 +326,10 @@ class FrobeniusDatum:
         mat = obj.get("lattice_matrix")
         if mat is None:
             raise SchemaError("/lattice_matrix: missing")
-        if len(mat) != datum.rank:
+        if not isinstance(mat, list) or len(mat) != datum.rank:
             raise SchemaError(f"/lattice_matrix: expected {datum.rank} rows")
         for i, row in enumerate(mat):
-            if len(row) != datum.rank:
+            if not isinstance(row, list) or len(row) != datum.rank:
                 raise SchemaError(f"/lattice_matrix/{i}: expected {datum.rank} entries")
             for j, x in enumerate(row):
                 if not isinstance(x, int):
@@ -362,7 +345,10 @@ class FrobeniusDatum:
 
 
 @dataclass(frozen=True)
-class _PlateauInfo:
+class Plateau:
+    """Members of one equal-length twisted conjugation plateau, and the
+    canonical descent out of it (least member, lowest simple index)."""
+
     members: frozenset
     descent: tuple | None  # (member, simple index) or None
 

@@ -414,7 +414,6 @@ def pi0_predict(
         )
 
     aset = adm(d, mu, budget=budget)
-    assert aset.elements is not None
     w = d.weyl
     members = [
         x

@@ -97,7 +97,7 @@ def solve_bareiss(a: Mat, rhs: Sequence[int]) -> tuple[Vec, int]:
     sign = _bareiss(m)
     if sign == 0:
         return (0,) * n, 0
-    last = m[n - 1][n - 1]
+    last = m[n - 1][n - 1] if n else 1
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
@@ -109,31 +109,16 @@ def solve_bareiss(a: Mat, rhs: Sequence[int]) -> tuple[Vec, int]:
 
 
 def mat_inv_unimodular(a: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1."""
+    """Inverse of an integer matrix with determinant d = +-1.
+
+    Column j is d y_j for the solve_bareiss solution a y_j = d e_j.
+    """
     d = mat_det(a)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det={d})")
-    inv = mat_inv_fraction(a)
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def mat_inv_fraction(a: Mat) -> Mat:
-    """Exact inverse over Q; raises ValueError when singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    cols = [solve_bareiss(a, [int(i == j) for i in range(n)])[0] for j in range(n)]
+    return tuple(tuple(d * col[i] for col in cols) for i in range(n))
 
 
 def solve_fraction(a: Mat, rhs: Sequence) -> Vec | None:

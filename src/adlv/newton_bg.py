@@ -63,7 +63,6 @@ def b_g_mu(
 ) -> list[BGMuElement]:
     """Ordered list of B(G, {mu}), smallest Newton point first."""
     aset = adm(d, mu, budget=budget)
-    assert aset.elements is not None
     w = d.weyl
     mu_nat = mu_natural(sigma, mu)
     mu_dia = mu_diamond(sigma, mu)

@@ -113,10 +113,6 @@ class PicOperator:
     def __matmul__(self, other: "PicOperator") -> "PicOperator":
         return PicOperator(mat_mul(self.matrix, other.matrix))
 
-    def apply(self, cls: PicClass) -> PicClass:
-        vals = mat_vec(self.matrix, cls.values())
-        return PicClass.from_fractions(cls.prime, [Fraction(v) for v in vals])
-
     def is_identity(self) -> bool:
         n = len(self.matrix)
         return self.matrix == identity_matrix(n)

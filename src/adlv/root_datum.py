@@ -17,9 +17,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import NonIntegralCartan, NonReducedSystem, NotDominantInput
+from .errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, SchemaError
 from .fgab import FinAbGroup
-from .linalg import Mat, dot, identity_matrix, mat_mul, mat_vec, solve_fraction
+from .linalg import (
+    Mat,
+    dot,
+    identity_matrix,
+    mat_det,
+    mat_mul,
+    mat_vec,
+    principal_minors_positive,
+    solve_fraction,
+)
 
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -94,17 +103,11 @@ class RootDatum:
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise NonIntegralCartan(f"A[{i}][{j}] zero pattern asymmetric")
         # Simple roots must be linearly independent for the closure to be a
-        # genuine positive system.
-        if self.n_simple and solve_fraction(
-            tuple(zip(*self.simple_roots)), (0,) * self.rank
-        ) is None:
-            raise NonIntegralCartan("simple roots are inconsistent")
-        rows = [list(r) for r in self.simple_roots]
-        if _rational_rank(rows) != self.n_simple:
+        # genuine positive system; over Q that is a nonsingular Gram matrix.
+        roots = self.simple_roots
+        if mat_det(tuple(tuple(dot(r, c) for c in roots) for r in roots)) == 0:
             raise NonIntegralCartan("simple roots are linearly dependent")
         # Reflection closure terminates exactly for finite type.
-        from .linalg import principal_minors_positive
-
         if not principal_minors_positive(a):
             raise NonIntegralCartan("Cartan matrix is not of finite type")
 
@@ -300,25 +303,6 @@ class RootDatum:
         return f"RootDatum({label}, |Phi+|={len(self.positive_roots)})"
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def from_cartan_matrix(cartan: Sequence[Sequence[int]], name: str = "") -> RootDatum:
     """Simply connected datum: lattice = coroot lattice in its own basis.
 
@@ -345,4 +329,15 @@ def build_root_datum(spec) -> RootDatum:
         coroots = spec["simple_coroots"]
     except (TypeError, KeyError) as exc:
         raise NonIntegralCartan(f"explicit root datum missing field: {exc}") from exc
+    if not isinstance(rank, int):
+        raise SchemaError("/rank: expected integer")
+    for key, vectors in (("simple_roots", roots), ("simple_coroots", coroots)):
+        if not isinstance(vectors, list):
+            raise SchemaError(f"/{key}: expected a list of integer lists")
+        for i, v in enumerate(vectors):
+            if not isinstance(v, list):
+                raise SchemaError(f"/{key}/{i}: expected a list of integers")
+            for j, x in enumerate(v):
+                if not isinstance(x, int):
+                    raise SchemaError(f"/{key}/{i}/{j}: expected integer")
     return RootDatum(rank, roots, coroots, name=str(spec.get("name", "")))

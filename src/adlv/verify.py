@@ -13,12 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissible import (
-    adm,
-    in_adm,
-    verify_s_tau_membership,
-    verify_straight_class_containment,
-)
+from .admissible import adm, verify_s_tau_membership, verify_straight_class_containment
 from .errors import SingularOperator
 from .frobenius import FrobeniusDatum
 from .levi import is_fundamental, levi_of, sub_element, tau_orbits, twist_map
@@ -250,7 +245,7 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
             for x in straights:
                 if x in seen:
                     continue
-                members = sigma._plateau_info(x, scales.budget).members
+                members = sigma.plateau(x, scales.budget).members
                 seen.update(members)
                 classes.append((sigma.tag_of(x), x))
             tags: dict = {}

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from adlv.admissible import in_adm
 from adlv.affine_weyl import AffineRoot
 from adlv.errors import DatumMismatch, InfiniteParabolic
 from adlv.linalg import dot
 from adlv.presets import catalog, preset
+from adlv.root_datum import from_cartan_matrix
 
 from helpers import length_oracle, subword_set
 
@@ -111,6 +113,19 @@ def test_bruhat_examples():
     wad = preset("A1_ad").datum.weyl
     tau = wad.from_finite_word((1,), (0,))
     assert not wad.bruhat_leq(wad.identity(), tau)  # different Omega cosets
+
+
+def test_bruhat_long_chain_without_recursion():
+    # The descent chain from t^1000 down to e has length 2000, deeper than
+    # the interpreter's recursion limit.
+    d = from_cartan_matrix(((2,),), name="A1_fresh")
+    w = d.weyl
+    assert in_adm(d, (1000,), w.identity())
+    # One memo entry per step of the chain against t^-1000, the first
+    # maximal translation tried.
+    assert len(w._bruhat_cache) == 2000
+    assert w.bruhat_leq(w.translation((2,)), w.translation((1000,)))
+    assert not w.bruhat_leq(w.translation((-1000,)), w.translation((1000,)))
 
 
 def test_bruhat_against_subword_oracle():

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlv.admissible import adm
 from adlv.cli import (
@@ -136,6 +138,27 @@ def test_exit_schema_errors():
         '{"lattice_matrix": [[1, 0]]}',
     )
     assert result.exit_code == EXIT_USAGE
+    cases = [
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma",
+          '{"lattice_matrix": [[2]]}'), "/lattice_matrix"),
+        (("adm", "--group",
+          '{"rank": "x", "simple_roots": [[2]], "simple_coroots": [[1]]}',
+          "--mu", "1"), "/rank"),
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": [[2.5]], "simple_coroots": [[1]]}',
+          "--mu", "1"), "/simple_roots/0/0"),
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma",
+          '{"lattice_matrix": 5}'), "/lattice_matrix"),
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": 5, "simple_coroots": [[1]]}',
+          "--mu", "1"), "/simple_roots"),
+        (("adm", "--group", "A1_sc", "--mu", "1", "--level", "5"), "/level"),
+        (("adm", "--group", "A1_sc", "--mu", "1", "--level", "-1"), "/level"),
+    ]
+    for args, pointer in cases:
+        result = invoke(*args)
+        assert result.exit_code == EXIT_USAGE, (args, result.output)
+        assert json.loads(result.output)["error"].startswith(pointer), args
 
 
 def test_exit_budget_exceeded():
@@ -198,3 +221,68 @@ def test_exit_singular_operator_mapping(monkeypatch):
     report, code = run(JobSpec(command="pic-cert", group="A1_sc", mu=(1,), b="basic"))
     assert code == EXIT_COUNTEREXAMPLE
     assert "SingularOperator" in report["error"]
+
+
+FUZZ_PRESETS = ["A1_sc", "A1_ad", "A2_sc", "C2_sc", "GL2", "A1xA1_sc"]
+JUNK = st.one_of(st.text(max_size=2), st.floats(-2, 2), st.none())
+
+
+@st.composite
+def fuzz_specs(draw):
+    """Mostly well-formed queries on presets and small inline data, each
+    value replaced by junk one time in eight."""
+
+    def junk_or(value):
+        return draw(JUNK) if draw(st.sampled_from(range(8))) == 0 else value
+
+    def int_rows(rows, cols):
+        return junk_or([
+            junk_or(draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)))
+            for _ in range(rows)
+        ])
+
+    kind = draw(st.sampled_from(["preset"] * 3 + ["inline", "malformed"]))
+    if kind == "preset":
+        group = draw(st.sampled_from(FUZZ_PRESETS))
+        rank = preset(group).datum.rank
+    elif kind == "inline":
+        rank = draw(st.integers(1, 3))
+        n_simple = draw(st.integers(0, rank))
+        group = json.dumps({
+            "rank": junk_or(rank),
+            "simple_roots": int_rows(n_simple, rank),
+            "simple_coroots": int_rows(n_simple, rank),
+        })
+    else:
+        group = draw(st.sampled_from(["{", '{"rank": 1}', "[1]", "E9_oops"]))
+        rank = 1
+    if draw(st.sampled_from(range(4))) == 0:
+        sigma = json.dumps({"lattice_matrix": int_rows(rank, rank), "q": junk_or(2)})
+    else:
+        sigma = draw(st.sampled_from(["split"] * 4 + ["split:3", "split:1", "flip", "{bad"]))
+    mu = tuple(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+    mu = draw(st.sampled_from([mu] * 6 + [None, mu + (0,)]))
+    level = ()
+    if kind == "preset" and draw(st.booleans()):
+        level = tuple(draw(st.lists(st.integers(-2, 5), max_size=3)))
+    return JobSpec(
+        command=draw(st.sampled_from(["adm", "straight", "bgmu", "pi0", "pic-cert", "verify"])),
+        group=group,
+        sigma=sigma,
+        mu=mu,
+        b=draw(st.sampled_from([None, "basic", "maximal", "0", "1", "7", "nope"])),
+        level=level,
+        budget=draw(st.integers(1, 500)),
+        emit=draw(st.sampled_from(["summary", "elements"])),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzz_specs())
+def test_run_never_raises(spec):
+    # Every input ends in a report or a JSON error with a documented code.
+    report, code = run(spec)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_BUDGET, EXIT_COUNTEREXAMPLE)
+    json.dumps(report, sort_keys=True)
+    # A failing verify run (exit 4) is a report with checks, not an error.
+    assert ("error" in report) == (code != EXIT_OK and "checks" not in report)

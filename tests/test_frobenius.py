@@ -186,7 +186,7 @@ def test_straight_class_is_single_plateau():
     for x in straights:
         if x in seen:
             continue
-        members = sig._plateau_info(x, 100000).members
+        members = sig.plateau(x, 100000).members
         seen.update(members)
         for y in members:
             assert sig.is_straight(y)
@@ -202,6 +202,10 @@ def test_plateau_budget():
     d, sig = split("C2_sc")
     w = d.weyl
     x = w.simple(0) * w.simple(1)
+    with pytest.raises(BallExhausted):
+        sig.plateau(x, node_budget=1)
+    # A cached plateau obeys the budget too.
+    assert len(sig.plateau(x).members) == 2
     with pytest.raises(BallExhausted):
         sig.plateau(x, node_budget=1)
 
