@@ -17,6 +17,7 @@ memo); elements are immutable values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -243,11 +244,8 @@ class AffineWeylGroup:
     # -- length and reduced words ---------------------------------------------
 
     def length_of(self, lam: IntVec, u_idx: int) -> int:
-        offs = self.w0_offsets[u_idx]
-        total = 0
-        for a, o in zip(self.datum.positive_roots, offs):
-            total += abs(dot(a, lam) - o)
-        return total
+        pairings = [dot(a, lam) for a in self.datum.positive_roots]
+        return sum(map(abs, map(operator.sub, pairings, self.w0_offsets[u_idx])))
 
     def length(self, x: AffineWeylElement) -> int:
         return self.length_of(x.lam, x.u_idx)

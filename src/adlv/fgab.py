@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NoSolution
-from .linalg import Mat, Vec, identity_matrix, mat_inv_unimodular, mat_vec
+from .linalg import Mat, Vec, dot, identity_matrix, mat_inv_unimodular, mat_vec
 
 
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
@@ -184,9 +184,22 @@ class FinAbGroup:
     ambient_rank: int
     relations: Mat  # ambient_rank x (number of relators)
     _snf: tuple = field(init=False, repr=False, compare=False)
+    # Diagonal of the Smith form, one entry per ambient coordinate.
+    _diag: tuple = field(init=False, repr=False, compare=False)
+    # (row of u, d_i) for each d_i != 1: the rows that project reads.
+    _proj_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_snf", smith_normal_form(self.relations))
+        snf = smith_normal_form(self.relations)
+        d, u, _v = snf
+        rows = self.ambient_rank
+        cols = len(self.relations[0]) if rows else 0
+        diag = tuple(d[i][i] if i < min(rows, cols) else 0 for i in range(rows))
+        object.__setattr__(self, "_snf", snf)
+        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(
+            self, "_proj_rows", tuple((u[i], di) for i, di in enumerate(diag) if di != 1)
+        )
 
     @classmethod
     def from_columns(cls, n: int, relators: Iterable[Sequence[int]]) -> "FinAbGroup":
@@ -197,16 +210,6 @@ class FinAbGroup:
         return cls(n, tuple(() for _ in range(n)))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def _diag(self) -> tuple[int, ...]:
-        d, _u, _v = self._snf
-        rows = self.ambient_rank
-        cols = len(self.relations[0]) if rows else 0
-        out = []
-        for i in range(rows):
-            out.append(d[i][i] if i < min(rows, cols) else 0)
-        return tuple(out)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -231,13 +234,10 @@ class FinAbGroup:
 
     def project(self, x: Sequence[int]) -> Vec:
         """Normalized coordinates of the class of x; equal iff classes equal."""
-        _d, u, _v = self._snf
-        y = mat_vec(u, x)
         out = []
-        for i, di in enumerate(self._diag):
-            if di == 1:
-                continue
-            out.append(y[i] % di if di > 1 else y[i])
+        for row, di in self._proj_rows:
+            y = dot(row, x)
+            out.append(y % di if di > 1 else y)
         return tuple(out)
 
     def lift(self, coords: Sequence[int]) -> Vec:

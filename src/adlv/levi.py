@@ -61,13 +61,13 @@ class LeviDatum:
 
 
 def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
-    """The Levi datum of the direction v, cached per datum."""
+    """The Levi datum of the direction v, cached per datum.
+
+    Directions with the same vanishing simple roots share one sub-datum,
+    hence one Weyl group and its memos.
+    """
     key = _normalize_direction(v)
-    cache = getattr(d, "_levi_cache", None)
-    if cache is None:
-        cache = {}
-        d._levi_cache = cache
-    hit = cache.get(key)
+    hit = d._levi_cache.get(key)
     if hit is not None:
         return hit
 
@@ -75,22 +75,25 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
     positive_side = frozenset(a for a in d.root_set if dot(a, key) > 0)
     m_positives = [a for a in d.positive_roots if a in vanishing]
     pos_set = set(m_positives)
-    simples = [
+    simples = tuple(
         a
         for a in m_positives
         if not any(b != a and tuple(x - y for x, y in zip(a, b)) in pos_set
                    for b in pos_set)
-    ]
-    if simples == list(d.simple_roots):
-        sub = d
-    else:
-        sub = RootDatum(
-            d.rank,
-            tuple(simples),
-            tuple(d.coroot(a) for a in simples),
-            name=f"{d.name or 'datum'}|v={key}",
-        )
-        assert set(sub.positive_roots) == pos_set, "subsystem closure mismatch"
+    )
+    sub = d._levi_sub_cache.get(simples)
+    if sub is None:
+        if simples == d.simple_roots:
+            sub = d
+        else:
+            sub = RootDatum(
+                d.rank,
+                simples,
+                tuple(d.coroot(a) for a in simples),
+                name=f"{d.name or 'datum'}|M={simples}",
+            )
+            assert set(sub.positive_roots) == pos_set, "subsystem closure mismatch"
+        d._levi_sub_cache[simples] = sub
     levi = LeviDatum(
         direction=key,
         vanishing_roots=vanishing,
@@ -98,7 +101,7 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
         sub_datum=sub,
         simple_affine_roots=tuple(s.root for s in sub.weyl.simple_affine),
     )
-    cache[key] = levi
+    d._levi_cache[key] = levi
     return levi
 
 

@@ -8,6 +8,7 @@ dictionary keys for Weyl group elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vec = tuple
@@ -20,13 +21,11 @@ def identity_matrix(n: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_mat(v: Sequence, a: Mat) -> Vec:
@@ -39,7 +38,7 @@ def vec_sub(u: Sequence, v: Sequence) -> Vec:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _bareiss(m: list[list]) -> int:

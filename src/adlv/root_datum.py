@@ -33,6 +33,11 @@ from .linalg import (
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 
+# Largest rank an inline root datum may have; the presets go up to 4.
+# The group build allocates rank x rank matrices, so this bounds the
+# memory a small JSON input can ask for.
+MAX_RANK = 64
+
 
 def reflection_matrix(rank: int, root: Sequence[int], coroot: Sequence[int]) -> Mat:
     """Matrix of s_a acting on the cocharacter lattice: x - <a, x> a^vee."""
@@ -87,6 +92,11 @@ class RootDatum:
         self.highest_roots: tuple[IntVec, ...] = tuple(
             self._highest_root(c) for c in self.components
         )
+        # Filled by levi.levi_of: the Levi datum of each primitive
+        # direction, and one sub-datum per tuple of Levi simple roots, so
+        # directions with the same Levi share its Weyl group and memos.
+        self._levi_cache: dict = {}
+        self._levi_sub_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -329,8 +339,10 @@ def build_root_datum(spec) -> RootDatum:
         coroots = spec["simple_coroots"]
     except (TypeError, KeyError) as exc:
         raise NonIntegralCartan(f"explicit root datum missing field: {exc}") from exc
-    if not isinstance(rank, int):
+    if isinstance(rank, bool) or not isinstance(rank, int):
         raise SchemaError("/rank: expected integer")
+    if rank > MAX_RANK:
+        raise SchemaError(f"/rank: {rank} exceeds the maximum rank {MAX_RANK}")
     for key, vectors in (("simple_roots", roots), ("simple_coroots", coroots)):
         if not isinstance(vectors, list):
             raise SchemaError(f"/{key}: expected a list of integer lists")

@@ -154,6 +154,13 @@ def test_exit_schema_errors():
           "--mu", "1"), "/simple_roots"),
         (("adm", "--group", "A1_sc", "--mu", "1", "--level", "5"), "/level"),
         (("adm", "--group", "A1_sc", "--mu", "1", "--level", "-1"), "/level"),
+        (("adm", "--group",
+          '{"rank": true, "simple_roots": [[2]], "simple_coroots": [[1]]}',
+          "--mu", "1"), "/rank"),
+        # Rejected before any rank x rank matrix is allocated.
+        (("adm", "--group",
+          '{"rank": 100000, "simple_roots": [], "simple_coroots": []}',
+          "--mu", "0"), "/rank"),
     ]
     for args, pointer in cases:
         result = invoke(*args)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from adlv.admissible import adm
 from adlv.errors import NotStraight, TagNotInBGMu
 from adlv.frobenius import FrobeniusDatum
 from adlv.levi import (
@@ -18,7 +19,8 @@ from adlv.levi import (
 )
 from adlv.linalg import dot
 from adlv.newton_bg import b_g_mu
-from adlv.presets import preset
+from adlv.presets import catalog, preset
+from adlv.verify import VerifyScales, check_levi_embedding_facts
 
 from helpers import v_alcove_oracle
 
@@ -345,3 +347,85 @@ def test_pi0_predict_unsupported_cases():
     with pytest.raises(TagNotInBGMu):
         fake = sig.tag_of(d.weyl.translation((3, 0, 0)))
         pi0_predict(d, sig, (1, 0, 1), fake)
+
+
+def test_levi_sub_datum_shared_per_vanishing_roots():
+    d = preset("C2_sc").datum
+    # Two regular directions: no root vanishes on either.
+    first = levi_of(d, (3, 1))
+    second = levi_of(d, (1, 3))
+    assert first.vanishing_roots == second.vanishing_roots == frozenset()
+    assert first.sub_datum is second.sub_datum
+    assert first.direction != second.direction
+    assert first is not second
+
+
+def _straight_levis(p):
+    """The distinct Levis of the straight elements of each grid Adm(mu)."""
+    d = p.datum
+    sigma = FrobeniusDatum(d)
+    levis = {}
+    for _label, mu in p.mu_grid:
+        for x in sigma.straight_elements_in(adm(d, mu).elements):
+            levi = levi_of(d, sigma.newton_vector(x))
+            levis.setdefault(levi.sub_datum, levi)
+    return list(levis.values())
+
+
+def test_interval_closure_matches_bruhat_recursion():
+    # Closing covers (the subword property) and the descent recursion
+    # are independent routes to the Bruhat order.
+    for p in catalog():
+        for levi in _straight_levis(p):
+            w = levi.sub_datum.weyl
+            ball = w.ball(2, [o.element for o in w.omega_elements()])
+            ball_set = set(ball)
+            for b in ball:
+                assert w.bruhat_interval_below(b) & ball_set == {
+                    a for a in ball if w.bruhat_leq(a, b)
+                }, (p.name, levi.direction, b)
+
+
+@pytest.fixture(scope="module")
+def quick_levi_report():
+    return check_levi_embedding_facts(VerifyScales.quick())
+
+
+def test_levi_order_pairs_quick_total(quick_levi_report):
+    runs = quick_levi_report["runs"]
+    assert sum(r["order_pairs_checked"] for r in runs) == 33_720
+    assert quick_levi_report["pass"]
+
+
+def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
+    # Reference sweep: every direction on its own, all pairs, the Levi
+    # order by the descent recursion.
+    scales = VerifyScales.quick()
+    for name in ("A2_sc", "C2_sc"):
+        p = preset(name)
+        d = p.datum
+        sigma = FrobeniusDatum(d)
+        got = [r for r in quick_levi_report["runs"] if r["preset"] == name]
+        assert len(got) == len(p.mu_grid)
+        for run, (label, mu) in zip(got, p.mu_grid):
+            checked = 0
+            bad = []
+            seen = set()
+            for x in sigma.straight_elements_in(adm(d, mu).elements):
+                levi = levi_of(d, sigma.newton_vector(x))
+                if levi.direction in seen:
+                    continue
+                seen.add(levi.direction)
+                sw = levi.sub_datum.weyl
+                ball = sw.coset_ball(scales.levi_ball_length)[: scales.levi_pair_cap]
+                for a in ball:
+                    for b in ball:
+                        if sw.bruhat_leq(a, b):
+                            checked += 1
+                            if not d.weyl.bruhat_leq(
+                                sub_element(d, levi, a), sub_element(d, levi, b)
+                            ):
+                                bad.append({"x": sw.to_json(a), "y": sw.to_json(b)})
+            assert run["mu"] == f"{label}:{list(mu)}"
+            assert run["order_pairs_checked"] == checked
+            assert run["order_violations"] == bad

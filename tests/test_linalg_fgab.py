@@ -16,6 +16,7 @@ from adlv.fgab import (
     solve_int,
 )
 from adlv.linalg import (
+    dot,
     identity_matrix,
     mat_det,
     mat_inv_unimodular,
@@ -210,3 +211,67 @@ def test_solve_bareiss_singular_consistent_reports_zero():
     # ...but the determinant is 0, and that is what the integer solve reports.
     assert solve_bareiss(a, (1, 2)) == ((0, 0), 0)
     assert solve_bareiss(((0, 0), (0, 0)), (0, 0)) == ((0, 0), 0)
+
+
+def _snf_projection(a, x):
+    """The class of x by definition: u x reduced mod each invariant
+    factor d_i > 1, unit factors dropped (u from the Smith form of a)."""
+    d, u, _v = smith_normal_form(a)
+    rows, cols = len(a), len(a[0])
+    y = mat_vec(u, x)
+    out = []
+    for i in range(rows):
+        di = d[i][i] if i < min(rows, cols) else 0
+        if di != 1:
+            out.append(y[i] % di if di > 1 else y[i])
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_matrix.flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.lists(st.integers(-20, 20), min_size=len(a), max_size=len(a)),
+        )
+    )
+)
+def test_project_matches_snf_definition(case):
+    a, x = case
+    assert FinAbGroup(len(a), a).project(x) == _snf_projection(a, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_project_matches_snf_definition_on_presets(data):
+    from adlv.presets import catalog
+
+    for p in catalog():
+        g = p.datum.pi1
+        x = data.draw(st.lists(st.integers(-20, 20), min_size=g.ambient_rank,
+                               max_size=g.ambient_rank))
+        assert g.project(x) == _snf_projection(g.relations, x)
+
+
+fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(fractions, min_size=n, max_size=n),
+        st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=1, max_size=4),
+    )
+))
+def test_dot_and_mat_vec_on_fractions(case):
+    v, a = case
+    v = tuple(v)
+    a = tuple(tuple(row) for row in a)
+    # Reference: the sums written as generator expressions.
+    want_dot = sum(x * y for x, y in zip(a[0], v))
+    got_dot = dot(a[0], v)
+    assert got_dot == want_dot and type(got_dot) is type(want_dot)
+    want = tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    got = mat_vec(a, v)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
