@@ -1,19 +1,21 @@
 """Admissible sets: downward Bruhat closures of the translations t^{x(mu)}.
 
 Enumeration walks cover relations downward from the maximal translations
-(every cover is a one-letter deletion of a reduced word), which never
-needs a Bruhat comparison.  Membership tests for external elements use
-the memoized Bruhat recursion against the maximal translations; the two
-routes cross-check each other in the test suite.
+(the covers of x come from its right inversions, by the strong exchange
+condition), which never needs a Bruhat comparison.  The ADM_MEMO_SIZE
+most recent sets are kept, keyed by group, mu and budget.  Membership
+tests for external elements use the memoized Bruhat recursion against
+the maximal translations; the two routes cross-check each other in the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .affine_weyl import AffineWeylElement, OmegaElt
+from .affine_weyl import AffineWeylElement, AffineWeylGroup, OmegaElt
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
 from .frobenius import FrobeniusDatum
 from .linalg import dot, mat_vec
@@ -22,6 +24,7 @@ from .root_datum import RootDatum
 IntVec = tuple[int, ...]
 
 DEFAULT_BUDGET = 5_000_000
+ADM_MEMO_SIZE = 16
 
 
 def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:
@@ -44,7 +47,7 @@ def tau_mu(d: RootDatum, mu: Sequence[int]) -> OmegaElt:
     return w.omega_elt(w.omega_of(w.translation(mu)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissibleSet:
     datum: RootDatum
     mu: IntVec
@@ -76,7 +79,15 @@ def maximal_translations(d: RootDatum, mu: Sequence[int]) -> tuple[AffineWeylEle
 
 def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> AdmissibleSet:
     """Enumerate Adm({mu}) by closing the maximal translations under covers."""
-    w = d.weyl
+    return _adm(d.weyl, tuple(int(x) for x in mu), budget)
+
+
+@lru_cache(maxsize=ADM_MEMO_SIZE)
+def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
+    """The body of adm, memoized.  Keyed by the group object, not the
+    datum: equal data built apart have distinct groups, and a set's
+    elements are bound to one of them.  A BudgetExceeded is not cached."""
+    d = w.datum
     mu_dom_q, _ = d.dominant_rep(mu)
     mu_dom = tuple(int(x) for x in mu_dom_q)
     maxima = maximal_translations(d, mu)
@@ -85,7 +96,7 @@ def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> Admiss
     while frontier:
         nxt = []
         for x in frontier:
-            for below, _word in w.covers_below(x):
+            for below in w.covers_below(x):
                 if below not in seen:
                     seen.add(below)
                     nxt.append(below)
@@ -96,7 +107,7 @@ def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> Admiss
         frontier = nxt
     return AdmissibleSet(
         datum=d,
-        mu=tuple(int(x) for x in mu),
+        mu=mu,
         mu_dominant=mu_dom,
         maximal=maxima,
         tau=tau_mu(d, mu),
@@ -124,7 +135,7 @@ def audit_downward_closed(d: RootDatum, elements: frozenset) -> list:
     w = d.weyl
     bad = []
     for x in elements:
-        for below, _word in w.covers_below(x):
+        for below in w.covers_below(x):
             if below not in elements:
                 bad.append((x, below))
     return bad

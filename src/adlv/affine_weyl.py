@@ -34,7 +34,7 @@ from .linalg import (
     solve_fraction,
     vec_mat,
 )
-from .root_datum import RootDatum
+from .root_datum import RootDatum, reflection_matrix
 
 IntVec = tuple[int, ...]
 
@@ -178,6 +178,11 @@ class AffineWeylGroup:
         for m in order:
             offs.append(tuple(0 if vec_mat(a, m) in posset else 1 for a in pos))
         self.w0_offsets: tuple[tuple[int, ...], ...] = tuple(offs)
+        # (a, a^vee, W0 index of s_a) per positive root, for covers_below.
+        self._root_reflections = tuple(
+            (a, d.coroot(a), index[reflection_matrix(d.rank, a, d.coroot(a))])
+            for a in pos
+        )
 
     def w0_order(self) -> int:
         return len(self.w0_list)
@@ -232,8 +237,6 @@ class AffineWeylGroup:
         d = self.datum
         a = root.gradient
         av = d.coroot(a)
-        from .root_datum import reflection_matrix
-
         m = reflection_matrix(d.rank, a, av)
         lam = tuple(-root.level * x for x in av)
         return self.from_matrix(lam, m)
@@ -370,36 +373,43 @@ class AffineWeylGroup:
             self._bruhat_cache[key] = res
         return res
 
-    def covers_below(self, x: AffineWeylElement) -> list[tuple[AffineWeylElement, tuple[int, ...]]]:
-        """Elements covered by x, each with an inherited reduced word.
+    def covers_below(self, x: AffineWeylElement) -> list[AffineWeylElement]:
+        """Elements covered by x in the Bruhat order.
 
-        Deleting one letter from a fixed reduced word reaches every
-        cover (strong exchange); deletions that fail to drop the length
-        by exactly one are discarded.
+        By the strong exchange condition the covers are the x . s_beta of
+        length l(x) - 1, with beta running over the right inversions of
+        x.  For x = (lam, u) and a positive root a, put b = a . u^{-1}
+        and p = <b, lam>: x sends the affine root of s_(a,k) to one with
+        gradient b and level k - p, so the levels k with x . s_(a,k) < x
+        form one integer range, and the ranges hold l(x) levels in all.
+        Each candidate x . s_(a,k) = (lam - k u(a^vee), u s_a) is one
+        vector update and one table lookup.
         """
-        word, omega = self.reduced_word(x)
-        n = len(word)
-        if n == 0:
-            return []
-        suffixes = [None] * (n + 1)
-        suffixes[n] = omega
-        for j in range(n - 1, -1, -1):
-            suffixes[j] = self.simple(word[j]) * suffixes[j + 1]
-        prefixes = [self.identity()]
-        for j in range(n):
-            prefixes.append(prefixes[-1] * self.simple(word[j]))
+        lam, u = x.lam, x.u_idx
+        u_inv = self.w0_inv[u]
+        # <b, lam> = <a, u^{-1} lam>, and b is negative exactly where the
+        # length offsets of u^{-1} are 1.
+        lam_back = mat_vec(self.w0_list[u_inv], lam)
+        b_negative = self.w0_offsets[u_inv]
+        m = self.w0_list[u]
+        row = self.w0_mul[u]
+        ranges = []
+        lx = 0
+        for (a, av, s_idx), neg in zip(self._root_reflections, b_negative):
+            p = dot(a, lam_back)
+            if neg:
+                lo, hi = (0, p) if p >= 0 else (p + 1, -1)
+            else:
+                lo, hi = (0, p - 1) if p > 0 else (p, -1)
+            if lo <= hi:
+                lx += hi - lo + 1
+                ranges.append((mat_vec(m, av), row[s_idx], lo, hi))
         out = []
-        seen = set()
-        for j in range(n):
-            cand = prefixes[j] * suffixes[j + 1]
-            if cand.key() in seen:
-                continue
-            if self.length(cand) == n - 1:
-                seen.add(cand.key())
-                sub = word[:j] + word[j + 1:]
-                if cand.key() not in self._rw_cache:
-                    self._rw_cache[cand.key()] = (sub, omega)
-                out.append((cand, sub))
+        for uav, v_idx, lo, hi in ranges:
+            for k in range(lo, hi + 1):
+                cand = tuple(l - k * c for l, c in zip(lam, uav))
+                if self.length_of(cand, v_idx) == lx - 1:
+                    out.append(AffineWeylElement(self, cand, v_idx))
         return out
 
     def bruhat_interval_below(self, y: AffineWeylElement) -> set[AffineWeylElement]:
@@ -409,7 +419,7 @@ class AffineWeylGroup:
         while frontier:
             nxt = []
             for w in frontier:
-                for c, _word in self.covers_below(w):
+                for c in self.covers_below(w):
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)

@@ -441,8 +441,8 @@ def pi0_predict(
                 translation_part_admissible=in_adm(d, mu, w.translation(x.lam)),
             )
         )
-    # Not by reduced word: those depend on the history of the word cache,
-    # and the report must not depend on earlier queries.
+    # By canonical key, which orders strata of equal length without
+    # building a reduced word.
     strata.sort(key=lambda s: (s.element.length, s.element.key()))
     return Pi0Prediction(
         case="nonbasic-residually-split",

@@ -49,7 +49,6 @@ def mu_diamond(sigma: FrobeniusDatum, mu: Sequence[int]) -> QVec:
 class BGMuElement:
     tag: StraightClassTag
     representative: AffineWeylElement
-    representative_word: tuple[int, ...]
     basic: bool
     is_minimal: bool
     is_maximal: bool
@@ -99,12 +98,10 @@ def b_g_mu(
 
     out = []
     for tag, rep in kept:
-        word, _omega = w.reduced_word(rep)
         out.append(
             BGMuElement(
                 tag=tag,
                 representative=rep,
-                representative_word=word,
                 basic=all(
                     sum(a[i] * tag.nu_bar[i] for i in range(d.rank)) == 0
                     for a in d.simple_roots

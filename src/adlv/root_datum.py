@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, SchemaError
@@ -249,18 +250,23 @@ class RootDatum:
     def dominant_rep(self, v: Sequence) -> tuple[QVec, Mat]:
         """Dominant representative of the W0-orbit of v and a witness w.
 
-        The witness matrix satisfies  witness . v = result.
+        The witness matrix satisfies  witness . v = result.  Works on the
+        integer numerator of v over the lcm of its denominators, which
+        reflects by  x - <alpha_i, x> alpha_i^vee  in integers.
         """
-        cur = tuple(Fraction(x) for x in v)
+        q = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in q))
+        cur = [x.numerator * (den // x.denominator) for x in q]
         wit = identity_matrix(self.rank)
         while True:
-            for i in range(self.n_simple):
-                if dot(self.simple_roots[i], cur) < 0:
-                    cur = tuple(mat_vec(self.simple_reflections[i], cur))
+            for i, a in enumerate(self.simple_roots):
+                p = dot(a, cur)
+                if p < 0:
+                    cur = [c - p * cv for c, cv in zip(cur, self.simple_coroots[i])]
                     wit = mat_mul(self.simple_reflections[i], wit)
                     break
             else:
-                return cur, wit
+                return tuple(Fraction(c, den) for c in cur), wit
 
     def dominance_leq(self, lam: Sequence, lam2: Sequence) -> bool:
         """lam <= lam2 in dominance order; both must be dominant."""

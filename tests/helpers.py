@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
-from adlv.linalg import dot, mat_vec
+from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec
 
 
 def length_oracle(w, x: AffineWeylElement) -> int:
@@ -32,6 +32,21 @@ def length_oracle(w, x: AffineWeylElement) -> int:
             if not w.is_positive_affine(w.preimage_affine_root(x, root)):
                 count += 1
     return count
+
+
+def dominant_rep_oracle(d, v):
+    """Dominant representative and witness by reflecting the Fraction
+    vector itself and multiplying the witness matrix step by step."""
+    cur = tuple(Fraction(x) for x in v)
+    wit = identity_matrix(d.rank)
+    while True:
+        for i in range(d.n_simple):
+            if dot(d.simple_roots[i], cur) < 0:
+                cur = tuple(mat_vec(d.simple_reflections[i], cur))
+                wit = mat_mul(d.simple_reflections[i], wit)
+                break
+        else:
+            return cur, wit
 
 
 def subword_set(w, y: AffineWeylElement) -> set:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from adlv import admissible
 from adlv.admissible import (
+    ADM_MEMO_SIZE,
     adm,
     adm_parahoric,
     audit_downward_closed,
@@ -15,6 +17,7 @@ from adlv.admissible import (
 from adlv.errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
+from adlv.root_datum import RootDatum
 
 from helpers import naive_in_adm, subword_set
 
@@ -65,7 +68,7 @@ def test_adm_downward_closed_and_maximal_structure():
             assert audit_downward_closed(d, aset.elements) == []
             covered = set()
             for x in aset.elements:
-                covered.update(c for c, _ in w.covers_below(x))
+                covered.update(w.covers_below(x))
             maximal = set(aset.elements) - covered
             assert maximal == set(aset.maximal)
             for t in aset.maximal:
@@ -124,6 +127,31 @@ def test_budget_exceeded():
     d = preset("C2_sc").datum
     with pytest.raises(BudgetExceeded):
         adm(d, (1, 1), budget=3)
+
+
+def test_adm_memo_bounded_and_equal_to_cold():
+    for p in catalog():
+        d = p.datum
+        for _label, mu in p.mu_grid:
+            first = adm(d, mu)
+            again = adm(d, mu)
+            assert again is first
+            assert all(x.group is d.weyl for x in again.elements)
+            # An equal datum built apart has its own group, so it gets its
+            # own set rather than the one bound to d.weyl.
+            fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
+            cold = adm(fresh, mu)
+            assert all(x.group is fresh.weyl for x in cold.elements)
+            assert again == cold
+    assert admissible._adm.cache_info().currsize <= ADM_MEMO_SIZE
+
+
+def test_budget_exceeded_after_memo():
+    d = preset("C2_sc").datum
+    assert len(adm(d, (1, 1))) > 3
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            adm(d, (1, 1), budget=3)
 
 
 def test_adm_parahoric_trivial_k():

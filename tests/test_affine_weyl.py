@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from adlv.admissible import in_adm
-from adlv.affine_weyl import AffineRoot
+from adlv.admissible import adm, in_adm
+from adlv.affine_weyl import AffineRoot, AffineWeylElement
 from adlv.errors import DatumMismatch, InfiniteParabolic
-from adlv.linalg import dot
+from adlv.linalg import dot, vec_mat
 from adlv.presets import catalog, preset
-from adlv.root_datum import from_cartan_matrix
+from adlv.root_datum import RootDatum, from_cartan_matrix
 
 from helpers import length_oracle, subword_set
 
@@ -148,11 +148,79 @@ def test_bruhat_against_subword_oracle():
 
 
 def test_covers_are_length_one_down():
-    w = preset("C2_sc").datum.weyl
-    for x in w.ball(5):
-        for below, word in w.covers_below(x):
-            assert w.length(below) == w.length(x) - 1
-            assert w.assemble(word, w.reduced_word(x)[1]) == below
+    # Against the strong exchange condition computed without the inversion
+    # ranges: the covers are the single-letter deletions of one reduced
+    # word that drop the length by one.
+    rng = random.Random(5)
+    for p in catalog():
+        w = p.datum.weyl
+        d = w.datum
+        ball = w.ball(5)
+        xs = ball if len(ball) <= 150 else sorted(
+            {rng.choice(ball) for _ in range(150)}, key=lambda e: e.key()
+        )
+        for x in xs:
+            lx = w.length(x)
+            word, omega = w.reduced_word(x)
+            deletions = set()
+            for j in range(len(word)):
+                cand = w.assemble(word[:j] + word[j + 1:], omega)
+                if w.length(cand) == lx - 1:
+                    deletions.add(cand)
+            assert set(w.covers_below(x)) == deletions
+            # The levels k with x . s_(a,k) < x, one integer range per
+            # positive root, hold l(x) levels in all.
+            m_inv = w.w0_list[w.w0_inv[x.u_idx]]
+            levels = 0
+            for a in d.positive_roots:
+                b = vec_mat(a, m_inv)
+                pb = dot(b, x.lam)
+                if b in d.positive_set:
+                    ks = range(0, pb) if pb > 0 else range(pb, 0)
+                else:
+                    ks = range(0, pb + 1) if pb >= 0 else range(pb + 1, 0)
+                for k in ks:
+                    assert w.length(x * w.reflection(AffineRoot(a, k))) < lx
+                levels += len(ks)
+            assert levels == length_oracle(w, x)
+
+
+def test_covers_below_work_is_linear(monkeypatch):
+    # The covers of t^200 cost at most l(x) length evaluations and no
+    # element products (a reduced word, its prefixes and suffixes cost
+    # about 3 l(x) products).
+    a1 = preset("A1_sc").datum
+    w = RootDatum(a1.rank, a1.simple_roots, a1.simple_coroots, name="A1_sc").weyl
+    x = w.translation((200,))
+    lx = w.length(x)
+    counts = {"length_of": 0, "mul": 0}
+    length_of = w.length_of
+    mul = AffineWeylElement.__mul__
+
+    def counting_length_of(lam, u_idx):
+        counts["length_of"] += 1
+        return length_of(lam, u_idx)
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(w, "length_of", counting_length_of)
+    monkeypatch.setattr(AffineWeylElement, "__mul__", counting_mul)
+    covers = w.covers_below(x)
+    assert counts["length_of"] <= lx == 400
+    assert counts["mul"] == 0
+    assert len(covers) == 2
+
+
+def test_reduced_words_independent_of_cache_history():
+    d = preset("C2_sc").datum
+    adm(d, (4, 0))
+    fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name="C2_sc").weyl
+    for x in adm(d, (2, 0)).elements:
+        word, omega = d.weyl.reduced_word(x)
+        word2, omega2 = fresh.reduced_word(AffineWeylElement(fresh, x.lam, x.u_idx))
+        assert (word, omega.key()) == (word2, omega2.key())
 
 
 def test_omega_elements():

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlv.errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, UnknownPreset
 from adlv.linalg import dot, mat_vec
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 
-from helpers import dominance_grid_oracle
+from helpers import dominance_grid_oracle, dominant_rep_oracle
 
 
 def orbit_closure_count(d) -> int:
@@ -119,6 +121,22 @@ def test_dominant_rep_orbit_invariance():
                 moved = tuple(mat_vec(rng.choice(d.simple_reflections), moved))
             dom2, _ = d.dominant_rep(moved)
             assert dom == dom2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dominant_rep_matches_fraction_loop(data):
+    d = data.draw(st.sampled_from([p.datum for p in catalog()]))
+    if data.draw(st.booleans()):
+        entry = st.integers(-20, 20)
+    else:
+        entry = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    v = tuple(data.draw(entry) for _ in range(d.rank))
+    dom, wit = d.dominant_rep(v)
+    dom_o, wit_o = dominant_rep_oracle(d, v)
+    assert dom == dom_o and wit == wit_o
+    assert [type(c) for c in dom] == [type(c) for c in dom_o] == [Fraction] * d.rank
+    assert [type(c) for row in wit for c in row] == [type(c) for row in wit_o for c in row]
 
 
 def test_dominance_examples_and_oracle():
