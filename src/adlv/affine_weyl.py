@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
@@ -31,7 +30,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     principal_minors_positive,
-    solve_fraction,
     vec_mat,
 )
 from .root_datum import RootDatum, reflection_matrix
@@ -69,9 +67,6 @@ class AffineWeylElement:
         inv_idx = g.w0_inv[self.u_idx]
         lam = tuple(-x for x in mat_vec(g.w0_list[inv_idx], self.lam))
         return AffineWeylElement(g, lam, inv_idx)
-
-    def translation_part(self) -> IntVec:
-        return self.lam
 
     @property
     def length(self) -> int:
@@ -428,81 +423,6 @@ class AffineWeylGroup:
 
     # -- ball enumeration ----------------------------------------------------------
 
-    def translation_candidates(self, bound: int, coset_lam: IntVec) -> list[IntVec]:
-        """Lattice points in coset_lam + coroot lattice whose absolute
-        root pairings sum to at most `bound`.
-
-        A dominant point has pairing sum = sum_i h_i <lam, alpha_i> with
-        h_i the height weights, so the dominant sector is a small
-        simplex; the rest is its Weyl orbit.  The central component is
-        pinned by the coset since coroots have none.
-        """
-        d = self.datum
-        n = d.n_simple
-        if n == 0:
-            return [coset_lam]
-        heights = [
-            sum(d.simple_coefficients(a)[i] for a in d.positive_roots)
-            for i in range(n)
-        ]
-        gram = tuple(
-            tuple(Fraction(dot(d.simple_roots[a], d.simple_coroots[b])) for b in range(n))
-            for a in range(n)
-        )
-        pair_base = tuple(dot(a, coset_lam) for a in d.simple_roots)
-        c_base = solve_fraction(gram, pair_base)
-        assert c_base is not None
-        central = tuple(
-            Fraction(coset_lam[r])
-            - sum(c_base[j] * d.simple_coroots[j][r] for j in range(n))
-            for r in range(d.rank)
-        )
-
-        dom_pairings: list[IntVec] = []
-
-        def rec_dom(i: int, budget: int, acc: list[int]):
-            if i == n:
-                dom_pairings.append(tuple(acc))
-                return
-            for m in range(0, budget // heights[i] + 1):
-                acc.append(m)
-                rec_dom(i + 1, budget - m * heights[i], acc)
-                acc.pop()
-
-        rec_dom(0, bound, [])
-        target_kappa = self.kappa(self.translation(coset_lam))
-        seen: set[IntVec] = set()
-        for m in dom_pairings:
-            coeffs = solve_fraction(gram, m)
-            if coeffs is None:
-                continue
-            lam = []
-            ok = True
-            for r in range(d.rank):
-                v = central[r] + sum(
-                    coeffs[j] * d.simple_coroots[j][r] for j in range(n)
-                )
-                if v.denominator != 1:
-                    ok = False
-                    break
-                lam.append(int(v))
-            if not ok:
-                continue
-            lam_t = tuple(lam)
-            if self.kappa(self.translation(lam_t)) != target_kappa:
-                continue
-            stack = [lam_t]
-            while stack:
-                mu = stack.pop()
-                if mu in seen:
-                    continue
-                seen.add(mu)
-                for refl in d.simple_reflections:
-                    nu = tuple(mat_vec(refl, mu))
-                    if nu not in seen:
-                        stack.append(nu)
-        return sorted(seen)
-
     def coset_ball(
         self,
         max_length: int,
@@ -511,37 +431,28 @@ class AffineWeylGroup:
     ) -> list[AffineWeylElement]:
         """All elements of length <= max_length in the W_a-coset of omega.
 
-        Sorted by (length, canonical key); raises BudgetExceeded rather
-        than truncating.
+        Breadth-first search from the length-zero element of the coset:
+        level k is the set of products s . x of length k with s an affine
+        simple reflection and x in level k - 1.  It holds every element
+        s_{i_1} ... s_{i_k} omega of length k, since dropping the first
+        letter of a reduced word leaves one of length k - 1.  Sorted by
+        (length, canonical key); raises BudgetExceeded once more than
+        `budget` elements are visited, rather than truncating.
         """
-        import numpy as np
-
-        d = self.datum
-        coset_lam = omega.lam if omega is not None else (0,) * d.rank
-        bound = max_length + len(d.positive_roots)
-        lams = self.translation_candidates(bound, coset_lam)
-        n_candidates = len(lams) * len(self.w0_list)
-        if n_candidates > budget:
-            raise BudgetExceeded(
-                f"ball would scan {n_candidates} candidates (budget {budget})"
-            )
-        if not lams:
-            return []
-        if not d.positive_roots:
-            return sorted(
-                (AffineWeylElement(self, lam, 0) for lam in lams),
-                key=lambda x: (0,) + x.key(),
-            )
-        lam_arr = np.array(lams, dtype=np.int64)  # N x rank
-        roots = np.array(d.positive_roots, dtype=np.int64)  # P x rank
-        pair = lam_arr @ roots.T  # N x P
-        out = []
-        for u_idx in range(len(self.w0_list)):
-            offs = np.array(self.w0_offsets[u_idx], dtype=np.int64)
-            lengths = np.abs(pair - offs).sum(axis=1)
-            for j in np.nonzero(lengths <= max_length)[0]:
-                out.append(AffineWeylElement(self, lams[int(j)], u_idx))
-        out.sort(key=lambda x: (self.length(x),) + x.key())
+        start = self.identity() if omega is None else self.omega_of(omega)
+        level = [start]
+        out = [start]
+        for k in range(1, max_length + 1):
+            found: set[AffineWeylElement] = set()
+            for x in level:
+                for s in self.simple_affine:
+                    y = s.element * x
+                    if y not in found and self.length(y) == k:
+                        found.add(y)
+                        if len(out) + len(found) > budget:
+                            raise BudgetExceeded(f"ball exceeds node budget {budget}")
+            level = sorted(found, key=AffineWeylElement.key)
+            out.extend(level)
         return out
 
     def ball(

@@ -110,13 +110,6 @@ class PicOperator:
 
     matrix: Mat
 
-    def __matmul__(self, other: "PicOperator") -> "PicOperator":
-        return PicOperator(mat_mul(self.matrix, other.matrix))
-
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == identity_matrix(n)
-
 
 class PicardLattice:
     """Operator algebra over the basis indexed by the affine simples."""
@@ -132,9 +125,6 @@ class PicardLattice:
             for i, row in enumerate(self.cartan)
         )
         self._actions: OrderedDict[tuple, PicOperator] = OrderedDict()
-
-    def identity_op(self) -> PicOperator:
-        return PicOperator(identity_matrix(self.n))
 
     def reflection_action(self, i: int) -> PicOperator:
         """eps_i -> eps_i - sum_j A_ij eps_j; other basis vectors fixed."""
@@ -189,21 +179,6 @@ class PicardLattice:
         self._actions[key] = op
         if len(self._actions) > ACTION_MEMO_SIZE:
             self._actions.popitem(last=False)
-        return op
-
-    def word_action(self, word: Sequence, sigma: FrobeniusDatum | None = None) -> PicOperator:
-        """Compose a mixed word of simple indices, omega elements, and
-        'sigma' markers (left to right)."""
-        op = self.identity_op()
-        for item in word:
-            if item == "sigma":
-                if sigma is None:
-                    raise AdlvError("word contains sigma but none was given")
-                op = op @ self.sigma_action(sigma)
-            elif isinstance(item, int):
-                op = op @ self.reflection_action(item)
-            else:
-                op = op @ self.permutation_action(self.group.s_permutation_of(item))
         return op
 
 

@@ -49,6 +49,30 @@ def dominant_rep_oracle(d, v):
             return cur, wit
 
 
+def ball_length_counts_oracle(d, max_length: int) -> list[int]:
+    """Number of elements of each length 0..max_length in one W_a-coset,
+    by Bott's formula: sum_l #{x : l(x) = l} t^l equals
+    prod_i (1 + t + ... + t^{m_i}) / (1 - t^{m_i}) over the exponents
+    m_i.  The number of exponents equal to k is the number of positive
+    roots of height k minus the number of height k + 1."""
+    heights = [sum(d.simple_coefficients(a)) for a in d.positive_roots]
+    exponents = []
+    for k in range(1, max(heights, default=0) + 1):
+        exponents += [k] * (heights.count(k) - heights.count(k + 1))
+    series = [1] + [0] * max_length
+
+    def times(factor):
+        return [
+            sum(series[i - j] * factor[j] for j in range(i + 1))
+            for i in range(max_length + 1)
+        ]
+
+    for m in exponents:
+        series = times([1 if j <= m else 0 for j in range(max_length + 1)])
+        series = times([1 if j % m == 0 else 0 for j in range(max_length + 1)])
+    return series
+
+
 def subword_set(w, y: AffineWeylElement) -> set:
     """All elements <= y: subwords of one reduced word times the same
     length-zero part."""

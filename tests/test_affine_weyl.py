@@ -1,16 +1,22 @@
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adlv
 from adlv.admissible import adm, in_adm
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
-from adlv.errors import DatumMismatch, InfiniteParabolic
+from adlv.errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from adlv.linalg import dot, vec_mat
 from adlv.presets import catalog, preset
-from adlv.root_datum import RootDatum, from_cartan_matrix
+from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 
-from helpers import length_oracle, subword_set
+from helpers import ball_length_counts_oracle, length_oracle, subword_set
 
 SMALL = ["A1_sc", "A1_ad", "A2_sc", "C2_sc", "G2_sc", "GL2", "A1xA1_sc", "GU_odd(2)"]
 
@@ -258,6 +264,69 @@ def test_kappa_homomorphism():
         for y in random_elements(w, rng, 3):
             pi1 = w.datum.pi1
             assert w.kappa(x * y) == pi1.coord_add(w.kappa(x), w.kappa(y))
+
+
+def assert_ball_matches_bott_formula(w, max_length, omega):
+    ball = w.coset_ball(max_length, omega)
+    assert ball == sorted(ball, key=lambda x: (w.length(x),) + x.key())
+    assert len(set(ball)) == len(ball)
+    assert all(w.kappa(x) == w.kappa(omega) for x in ball)
+    counts = [0] * (max_length + 1)
+    for x in ball:
+        counts[w.length(x)] += 1
+    assert counts == ball_length_counts_oracle(w.datum, max_length)
+
+
+def test_coset_ball_counts_match_bott_formula():
+    for p in catalog():
+        w = p.datum.weyl
+        max_length = 8 if p.datum.rank >= 3 else 12
+        for o in w.omega_elements():
+            assert_ball_matches_bott_formula(w, max_length, o.element)
+    torus = build_root_datum({"rank": 1, "simple_roots": [], "simple_coroots": []})
+    tw = torus.weyl
+    for lam in ((0,), (3,)):
+        assert tw.coset_ball(12, tw.translation(lam)) == [tw.translation(lam)]
+        assert_ball_matches_bott_formula(tw, 12, tw.translation(lam))
+
+
+def test_coset_ball_of_any_coset_element():
+    for p in catalog():
+        w = p.datum.weyl
+        for o in w.omega_elements():
+            x = w.simple(0) * o.element
+            assert w.length(x) == 1
+            assert w.coset_ball(4, x) == w.coset_ball(4, o.element)
+
+
+def test_coset_ball_budget_raises_never_truncates():
+    w = preset("D4_sc").datum.weyl
+    with pytest.raises(BudgetExceeded):
+        w.coset_ball(8, budget=100)
+    full = w.coset_ball(8)
+    assert w.coset_ball(8, budget=len(full)) == full
+
+
+def test_runtime_needs_only_click():
+    """A fresh process enumerates balls and runs a verify check without
+    loading numpy (pytest plugins may load it here, so a subprocess)."""
+    code = (
+        "import sys\n"
+        "from adlv.presets import preset\n"
+        "from adlv.verify import VerifyScales, check_min_length_reduction\n"
+        "w = preset('A1_ad').datum.weyl\n"
+        "w.ball(6, [o.element for o in w.omega_elements()])\n"
+        "assert check_min_length_reduction(VerifyScales.quick())['pass']\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(adlv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in deps] == ["click"]
 
 
 def test_min_coset_reps_examples():

@@ -76,7 +76,6 @@ def test_word_and_sigma_actions():
     p = preset("A1_sc")
     w = p.datum.weyl
     pic = PicardLattice(w)
-    assert pic.word_action([]).is_identity()
     sig = FrobeniusDatum(p.datum, q=2)
     assert pic.sigma_action(sig).matrix == ((2, 0), (0, 2))
     # word of t^{alpha^vee} = s0 s1 equals the direct matrix product
