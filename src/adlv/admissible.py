@@ -5,8 +5,8 @@ Enumeration walks cover relations downward from the maximal translations
 condition), which never needs a Bruhat comparison.  The ADM_MEMO_SIZE
 most recent sets are kept, keyed by group, mu and budget.  Membership
 tests for external elements use the memoized Bruhat recursion against
-the maximal translations; the two routes cross-check each other in the
-test suite.
+the maximal translations, kept for the ADM_MEMO_SIZE most recent (group,
+mu); the two routes cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -122,12 +122,24 @@ def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
     agrees with the naive all-x scan (tested).
     """
     w = d.weyl
-    if w.kappa(x) != w.kappa(w.translation(mu)):
+    kappa_mu, max_length, maxima = _membership_data(w, tuple(int(c) for c in mu))
+    if w.kappa(x) != kappa_mu:
         return False
+    if w.length(x) > max_length:
+        return False
+    return any(w.bruhat_leq(x, t) for t in maxima)
+
+
+@lru_cache(maxsize=ADM_MEMO_SIZE)
+def _membership_data(
+    w: AffineWeylGroup, mu: IntVec
+) -> tuple[tuple[int, ...], int, tuple[AffineWeylElement, ...]]:
+    """kappa(t^mu), the length of t^mu, and the maximal translations:
+    what in_adm tests x against, kept per group and mu."""
+    d = w.datum
     mu_dom_q, _ = d.dominant_rep(mu)
-    if w.length(x) > dot(d.two_rho, tuple(int(c) for c in mu_dom_q)):
-        return False
-    return any(w.bruhat_leq(x, t) for t in maximal_translations(d, mu))
+    max_length = dot(d.two_rho, tuple(int(c) for c in mu_dom_q))
+    return w.kappa(w.translation(mu)), max_length, maximal_translations(d, mu)
 
 
 def audit_downward_closed(d: RootDatum, elements: frozenset) -> list:

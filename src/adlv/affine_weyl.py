@@ -208,6 +208,16 @@ class AffineWeylGroup:
             for si in simples
         )
         self._simple_by_root = {s.root: s.index for s in simples}
+        # Per affine simple (a, k): a, k, the index j of the positive root
+        # +-a, and flip = 1 when a = -theta is negative; see is_left_descent.
+        pos_index = {r: j for j, r in enumerate(d.positive_roots)}
+        descent_data = []
+        for s in simples:
+            a, k = s.root
+            flip = a not in pos_index
+            j = pos_index[tuple(-c for c in a) if flip else a]
+            descent_data.append((a, k, j, int(flip)))
+        self._descent_data = tuple(descent_data)
 
     def identity(self) -> AffineWeylElement:
         return AffineWeylElement(self, (0,) * self.datum.rank, self.w0_identity)
@@ -248,12 +258,31 @@ class AffineWeylGroup:
     def length(self, x: AffineWeylElement) -> int:
         return self.length_of(x.lam, x.u_idx)
 
+    def is_left_descent(self, i: int, lam: IntVec, u_idx: int) -> bool:
+        """l(s_i x) < l(x) for x = (lam, u), from the sign of one affine root.
+
+        s_i x < x iff the wall of s_i separates the base alcove from its
+        image under x, i.e. iff the affine root (a, k) of s_i composed with
+        x is negative.  That root has gradient a . u, negative exactly
+        where the length offset of u at +-a is 1 (0 for a = -theta), and
+        level k + <a, lam>; a root is negative when its level is below 1
+        (negative gradient) or below 0 (positive gradient).
+        """
+        a, k, j, flip = self._descent_data[i]
+        return k + dot(a, lam) < self.w0_offsets[u_idx][j] ^ flip
+
+    def is_right_descent(self, i: int, x: AffineWeylElement) -> bool:
+        """l(x s_i) < l(x): x sends the affine root of s_i to a negative one."""
+        return not self.is_positive_affine(
+            self.act_on_affine_root(x, self.simple_affine[i].root)
+        )
+
     def left_descent(self, x: AffineWeylElement) -> int | None:
-        """Lowest affine-simple index i with l(s_i x) < l(x), or None."""
-        lx = self.length(x)
-        for s in self.simple_affine:
-            if self.length(s.element * x) < lx:
-                return s.index
+        """Lowest affine-simple index i with l(s_i x) < l(x), or None;
+        decided by is_left_descent, with no product or length."""
+        for i in range(len(self.simple_affine)):
+            if self.is_left_descent(i, x.lam, x.u_idx):
+                return i
         return None
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
@@ -336,8 +365,15 @@ class AffineWeylGroup:
     def _bruhat(self, xl: IntVec, xu: int, yl: IntVec, yu: int) -> bool:
         """Walks the descent chain down to a known answer, then memoizes
         every pair on the chain with it.  A loop, not recursion: the
-        chain is as long as l(y)."""
+        chain is as long as l(y).
+
+        Each step takes the lowest left descent s of y and replaces y by
+        s y, and x by s x when s is a descent of x too.  Descents are read
+        off affine-root signs, so l(x) and l(y) are computed once per
+        chain and then decremented with the moves.
+        """
         chain = []
+        lx = ly = None
         while True:
             if xl == yl and xu == yu:
                 res = True
@@ -348,22 +384,22 @@ class AffineWeylGroup:
                 res = hit
                 break
             chain.append(key)
-            ly = self.length_of(yl, yu)
-            lx = self.length_of(xl, xu)
+            if ly is None:
+                lx = self.length_of(xl, xu)
+                ly = self.length_of(yl, yu)
             if lx >= ly:
                 res = False
                 break
             # ly > lx >= 0, so y has a descent.
-            for s in self.simple_affine:
-                sy = s.element * AffineWeylElement(self, yl, yu)
-                if self.length(sy) < ly:
-                    break
-            else:
-                raise AssertionError("positive-length element without descent")
-            sx = s.element * AffineWeylElement(self, xl, xu)
-            if self.length(sx) < lx:
-                xl, xu = sx.lam, sx.u_idx
+            y = AffineWeylElement(self, yl, yu)
+            s = self.simple_affine[self.left_descent(y)]
+            sy = s.element * y
             yl, yu = sy.lam, sy.u_idx
+            ly -= 1
+            if self.is_left_descent(s.index, xl, xu):
+                sx = s.element * AffineWeylElement(self, xl, xu)
+                xl, xu = sx.lam, sx.u_idx
+                lx -= 1
         for key in chain:
             self._bruhat_cache[key] = res
         return res
@@ -432,12 +468,14 @@ class AffineWeylGroup:
         """All elements of length <= max_length in the W_a-coset of omega.
 
         Breadth-first search from the length-zero element of the coset:
-        level k is the set of products s . x of length k with s an affine
-        simple reflection and x in level k - 1.  It holds every element
-        s_{i_1} ... s_{i_k} omega of length k, since dropping the first
-        letter of a reduced word leaves one of length k - 1.  Sorted by
-        (length, canonical key); raises BudgetExceeded once more than
-        `budget` elements are visited, rather than truncating.
+        level k is the set of products s . x with x in level k - 1 and s
+        an affine simple reflection that is not a left descent of x, so
+        that s . x has length k; the product is formed only then.  It
+        holds every element s_{i_1} ... s_{i_k} omega of length k, since
+        dropping the first letter of a reduced word leaves one of length
+        k - 1.  Sorted by (length, canonical key); raises BudgetExceeded
+        once more than `budget` elements are visited, rather than
+        truncating.
         """
         start = self.identity() if omega is None else self.omega_of(omega)
         level = [start]
@@ -446,8 +484,10 @@ class AffineWeylGroup:
             found: set[AffineWeylElement] = set()
             for x in level:
                 for s in self.simple_affine:
+                    if self.is_left_descent(s.index, x.lam, x.u_idx):
+                        continue
                     y = s.element * x
-                    if y not in found and self.length(y) == k:
+                    if y not in found:
                         found.add(y)
                         if len(out) + len(found) > budget:
                             raise BudgetExceeded(f"ball exceeds node budget {budget}")
@@ -496,12 +536,10 @@ class AffineWeylGroup:
         return sorted(seen.values(), key=lambda x: (self.length(x),) + x.key())
 
     def has_left_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
-        lx = self.length(x)
-        return any(self.length(self.simple(i) * x) < lx for i in k_set)
+        return any(self.is_left_descent(i, x.lam, x.u_idx) for i in k_set)
 
     def has_right_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
-        lx = self.length(x)
-        return any(self.length(x * self.simple(i)) < lx for i in k_set)
+        return any(self.is_right_descent(i, x) for i in k_set)
 
     def min_coset_reps(
         self,
@@ -535,17 +573,14 @@ class AffineWeylGroup:
             raise InfiniteParabolic(f"W_K for K={sorted(k_set)} is infinite")
         cur = x
         while True:
-            lx = self.length(cur)
             for i in k_set:
-                cand = self.simple(i) * cur
-                if self.length(cand) < lx:
-                    cur = cand
+                if self.is_left_descent(i, cur.lam, cur.u_idx):
+                    cur = self.simple(i) * cur
                     break
             else:
                 for i in k_set:
-                    cand = cur * self.simple(i)
-                    if self.length(cand) < lx:
-                        cur = cand
+                    if self.is_right_descent(i, cur):
+                        cur = cur * self.simple(i)
                         break
                 else:
                     return cur

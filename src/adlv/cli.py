@@ -25,7 +25,7 @@ from .errors import (
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
 from .levi import pi0_predict
-from .newton_bg import b_g_mu
+from .newton_bg import b_g_mu, straight_classes
 from .picard import descent_certificate
 from .presets import catalog, preset
 from .verify import SCHEMA_VERSION, VerifyScales, frac_str, run_verify
@@ -231,8 +231,7 @@ def _dispatch(spec: JobSpec) -> dict:
 
     if spec.command == "straight":
         mu = _require_mu(spec, datum)
-        aset = adm(datum, mu, budget=spec.budget)
-        classes = sigma.straight_class_tags(aset.elements)
+        classes = straight_classes(datum, sigma, mu, budget=spec.budget)
         return {
             **base,
             "mu": list(mu),

@@ -339,6 +339,16 @@ class FrobeniusDatum:
             raise SchemaError("/q: expected integer")
         return cls(datum, tuple(tuple(r) for r in mat), q)
 
+    # Equal data, matrices and q give equal values, so that memos keyed
+    # by sigma hit for a sigma rebuilt per query.
+    def __eq__(self, other):
+        return isinstance(other, FrobeniusDatum) and (
+            (self.datum, self.matrix, self.q) == (other.datum, other.matrix, other.q)
+        )
+
+    def __hash__(self):
+        return hash((self.datum, self.matrix, self.q))
+
     def __repr__(self):
         kind = "split" if self.residually_split else f"order {self.order}"
         return f"Frobenius({self.datum.name or 'datum'}, {kind}, q={self.q})"

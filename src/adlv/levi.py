@@ -16,13 +16,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
-from .admissible import adm, in_adm, DEFAULT_BUDGET
+from .admissible import in_adm, DEFAULT_BUDGET
 from .affine_weyl import AffineRoot, AffineWeylElement
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
 from .linalg import dot, mat_mul, mat_vec, principal_minors_positive
-from .newton_bg import b_g_mu
+from .newton_bg import b_g_mu, straight_classes
 from .root_datum import RootDatum
 
 QVec = tuple[Fraction, ...]
@@ -416,13 +416,8 @@ def pi0_predict(
             note="nonbasic prediction needs a residually split group",
         )
 
-    aset = adm(d, mu, budget=budget)
     w = d.weyl
-    members = [
-        x
-        for x in sigma.straight_elements_in(aset.elements)
-        if sigma.tag_of(x) == b_tag
-    ]
+    members = dict(straight_classes(d, sigma, mu, budget=budget))[b_tag]
     if k_tuple:
         members = [x for x in members if not w.has_left_descent_in(x, k_tuple)]
     strata = []

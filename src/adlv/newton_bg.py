@@ -5,16 +5,21 @@ admissible set: group them by (Newton point, Kottwitz) tag, keep the
 tags whose Kottwitz coinvariant image is mu-natural and whose Newton
 point is dominance-below the sigma-average mu-diamond.  An independent
 audit recomputes both defining inequalities on every element returned.
+
+The straight classes and B(G, {mu}) keep the ADM_MEMO_SIZE most recent
+results each, keyed like the admissible sets by group, sigma, mu and
+budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .admissible import adm, DEFAULT_BUDGET
-from .affine_weyl import AffineWeylElement
+from .admissible import ADM_MEMO_SIZE, DEFAULT_BUDGET, adm
+from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import ExtremalityViolation, NoSolution, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
@@ -54,20 +59,54 @@ class BGMuElement:
     is_maximal: bool
 
 
+def straight_classes(
+    d: RootDatum,
+    sigma: FrobeniusDatum,
+    mu: Sequence[int],
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[tuple[StraightClassTag, tuple[AffineWeylElement, ...]], ...]:
+    """The straight elements of Adm({mu}) grouped by (Newton point,
+    Kottwitz) tag, smallest Newton point first, each group sorted by
+    (length, canonical key)."""
+    return _straight_classes(d.weyl, sigma, tuple(int(x) for x in mu), budget)
+
+
+@lru_cache(maxsize=ADM_MEMO_SIZE)
+def _straight_classes(
+    w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
+) -> tuple[tuple[StraightClassTag, tuple[AffineWeylElement, ...]], ...]:
+    """The body of straight_classes, memoized like admissible._adm; a
+    BudgetExceeded is not cached."""
+    aset = adm(w.datum, mu, budget=budget)
+    return tuple(
+        (tag, tuple(members))
+        for tag, members in sigma.straight_class_tags(aset.elements)
+    )
+
+
 def b_g_mu(
     d: RootDatum,
     sigma: FrobeniusDatum,
     mu: Sequence[int],
     budget: int = DEFAULT_BUDGET,
-) -> list[BGMuElement]:
-    """Ordered list of B(G, {mu}), smallest Newton point first."""
-    aset = adm(d, mu, budget=budget)
-    w = d.weyl
+) -> tuple[BGMuElement, ...]:
+    """B(G, {mu}) ordered smallest Newton point first.  A tuple, since
+    repeated calls share one memoized result."""
+    return _b_g_mu(d.weyl, sigma, tuple(int(x) for x in mu), budget)
+
+
+@lru_cache(maxsize=ADM_MEMO_SIZE)
+def _b_g_mu(
+    w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
+) -> tuple[BGMuElement, ...]:
+    """The body of b_g_mu, memoized like admissible._adm; errors are not
+    cached."""
+    d = w.datum
     mu_nat = mu_natural(sigma, mu)
     mu_dia = mu_diamond(sigma, mu)
 
     kept: list[tuple[StraightClassTag, AffineWeylElement]] = []
-    for tag, members in sigma.straight_class_tags(aset.elements):
+    for tag, members in straight_classes(d, sigma, mu, budget=budget):
         if tag.kappa_sigma != mu_nat:
             continue
         if not d.dominance_leq(tag.nu_bar, mu_dia):
@@ -84,7 +123,7 @@ def b_g_mu(
 
     kept.sort(key=lambda tr: (d.pairing_height(tr[0].nu_bar), tr[0].nu_bar))
 
-    tau_tag = sigma.tag_of(aset.tau.element)
+    tau_tag = sigma.tag_of(adm(d, mu, budget=budget).tau.element)
     lows = [t for t, _ in kept if all(d.dominance_leq(t.nu_bar, o.nu_bar) for o, _ in kept)]
     highs = [t for t, _ in kept if all(d.dominance_leq(o.nu_bar, t.nu_bar) for o, _ in kept)]
     if len(lows) != 1 or lows[0] != tau_tag:
@@ -110,7 +149,7 @@ def b_g_mu(
                 is_maximal=tag == highs[0],
             )
         )
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -151,7 +190,7 @@ def obstruction_class(
 
 
 def tag_index(
-    elements: list[BGMuElement], tag: StraightClassTag
+    elements: Sequence[BGMuElement], tag: StraightClassTag
 ) -> int:
     for i, e in enumerate(elements):
         if e.tag == tag:

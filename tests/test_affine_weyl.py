@@ -219,6 +219,48 @@ def test_covers_below_work_is_linear(monkeypatch):
     assert len(covers) == 2
 
 
+def test_descents_match_length_oracle():
+    # The affine-root sign tests against lengths counted by separating
+    # hyperplanes, for every affine simple on both sides.
+    rng = random.Random(11)
+    for p in catalog():
+        w = p.datum.weyl
+        ball = w.ball(5)
+        xs = ball if len(ball) <= 150 else sorted(
+            {rng.choice(ball) for _ in range(150)}, key=lambda e: e.key()
+        )
+        for x in xs:
+            lx = length_oracle(w, x)
+            for s in w.simple_affine:
+                left = length_oracle(w, s.element * x) < lx
+                right = length_oracle(w, x * s.element) < lx
+                assert w.is_left_descent(s.index, x.lam, x.u_idx) == left
+                assert w.is_right_descent(s.index, x) == right
+            assert w.left_descent(x) == next(
+                (s.index for s in w.simple_affine
+                 if length_oracle(w, s.element * x) < lx),
+                None,
+            )
+
+
+def test_bruhat_length_work_is_constant(monkeypatch):
+    # Descents come from affine-root signs, so the chain from t^200 down
+    # to e computes l(x) and l(y) once and never again.
+    a1 = preset("A1_sc").datum
+    w = RootDatum(a1.rank, a1.simple_roots, a1.simple_coroots, name="A1_sc").weyl
+    calls = []
+    length_of = w.length_of
+
+    def counting_length_of(lam, u_idx):
+        calls.append(lam)
+        return length_of(lam, u_idx)
+
+    monkeypatch.setattr(w, "length_of", counting_length_of)
+    assert w.bruhat_leq(w.identity(), w.translation((200,)))
+    assert len(calls) <= 2
+    assert len(w._bruhat_cache) == 400
+
+
 def test_reduced_words_independent_of_cache_history():
     d = preset("C2_sc").datum
     adm(d, (4, 0))

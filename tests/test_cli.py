@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlv.admissible import adm
+import adlv.newton_bg as newton_bg
+from adlv.admissible import ADM_MEMO_SIZE, adm
 from adlv.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -19,7 +20,8 @@ from adlv.cli import (
     main,
     run,
 )
-from adlv.presets import preset
+from adlv.frobenius import FrobeniusDatum
+from adlv.presets import catalog, preset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +99,74 @@ def test_pi0_strata_order_is_independent_of_earlier_queries():
     assert warm.exit_code == EXIT_OK, warm.output
     assert warm.output == cold
     assert len(json.loads(cold)["strata"]) > 1
+
+
+# The commands that take a sigma option, with their class selector.
+SIGMA_COMMANDS = (
+    ("straight", None),
+    ("bgmu", None),
+    ("pi0", "basic"),
+    ("pi0", "maximal"),
+    ("pic-cert", "basic"),
+    ("pic-cert", "maximal"),
+)
+# (preset, sigma, mu) whose reports are compared cold and warm.
+MEMO_PROBES = (("C2_sc", "split", (1, 0)), ("A2_sc", "flip", (1, 1)))
+
+
+def sigma_reports(triples):
+    return [
+        run(JobSpec(command=command, group=g, sigma=sig, mu=mu, b=b))
+        for g, sig, mu in triples
+        for command, b in SIGMA_COMMANDS
+    ]
+
+
+def test_sigma_commands_share_one_straight_class_decomposition(monkeypatch):
+    newton_bg._straight_classes.cache_clear()
+    newton_bg._b_g_mu.cache_clear()
+    calls = []
+    tags = FrobeniusDatum.straight_class_tags
+
+    def counting_tags(self, elements):
+        calls.append(self)
+        return tags(self, elements)
+
+    monkeypatch.setattr(FrobeniusDatum, "straight_class_tags", counting_tags)
+    reports = sigma_reports([("C2_sc", "split", (1, 0))])
+    assert all(code == EXIT_OK for _report, code in reports)
+    assert len(calls) == 1
+
+
+def test_sigma_reports_independent_of_memo_history():
+    # Cold: a fresh process runs only the probes.  Warm: this process runs
+    # every sigma command of the catalog first, then the probes twice.
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_cli import MEMO_PROBES, sigma_reports\n"
+        "print(json.dumps(sigma_reports(MEMO_PROBES), sort_keys=True))\n"
+    )
+    tests_dir = str(Path(__file__).resolve().parent)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    cold = subprocess.run(
+        [sys.executable, "-c", code, tests_dir],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    ).stdout
+    sigma_reports([
+        (p.name, sig, mu)
+        for p in catalog()
+        for sig in sorted(p.sigmas)
+        for _label, mu in p.mu_grid
+    ])
+    for _ in range(2):
+        warm = json.dumps(sigma_reports(MEMO_PROBES), sort_keys=True) + "\n"
+        assert warm == cold
+    for memo in (newton_bg._b_g_mu, newton_bg._straight_classes):
+        assert memo.cache_info().currsize <= ADM_MEMO_SIZE
 
 
 def test_adm_parahoric_flag():

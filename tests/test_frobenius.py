@@ -6,6 +6,7 @@ import pytest
 from adlv.errors import BallExhausted, SchemaError
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
+from adlv.root_datum import RootDatum
 
 from helpers import conjugation_orbit_min
 
@@ -229,3 +230,19 @@ def test_sigma_json_roundtrip():
         FrobeniusDatum.from_json(p.datum, {"lattice_matrix": [[1, 0]]})
     with pytest.raises(SchemaError):
         FrobeniusDatum.from_json(p.datum, {"lattice_matrix": [[1, "x"], [0, 1]]})
+
+
+def test_sigma_value_equality():
+    p = preset("A2_sc")
+    d = p.datum
+    flip = FrobeniusDatum(d, p.sigmas["flip"])
+    again = FrobeniusDatum(d, p.sigmas["flip"])
+    assert flip == again and hash(flip) == hash(again)
+    assert FrobeniusDatum(d, q=3) == FrobeniusDatum(d, q=3)
+    # An equal datum built apart gives an equal sigma.
+    fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
+    assert FrobeniusDatum(fresh, p.sigmas["flip"]) == flip
+    assert flip != FrobeniusDatum(d)
+    assert FrobeniusDatum(d, q=2) != FrobeniusDatum(d, q=3)
+    assert flip != FrobeniusDatum(d, p.sigmas["flip"], q=3)
+    assert FrobeniusDatum(preset("A1_sc").datum) != FrobeniusDatum(preset("A1_ad").datum)

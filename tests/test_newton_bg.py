@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.admissible import adm
-from adlv.errors import NoSolution, TagNotInBGMu
+import adlv.newton_bg as newton_bg
+from adlv.admissible import ADM_MEMO_SIZE, adm
+from adlv.errors import BudgetExceeded, NoSolution, TagNotInBGMu
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import mat_vec, vec_sub
 from adlv.newton_bg import (
@@ -11,9 +12,10 @@ from adlv.newton_bg import (
     mu_diamond,
     mu_natural,
     obstruction_class,
+    straight_classes,
     tag_index,
 )
-from adlv.presets import preset
+from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
 
@@ -145,3 +147,43 @@ def test_obstruction_swap_product_by_snf():
     assert d.pi1.project(back) == d.pi1.project(vec_sub(mu, rep.lam))
     # fixed subgroup of the swap on (Z/2)^2 is the diagonal Z/2
     assert oc.fixed_subgroup.invariant_factors == (2,)
+
+
+def test_bgmu_memo_hits_and_equals_cold():
+    for p in catalog():
+        d = p.datum
+        for name in sorted(p.sigmas):
+            for _label, mu in p.mu_grid:
+                first = b_g_mu(d, FrobeniusDatum(d, p.sigmas[name]), mu)
+                # A sigma built anew per call is equal, so this is a hit.
+                again = b_g_mu(d, FrobeniusDatum(d, p.sigmas[name]), mu)
+                assert again is first and isinstance(first, tuple)
+                classes = straight_classes(d, FrobeniusDatum(d, p.sigmas[name]), mu)
+                assert straight_classes(d, FrobeniusDatum(d, p.sigmas[name]), mu) is classes
+                # An equal datum built apart has its own group and gets
+                # its own result, with elements of that group.
+                fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
+                cold = b_g_mu(fresh, FrobeniusDatum(fresh, p.sigmas[name]), mu)
+                assert cold is not first and cold == first
+                assert all(e.representative.group is fresh.weyl for e in cold)
+                cold_classes = straight_classes(
+                    fresh, FrobeniusDatum(fresh, p.sigmas[name]), mu
+                )
+                assert cold_classes == classes
+                assert all(
+                    x.group is fresh.weyl for _tag, xs in cold_classes for x in xs
+                )
+    for memo in (newton_bg._b_g_mu, newton_bg._straight_classes):
+        assert memo.cache_info().currsize <= ADM_MEMO_SIZE
+
+
+def test_bgmu_budget_raises_after_success():
+    d = preset("C2_sc").datum
+    sig = FrobeniusDatum(d)
+    assert len(b_g_mu(d, sig, (1, 1))) > 1
+    # Errors are not cached, and a tight budget is its own memo key.
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            b_g_mu(d, sig, (1, 1), budget=3)
+        with pytest.raises(BudgetExceeded):
+            straight_classes(d, sig, (1, 1), budget=3)
