@@ -2,18 +2,23 @@
 
 Enumeration walks cover relations downward from the maximal translations
 (the covers of x come from its right inversions, by the strong exchange
-condition), which never needs a Bruhat comparison.  The ADM_MEMO_SIZE
-most recent sets are kept, keyed by group, mu and budget.  Membership
-tests for external elements use the memoized Bruhat recursion against
-the maximal translations, kept for the ADM_MEMO_SIZE most recent (group,
-mu); the two routes cross-check each other in the test suite.
+condition), which never needs a Bruhat comparison.  Membership tests
+for external elements use the memoized Bruhat recursion against the
+maximal translations; the two routes cross-check each other in the test
+suite.
+
+The sets, the membership data and the straight classes and B(G, {mu})
+of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
+number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
+one admissible set may hold.
 """
 
 from __future__ import annotations
 
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import cached_property, wraps
+from typing import Callable, Sequence
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, OmegaElt
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
@@ -24,7 +29,57 @@ from .root_datum import RootDatum
 IntVec = tuple[int, ...]
 
 DEFAULT_BUDGET = 5_000_000
-ADM_MEMO_SIZE = 16
+
+
+class ElementMemo:
+    """A least-recently-used memo bounded by weight, the number of Weyl
+    group elements a value holds (at least 1 per entry).
+
+    `memo(weigh)` decorates a body; its positional arguments, with the
+    body itself, are the key.  Past `bound`, the least recently used
+    entries are dropped; a value heavier than `bound` is returned but not
+    kept, and an error is never kept.  `runs` counts body runs by name.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.held = 0
+        self.runs: Counter[str] = Counter()
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+
+    def __call__(self, weigh: Callable[[object], int]):
+        def decorate(body):
+            @wraps(body)
+            def memoized(*args):
+                key = (body, args)
+                hit = self._entries.get(key)
+                if hit is not None:
+                    self._entries.move_to_end(key)
+                    return hit[0]
+                self.runs[body.__name__] += 1
+                value = body(*args)
+                self._keep(key, value, max(1, weigh(value)))
+                return value
+
+            return memoized
+
+        return decorate
+
+    def _keep(self, key: tuple, value: object, weight: int) -> None:
+        if weight > self.bound:
+            return
+        self._entries[key] = (value, weight)
+        self.held += weight
+        while self.held > self.bound:
+            _key, (_value, dropped) = self._entries.popitem(last=False)
+            self.held -= dropped
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.held = 0
+
+
+MEMO = ElementMemo(DEFAULT_BUDGET)
 
 
 def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:
@@ -82,7 +137,7 @@ def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> Admiss
     return _adm(d.weyl, tuple(int(x) for x in mu), budget)
 
 
-@lru_cache(maxsize=ADM_MEMO_SIZE)
+@MEMO(len)
 def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     """The body of adm, memoized.  Keyed by the group object, not the
     datum: equal data built apart have distinct groups, and a set's
@@ -130,7 +185,7 @@ def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
     return any(w.bruhat_leq(x, t) for t in maxima)
 
 
-@lru_cache(maxsize=ADM_MEMO_SIZE)
+@MEMO(lambda data: len(data[2]))
 def _membership_data(
     w: AffineWeylGroup, mu: IntVec
 ) -> tuple[tuple[int, ...], int, tuple[AffineWeylElement, ...]]:

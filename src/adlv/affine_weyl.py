@@ -415,6 +415,12 @@ class AffineWeylGroup:
         form one integer range, and the ranges hold l(x) levels in all.
         Each candidate x . s_(a,k) = (lam - k u(a^vee), u s_a) is one
         vector update and one table lookup.
+
+        Along one range the candidate length is the convex function
+        k -> sum_c |<c, lam> - k <c, u(a^vee)> - off(c)| over positive
+        roots c, and it is at most l(x) - 1 on the whole range.  So an
+        interior level is a cover exactly when every level is, and
+        `_level_length` is evaluated at most three times per range.
         """
         lam, u = x.lam, x.u_idx
         u_inv = self.w0_inv[u]
@@ -435,13 +441,30 @@ class AffineWeylGroup:
             if lo <= hi:
                 lx += hi - lo + 1
                 ranges.append((mat_vec(m, av), row[s_idx], lo, hi))
+        pos = self.datum.positive_roots
+        pairings = [dot(c, lam) for c in pos]
         out = []
         for uav, v_idx, lo, hi in ranges:
-            for k in range(lo, hi + 1):
+            slopes = [dot(c, uav) for c in pos]
+            offsets = self.w0_offsets[v_idx]
+
+            def is_cover(k):
+                return self._level_length(pairings, slopes, offsets, k) == lx - 1
+
+            if hi - lo >= 2 and is_cover(lo + 1):
+                levels = range(lo, hi + 1)
+            else:
+                levels = [k for k in ((lo,) if lo == hi else (lo, hi)) if is_cover(k)]
+            for k in levels:
                 cand = tuple(l - k * c for l, c in zip(lam, uav))
-                if self.length_of(cand, v_idx) == lx - 1:
-                    out.append(AffineWeylElement(self, cand, v_idx))
+                out.append(AffineWeylElement(self, cand, v_idx))
         return out
+
+    @staticmethod
+    def _level_length(pairings, slopes, offsets, k: int) -> int:
+        """l(lam - k v, u') from the pairings <c, lam> and <c, v> over the
+        positive roots c and the length offsets of u'."""
+        return sum(abs(p - k * s - o) for p, s, o in zip(pairings, slopes, offsets))
 
     def bruhat_interval_below(self, y: AffineWeylElement) -> set[AffineWeylElement]:
         """All x <= y, by closing under covers."""

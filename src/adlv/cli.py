@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 import click
@@ -88,8 +89,23 @@ def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
     if pre is None:
         if name != "split":
             raise SchemaError("/sigma: explicit data only support 'split' or JSON")
-        return FrobeniusDatum(datum, q=q)
-    return FrobeniusDatum(datum, pre.sigma_matrix(name), q=q)
+        return _live_sigma(datum, None, q)
+    return _live_sigma(datum, pre.sigma_matrix(name), q)
+
+
+# The live sigma of each (datum object, matrix, q), so that queries share
+# one sigma and its Newton data and Smith forms.  A sigma holds its
+# datum, so id(datum) is not reused while its entry lives.
+_LIVE_SIGMAS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _live_sigma(datum, matrix, q: int) -> FrobeniusDatum:
+    key = (id(datum), matrix, q)
+    sigma = _LIVE_SIGMAS.get(key)
+    if sigma is None:
+        sigma = FrobeniusDatum(datum, matrix, q=q)
+        _LIVE_SIGMAS[key] = sigma
+    return sigma
 
 
 def _require_mu(spec: JobSpec, datum) -> tuple[int, ...]:

@@ -6,19 +6,18 @@ tags whose Kottwitz coinvariant image is mu-natural and whose Newton
 point is dominance-below the sigma-average mu-diamond.  An independent
 audit recomputes both defining inequalities on every element returned.
 
-The straight classes and B(G, {mu}) keep the ADM_MEMO_SIZE most recent
-results each, keyed like the admissible sets by group, sigma, mu and
-budget.
+The straight classes and B(G, {mu}) are kept in the admissible sets'
+memo, `admissible.MEMO`, keyed by group, sigma, mu and budget and
+weighed by the elements they hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .admissible import ADM_MEMO_SIZE, DEFAULT_BUDGET, adm
+from .admissible import DEFAULT_BUDGET, MEMO, adm
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import ExtremalityViolation, NoSolution, TagNotInBGMu
 from .fgab import FinAbGroup
@@ -71,7 +70,7 @@ def straight_classes(
     return _straight_classes(d.weyl, sigma, tuple(int(x) for x in mu), budget)
 
 
-@lru_cache(maxsize=ADM_MEMO_SIZE)
+@MEMO(lambda classes: sum(len(members) for _tag, members in classes))
 def _straight_classes(
     w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
 ) -> tuple[tuple[StraightClassTag, tuple[AffineWeylElement, ...]], ...]:
@@ -95,7 +94,7 @@ def b_g_mu(
     return _b_g_mu(d.weyl, sigma, tuple(int(x) for x in mu), budget)
 
 
-@lru_cache(maxsize=ADM_MEMO_SIZE)
+@MEMO(len)
 def _b_g_mu(
     w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
 ) -> tuple[BGMuElement, ...]:

@@ -4,7 +4,7 @@ import pytest
 
 from adlv import admissible
 from adlv.admissible import (
-    ADM_MEMO_SIZE,
+    MEMO,
     adm,
     adm_parahoric,
     audit_downward_closed,
@@ -147,7 +147,48 @@ def test_adm_memo_bounded_and_equal_to_cold():
             cold = adm(fresh, mu)
             assert all(x.group is fresh.weyl for x in cold.elements)
             assert again == cold
-    assert admissible._adm.cache_info().currsize <= ADM_MEMO_SIZE
+    assert MEMO.held <= MEMO.bound
+
+
+def test_memo_evicts_least_recent_by_weight(monkeypatch):
+    # A bound of two C2_sc sets: an LRU by element count, over-heavy
+    # values returned but not kept, errors never kept.
+    d = preset("C2_sc").datum
+    w = d.weyl
+    fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
+    cold = {mu: adm(fresh, mu) for mu in ((0, 0), (1, 0), (1, 1), (2, 0))}
+    bound = len(cold[(1, 0)]) + len(cold[(1, 1)])
+    assert len(cold[(2, 0)]) > bound
+    monkeypatch.setattr(MEMO, "bound", bound)
+    MEMO.clear()
+
+    def held_mus():
+        # The memo's keys are (body, args), least recently used first.
+        return [args[1] for body, args in MEMO._entries if body is admissible._adm.__wrapped__]
+
+    first = adm(d, (1, 0))
+    adm(d, (1, 1))
+    assert held_mus() == [(1, 0), (1, 1)]
+    assert adm(d, (1, 0)) is first
+    assert held_mus() == [(1, 1), (1, 0)]
+    runs = MEMO.runs["_adm"]
+    heavy = adm(d, (2, 0))
+    assert heavy == cold[(2, 0)] and MEMO.runs["_adm"] == runs + 1
+    assert held_mus() == [(1, 1), (1, 0)]
+    assert adm(d, (2, 0)) is not heavy and MEMO.runs["_adm"] == runs + 2
+    # One more element evicts the least recent set, (1, 1).
+    assert adm(d, (0, 0)) == cold[(0, 0)]
+    assert held_mus() == [(1, 0), (0, 0)]
+    assert MEMO.held == len(cold[(1, 0)]) + 1 <= MEMO.bound
+    for mu, aset in cold.items():
+        assert adm(d, mu) == aset
+        assert MEMO.held <= MEMO.bound
+    for _ in range(2):
+        runs = MEMO.runs["_adm"]
+        with pytest.raises(BudgetExceeded):
+            adm(d, (1, 1), budget=3)
+        assert MEMO.runs["_adm"] == runs + 1
+    assert all(args[-1] != 3 for _body, args in MEMO._entries)
 
 
 def test_adm_parahoric_trivial_k():

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -153,10 +154,20 @@ def test_bruhat_against_subword_oracle():
                 assert w.bruhat_leq(x, y) == (x in below)
 
 
+def deletion_covers(w, x):
+    """The strong exchange condition without the inversion ranges: the
+    single-letter deletions of one reduced word that drop the length by
+    one."""
+    word, omega = w.reduced_word(x)
+    deletions = set()
+    for j in range(len(word)):
+        cand = w.assemble(word[:j] + word[j + 1:], omega)
+        if w.length(cand) == len(word) - 1:
+            deletions.add(cand)
+    return deletions
+
+
 def test_covers_are_length_one_down():
-    # Against the strong exchange condition computed without the inversion
-    # ranges: the covers are the single-letter deletions of one reduced
-    # word that drop the length by one.
     rng = random.Random(5)
     for p in catalog():
         w = p.datum.weyl
@@ -167,13 +178,7 @@ def test_covers_are_length_one_down():
         )
         for x in xs:
             lx = w.length(x)
-            word, omega = w.reduced_word(x)
-            deletions = set()
-            for j in range(len(word)):
-                cand = w.assemble(word[:j] + word[j + 1:], omega)
-                if w.length(cand) == lx - 1:
-                    deletions.add(cand)
-            assert set(w.covers_below(x)) == deletions
+            assert set(w.covers_below(x)) == deletion_covers(w, x)
             # The levels k with x . s_(a,k) < x, one integer range per
             # positive root, hold l(x) levels in all.
             m_inv = w.w0_list[w.w0_inv[x.u_idx]]
@@ -217,6 +222,40 @@ def test_covers_below_work_is_linear(monkeypatch):
     assert counts["length_of"] <= lx == 400
     assert counts["mul"] == 0
     assert len(covers) == 2
+
+
+def test_covers_of_long_translations_match_deletions():
+    # Long level ranges, where all but the three evaluated levels are
+    # decided by convexity; the covers of the covers too.
+    for name, mu in (("A1_sc", (40,)), ("C2_sc", (6, 0)), ("G2_sc", (2, 1))):
+        w = preset(name).datum.weyl
+        x = w.translation(mu)
+        for y in [x] + w.covers_below(x):
+            covers = w.covers_below(y)
+            assert len(covers) == len(set(covers))
+            assert set(covers) == deletion_covers(w, y)
+
+
+def test_covers_below_evaluates_three_levels_per_range(monkeypatch):
+    # The candidate length is convex along a level range, so a range costs
+    # at most three length evaluations however long it is.
+    for name, mu in (("A1_sc", (200,)), ("C2_sc", (6, 0)), ("G2_sc", (2, 1))):
+        d = preset(name).datum
+        w = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name).weyl
+        per_range = Counter()
+        level_length = w._level_length
+
+        def counting(pairings, slopes, offsets, k):
+            per_range[tuple(slopes), offsets] += 1
+            return level_length(pairings, slopes, offsets, k)
+
+        monkeypatch.setattr(w, "_level_length", counting)
+        x = w.translation(mu)
+        for y in [x] + w.covers_below(x):
+            per_range.clear()
+            w.covers_below(y)
+            assert 0 < len(per_range) <= len(d.positive_roots)
+            assert max(per_range.values()) <= 3
 
 
 def test_descents_match_length_oracle():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import adlv.newton_bg as newton_bg
-from adlv.admissible import ADM_MEMO_SIZE, adm
+import adlv.cli as cli
+from adlv.admissible import MEMO, adm
 from adlv.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -123,8 +124,7 @@ def sigma_reports(triples):
 
 
 def test_sigma_commands_share_one_straight_class_decomposition(monkeypatch):
-    newton_bg._straight_classes.cache_clear()
-    newton_bg._b_g_mu.cache_clear()
+    MEMO.clear()
     calls = []
     tags = FrobeniusDatum.straight_class_tags
 
@@ -165,8 +165,65 @@ def test_sigma_reports_independent_of_memo_history():
     for _ in range(2):
         warm = json.dumps(sigma_reports(MEMO_PROBES), sort_keys=True) + "\n"
         assert warm == cold
-    for memo in (newton_bg._b_g_mu, newton_bg._straight_classes):
-        assert memo.cache_info().currsize <= ADM_MEMO_SIZE
+    assert MEMO.held <= MEMO.bound
+
+
+def test_catalog_traffic_computes_each_memo_entry_once():
+    # Every adm and sigma command of the catalog in seeded shuffled order:
+    # each memo body runs once per distinct key, a second pass runs none,
+    # and the elements held stay within the bound.
+    specs = [
+        JobSpec(command="adm", group=p.name, mu=mu)
+        for p in catalog()
+        for _label, mu in p.mu_grid
+    ]
+    specs += [JobSpec(command="adm", group="C2_sc", mu=(m, 0)) for m in (2, 4, 6, 8)]
+    specs += [
+        JobSpec(command=command, group=p.name, sigma=sig, mu=mu, b=b)
+        for p in catalog()
+        for sig in sorted(p.sigmas)
+        for _label, mu in p.mu_grid
+        for command, b in SIGMA_COMMANDS
+    ]
+    random.Random(1).shuffle(specs)
+    pairs = {(s.group, s.mu) for s in specs}
+    triples = {(s.group, s.sigma, s.mu) for s in specs if s.command != "adm"}
+    assert len(pairs) == len(triples) == 22
+    MEMO.clear()
+    before = MEMO.runs.copy()
+    for spec in specs:
+        assert run(spec)[1] == EXIT_OK
+        assert MEMO.held <= MEMO.bound
+    first = MEMO.runs - before
+    assert first["_adm"] == len(pairs)
+    assert first["_straight_classes"] == first["_b_g_mu"] == len(triples)
+    for spec in specs:
+        run(spec)
+    assert MEMO.runs - before == first
+
+
+def test_queries_share_one_live_sigma(monkeypatch):
+    validated = []
+    validate = FrobeniusDatum._validate
+
+    def counting_validate(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FrobeniusDatum, "_validate", counting_validate)
+    spec = JobSpec(command="bgmu", group="A2_sc", sigma="flip:3", mu=(1, 1))
+    datum, pre = cli._resolve_group(spec)
+    sigma = cli._resolve_sigma(spec, datum, pre)
+    assert run(spec)[1] == EXIT_OK
+    assert cli._resolve_sigma(spec, datum, pre) is sigma
+    assert validated == [sigma]
+    # Another q is another sigma; one that fails validation is not kept.
+    other = JobSpec(command="bgmu", group="A2_sc", sigma="flip:5", mu=(1, 1))
+    assert cli._resolve_sigma(other, datum, pre) is not sigma
+    live = len(cli._LIVE_SIGMAS)
+    bad = JobSpec(command="bgmu", group="A2_sc", sigma="flip:1", mu=(1, 1))
+    assert run(bad)[1] == EXIT_USAGE
+    assert len(cli._LIVE_SIGMAS) == live
 
 
 def test_adm_parahoric_flag():

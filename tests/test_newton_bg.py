@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-import adlv.newton_bg as newton_bg
-from adlv.admissible import ADM_MEMO_SIZE, adm
+from adlv.admissible import MEMO, adm
 from adlv.errors import BudgetExceeded, NoSolution, TagNotInBGMu
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import mat_vec, vec_sub
@@ -173,8 +172,7 @@ def test_bgmu_memo_hits_and_equals_cold():
                 assert all(
                     x.group is fresh.weyl for _tag, xs in cold_classes for x in xs
                 )
-    for memo in (newton_bg._b_g_mu, newton_bg._straight_classes):
-        assert memo.cache_info().currsize <= ADM_MEMO_SIZE
+    assert MEMO.held <= MEMO.bound
 
 
 def test_bgmu_budget_raises_after_success():
