@@ -10,12 +10,14 @@ suite.
 The sets, the membership data and the straight classes and B(G, {mu})
 of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
 number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
-one admissible set may hold.
+one admissible set may hold.  Entries are stored on their group, so a
+datum that is no longer referenced takes its entries with it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Sequence
@@ -35,48 +37,88 @@ class ElementMemo:
     """A least-recently-used memo bounded by weight, the number of Weyl
     group elements a value holds (at least 1 per entry).
 
-    `memo(weigh)` decorates a body; its positional arguments, with the
-    body itself, are the key.  Past `bound`, the least recently used
-    entries are dropped; a value heavier than `bound` is returned but not
-    kept, and an error is never kept.  `runs` counts body runs by name.
+    `memo(weigh)` decorates a body whose first argument is an
+    AffineWeylGroup; the body and its other positional arguments are the
+    key.  An entry is stored on its group, in `group.memo_entries`, and
+    the memo refers to it only weakly, so a group that nothing else
+    references is collected with its entries.  Past `bound`, the least
+    recently used entries are dropped; a value heavier than `bound` is
+    returned but not kept, and an error is never kept.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
-        self.held = 0
-        self.runs: Counter[str] = Counter()
-        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self._held = 0
+        # Weak reference to each entry -> its weight, least recent first.
+        self._order: OrderedDict[weakref.ref, int] = OrderedDict()
+        # References to entries collected with their group.  The weakref
+        # callback may run inside any allocation, so it only appends here.
+        self._gone: list[weakref.ref] = []
+        self._on_gone = self._gone.append
+
+    @property
+    def held(self) -> int:
+        """The total weight of the entries still alive."""
+        self._forget_gone()
+        return self._held
 
     def __call__(self, weigh: Callable[[object], int]):
         def decorate(body):
             @wraps(body)
-            def memoized(*args):
+            def memoized(group: AffineWeylGroup, *args):
                 key = (body, args)
-                hit = self._entries.get(key)
-                if hit is not None:
-                    self._entries.move_to_end(key)
-                    return hit[0]
-                self.runs[body.__name__] += 1
-                value = body(*args)
-                self._keep(key, value, max(1, weigh(value)))
+                entry = group.memo_entries.get(key)
+                if entry is not None:
+                    self._order.move_to_end(entry.ref)
+                    return entry.value
+                value = body(group, *args)
+                self._keep(group.memo_entries, key, value, max(1, weigh(value)))
                 return value
 
             return memoized
 
         return decorate
 
-    def _keep(self, key: tuple, value: object, weight: int) -> None:
+    def _keep(self, home: dict, key: tuple, value: object, weight: int) -> None:
+        self._forget_gone()
         if weight > self.bound:
             return
-        self._entries[key] = (value, weight)
-        self.held += weight
-        while self.held > self.bound:
-            _key, (_value, dropped) = self._entries.popitem(last=False)
-            self.held -= dropped
+        entry = _Entry(home, key, value, self._on_gone)
+        home[key] = entry
+        self._order[entry.ref] = weight
+        self._held += weight
+        while self._held > self.bound:
+            self._drop(next(iter(self._order)))
+
+    def _drop(self, ref: weakref.ref) -> None:
+        self._held -= self._order.pop(ref)
+        entry = ref()
+        if entry is not None:
+            del entry.home[entry.key]
+
+    def _forget_gone(self) -> None:
+        while self._gone:
+            weight = self._order.pop(self._gone.pop(), None)
+            if weight is not None:
+                self._held -= weight
 
     def clear(self) -> None:
-        self._entries.clear()
-        self.held = 0
+        while self._order:
+            self._drop(next(iter(self._order)))
+        self._gone.clear()
+
+
+class _Entry:
+    """One memo entry: `home` is its group's `memo_entries`, and `ref`
+    the memo's weak reference to it."""
+
+    __slots__ = ("home", "key", "value", "ref", "__weakref__")
+
+    def __init__(self, home: dict, key: tuple, value: object, on_gone) -> None:
+        self.home = home
+        self.key = key
+        self.value = value
+        self.ref = weakref.ref(self, on_gone)
 
 
 MEMO = ElementMemo(DEFAULT_BUDGET)

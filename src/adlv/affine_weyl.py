@@ -125,6 +125,8 @@ class AffineWeylGroup:
         self._build_affine_simples()
         self._bruhat_cache: dict[tuple, bool] = {}
         self._rw_cache: dict[tuple, tuple] = {}
+        # This group's entries of admissible.MEMO, which go with the group.
+        self.memo_entries: dict[tuple, object] = {}
 
     # -- finite Weyl group tables -------------------------------------------
 

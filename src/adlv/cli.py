@@ -71,7 +71,10 @@ def _resolve_group(spec: JobSpec):
     return preset(spec.group).datum, preset(spec.group)
 
 
-def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
+def _resolve_sigma(spec: JobSpec, datum, pre, shared: bool = True) -> FrobeniusDatum:
+    """The sigma of the spec: the live one of its value (see _live_sigma)
+    if `shared`, else a new one, whose caches end with the query."""
+    make = _live_sigma if shared else FrobeniusDatum
     raw = spec.sigma
     if raw.strip().startswith("{"):
         try:
@@ -89,8 +92,8 @@ def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
     if pre is None:
         if name != "split":
             raise SchemaError("/sigma: explicit data only support 'split' or JSON")
-        return _live_sigma(datum, None, q)
-    return _live_sigma(datum, pre.sigma_matrix(name), q)
+        return make(datum, None, q)
+    return make(datum, pre.sigma_matrix(name), q)
 
 
 # The live sigma of each (datum object, matrix, q), so that queries share
@@ -331,7 +334,8 @@ def _targeted_verify(spec: JobSpec) -> dict:
     from .admissible import verify_s_tau_membership, verify_straight_class_containment
 
     datum, pre = _resolve_group(spec)
-    sigma = _resolve_sigma(spec, datum, pre)
+    # Its own sigma: the plateaus it caches are not kept past the query.
+    sigma = _resolve_sigma(spec, datum, pre, shared=False)
     mu = _require_mu(spec, datum)
     containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
     wall = verify_s_tau_membership(datum, sigma, mu, budget=spec.budget)

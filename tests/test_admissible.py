@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -150,7 +152,7 @@ def test_adm_memo_bounded_and_equal_to_cold():
     assert MEMO.held <= MEMO.bound
 
 
-def test_memo_evicts_least_recent_by_weight(monkeypatch):
+def test_memo_evicts_least_recent_by_weight(monkeypatch, memo_runs):
     # A bound of two C2_sc sets: an LRU by element count, over-heavy
     # values returned but not kept, errors never kept.
     d = preset("C2_sc").datum
@@ -163,32 +165,52 @@ def test_memo_evicts_least_recent_by_weight(monkeypatch):
     MEMO.clear()
 
     def held_mus():
-        # The memo's keys are (body, args), least recently used first.
-        return [args[1] for body, args in MEMO._entries if body is admissible._adm.__wrapped__]
+        # The entries of d's group, least recently used first.
+        entries = [ref() for ref in MEMO._order]
+        assert all(e.home is w.memo_entries for e in entries)
+        return [e.key[1][0] for e in entries if e.key[0] is admissible._adm.__wrapped__]
 
     first = adm(d, (1, 0))
     adm(d, (1, 1))
     assert held_mus() == [(1, 0), (1, 1)]
     assert adm(d, (1, 0)) is first
     assert held_mus() == [(1, 1), (1, 0)]
-    runs = MEMO.runs["_adm"]
+    runs = memo_runs["_adm"]
     heavy = adm(d, (2, 0))
-    assert heavy == cold[(2, 0)] and MEMO.runs["_adm"] == runs + 1
+    assert heavy == cold[(2, 0)] and memo_runs["_adm"] == runs + 1
     assert held_mus() == [(1, 1), (1, 0)]
-    assert adm(d, (2, 0)) is not heavy and MEMO.runs["_adm"] == runs + 2
+    assert adm(d, (2, 0)) is not heavy and memo_runs["_adm"] == runs + 2
     # One more element evicts the least recent set, (1, 1).
     assert adm(d, (0, 0)) == cold[(0, 0)]
     assert held_mus() == [(1, 0), (0, 0)]
+    assert len(w.memo_entries) == 2
     assert MEMO.held == len(cold[(1, 0)]) + 1 <= MEMO.bound
     for mu, aset in cold.items():
         assert adm(d, mu) == aset
         assert MEMO.held <= MEMO.bound
     for _ in range(2):
-        runs = MEMO.runs["_adm"]
         with pytest.raises(BudgetExceeded):
             adm(d, (1, 1), budget=3)
-        assert MEMO.runs["_adm"] == runs + 1
-    assert all(args[-1] != 3 for _body, args in MEMO._entries)
+    assert all(args[-1] != 3 for _body, args in w.memo_entries)
+
+
+def test_memo_entries_go_with_their_group():
+    # Entries live on their group: a datum nothing references is
+    # collected with its entries, and their weight leaves the total.
+    d = preset("C2_sc").datum
+    MEMO.clear()
+    adm(d, (1, 0))
+    kept = MEMO.held
+    fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
+    group = weakref.ref(fresh.weyl)
+    adm(fresh, (2, 0))
+    in_adm(fresh, (1, 1), fresh.weyl.translation((1, 1)))
+    assert MEMO.held > kept
+    del fresh
+    gc.collect()
+    assert group() is None
+    assert MEMO.held == kept and len(MEMO._order) == 1
+    assert len(d.weyl.memo_entries) == 1
 
 
 def test_adm_parahoric_trivial_k():

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import random
+import weakref
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from adlv.cli import (
     main,
     run,
 )
+from adlv.affine_weyl import AffineWeylGroup
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 
@@ -168,7 +171,7 @@ def test_sigma_reports_independent_of_memo_history():
     assert MEMO.held <= MEMO.bound
 
 
-def test_catalog_traffic_computes_each_memo_entry_once():
+def test_catalog_traffic_computes_each_memo_entry_once(memo_runs):
     # Every adm and sigma command of the catalog in seeded shuffled order:
     # each memo body runs once per distinct key, a second pass runs none,
     # and the elements held stay within the bound.
@@ -190,16 +193,15 @@ def test_catalog_traffic_computes_each_memo_entry_once():
     triples = {(s.group, s.sigma, s.mu) for s in specs if s.command != "adm"}
     assert len(pairs) == len(triples) == 22
     MEMO.clear()
-    before = MEMO.runs.copy()
     for spec in specs:
         assert run(spec)[1] == EXIT_OK
         assert MEMO.held <= MEMO.bound
-    first = MEMO.runs - before
+    first = memo_runs.copy()
     assert first["_adm"] == len(pairs)
     assert first["_straight_classes"] == first["_b_g_mu"] == len(triples)
     for spec in specs:
         run(spec)
-    assert MEMO.runs - before == first
+    assert memo_runs == first
 
 
 def test_queries_share_one_live_sigma(monkeypatch):
@@ -224,6 +226,46 @@ def test_queries_share_one_live_sigma(monkeypatch):
     bad = JobSpec(command="bgmu", group="A2_sc", sigma="flip:1", mu=(1, 1))
     assert run(bad)[1] == EXIT_USAGE
     assert len(cli._LIVE_SIGMAS) == live
+
+
+def test_inline_data_do_not_outlive_their_queries(monkeypatch):
+    # Each inline-JSON query builds its own datum; its memo entries and
+    # live sigma go with it, so no group outlives its query.
+    made = weakref.WeakSet()
+    init = AffineWeylGroup.__init__
+
+    def recording(self, datum):
+        init(self, datum)
+        made.add(self)
+
+    monkeypatch.setattr(AffineWeylGroup, "__init__", recording)
+    d = preset("C2_sc").datum
+    inline = json.dumps(
+        {
+            "rank": d.rank,
+            "simple_roots": [list(a) for a in d.simple_roots],
+            "simple_coroots": [list(a) for a in d.simple_coroots],
+        }
+    )
+    held = MEMO.held
+    for n in range(20):
+        for command in ("adm", "bgmu", "straight"):
+            assert run(JobSpec(command=command, group=inline, mu=(1, 0)))[1] == EXIT_OK
+        gc.collect()
+        assert len(made) == 0, n
+    assert MEMO.held == held
+
+
+def test_targeted_verify_keeps_no_plateaus(monkeypatch):
+    # A targeted verify caches plateaus on its sigma; that sigma is its
+    # own, not the live one other queries share.
+    spec = JobSpec(command="verify", group="C2_sc", mu=(1, 0))
+    datum, pre = cli._resolve_group(spec)
+    live = cli._resolve_sigma(spec, datum, pre)
+    assert run(spec)[1] == EXIT_OK
+    assert run(JobSpec(command="bgmu", group="C2_sc", mu=(1, 0)))[1] == EXIT_OK
+    assert cli._resolve_sigma(spec, datum, pre) is live
+    assert live._plateau_cache == {}
 
 
 def test_adm_parahoric_flag():
