@@ -1,11 +1,11 @@
 """Admissible sets: downward Bruhat closures of the translations t^{x(mu)}.
 
-Enumeration walks cover relations downward from the maximal translations
-(the covers of x come from its right inversions, by the strong exchange
-condition), which never needs a Bruhat comparison.  Membership tests
-for external elements use the memoized Bruhat recursion against the
-maximal translations; the two routes cross-check each other in the test
-suite.
+Enumeration closes the maximal translations under covers, by
+`AffineWeylGroup.bruhat_interval_below` (the covers of x come from its
+right inversions, by the strong exchange condition), which never needs
+a Bruhat comparison.  Membership tests for external elements use the
+memoized Bruhat recursion against the maximal translations; the two
+routes cross-check each other in the test suite.
 
 The sets, the membership data and the straight classes and B(G, {mu})
 of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Sequence
 
-from .affine_weyl import AffineWeylElement, AffineWeylGroup, OmegaElt
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, OmegaElt
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
 from .frobenius import FrobeniusDatum
 from .linalg import dot, mat_vec
 from .root_datum import RootDatum
 
 IntVec = tuple[int, ...]
-
-DEFAULT_BUDGET = 5_000_000
 
 
 class ElementMemo:
@@ -188,27 +186,17 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     mu_dom_q, _ = d.dominant_rep(mu)
     mu_dom = tuple(int(x) for x in mu_dom_q)
     maxima = maximal_translations(d, mu)
-    seen: set[AffineWeylElement] = set(maxima)
-    frontier = list(maxima)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for below in w.covers_below(x):
-                if below not in seen:
-                    seen.add(below)
-                    nxt.append(below)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"admissible set exceeds node budget {budget}"
-                        )
-        frontier = nxt
+    try:
+        elements = w.bruhat_interval_below(maxima, budget)
+    except BudgetExceeded:
+        raise BudgetExceeded(f"admissible set exceeds node budget {budget}") from None
     return AdmissibleSet(
         datum=d,
         mu=mu,
         mu_dominant=mu_dom,
         maximal=maxima,
         tau=tau_mu(d, mu),
-        elements=frozenset(seen),
+        elements=frozenset(elements),
     )
 
 

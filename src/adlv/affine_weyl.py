@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from .linalg import (
@@ -35,6 +35,9 @@ from .linalg import (
 from .root_datum import RootDatum, reflection_matrix
 
 IntVec = tuple[int, ...]
+
+# The most elements an enumeration visits before it raises BudgetExceeded.
+DEFAULT_BUDGET = 5_000_000
 
 
 class AffineRoot(NamedTuple):
@@ -468,10 +471,16 @@ class AffineWeylGroup:
         positive roots c and the length offsets of u'."""
         return sum(abs(p - k * s - o) for p, s, o in zip(pairings, slopes, offsets))
 
-    def bruhat_interval_below(self, y: AffineWeylElement) -> set[AffineWeylElement]:
-        """All x <= y, by closing under covers."""
-        seen = {y}
-        frontier = [y]
+    def bruhat_interval_below(
+        self, tops: Iterable[AffineWeylElement], budget: int = DEFAULT_BUDGET
+    ) -> set[AffineWeylElement]:
+        """All x <= y for some y in tops, by closing under covers.
+
+        Raises BudgetExceeded once a cover takes the set past `budget`
+        elements, rather than truncating.
+        """
+        seen = set(tops)
+        frontier = list(seen)
         while frontier:
             nxt = []
             for w in frontier:
@@ -479,6 +488,10 @@ class AffineWeylGroup:
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
+                        if len(seen) > budget:
+                            raise BudgetExceeded(
+                                f"Bruhat interval exceeds node budget {budget}"
+                            )
             frontier = nxt
         return seen
 
@@ -488,7 +501,7 @@ class AffineWeylGroup:
         self,
         max_length: int,
         omega: AffineWeylElement | None = None,
-        budget: int = 5_000_000,
+        budget: int = DEFAULT_BUDGET,
     ) -> list[AffineWeylElement]:
         """All elements of length <= max_length in the W_a-coset of omega.
 
@@ -524,7 +537,7 @@ class AffineWeylGroup:
         self,
         max_length: int,
         omegas: Iterable[AffineWeylElement] | None = None,
-        budget: int = 5_000_000,
+        budget: int = DEFAULT_BUDGET,
     ) -> list[AffineWeylElement]:
         """Union of coset balls; defaults to the neutral coset only."""
         if omegas is None:
@@ -542,55 +555,8 @@ class AffineWeylGroup:
         )
         return principal_minors_positive(sub)
 
-    def parabolic_elements(self, k_set: Sequence[int]) -> list[AffineWeylElement]:
-        """All elements of W_K; requires W_K finite."""
-        if not self.parabolic_is_finite(k_set):
-            raise InfiniteParabolic(f"W_K for K={sorted(k_set)} is infinite")
-        gens = [self.simple(i) for i in k_set]
-        seen = {self.identity().key(): self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    cand = g * w
-                    if cand.key() not in seen:
-                        seen[cand.key()] = cand
-                        nxt.append(cand)
-            frontier = nxt
-        return sorted(seen.values(), key=lambda x: (self.length(x),) + x.key())
-
     def has_left_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
         return any(self.is_left_descent(i, x.lam, x.u_idx) for i in k_set)
-
-    def has_right_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
-        return any(self.is_right_descent(i, x) for i in k_set)
-
-    def min_coset_reps(
-        self,
-        k_set: Sequence[int],
-        max_length: int,
-        side: str = "left",
-        omegas: Iterable[AffineWeylElement] | None = None,
-        budget: int = 5_000_000,
-    ) -> Iterator[AffineWeylElement]:
-        """Length-bounded minimal representatives.
-
-        side='left' yields representatives of W_K \\ W (no left descent),
-        side='right' those of W / W_K, side='double' those of
-        W_K \\ W / W_K.
-        """
-        if not self.parabolic_is_finite(k_set):
-            raise InfiniteParabolic(f"W_K for K={sorted(k_set)} is infinite")
-        for x in self.ball(max_length, omegas, budget=budget):
-            left_ok = not self.has_left_descent_in(x, k_set)
-            right_ok = not self.has_right_descent_in(x, k_set)
-            if side == "left" and left_ok:
-                yield x
-            elif side == "right" and right_ok:
-                yield x
-            elif side == "double" and left_ok and right_ok:
-                yield x
 
     def min_double_coset_rep(self, x: AffineWeylElement, k_set: Sequence[int]) -> AffineWeylElement:
         """The minimal element of W_K x W_K, by peeling descents."""

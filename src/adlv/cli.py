@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import click
 
-from .admissible import DEFAULT_BUDGET, adm, adm_parahoric
+from .admissible import adm, adm_parahoric
+from .affine_weyl import DEFAULT_BUDGET
 from .errors import (
     AdlvError,
     BudgetExceeded,
@@ -320,7 +321,7 @@ def _dispatch(spec: JobSpec) -> dict:
             "mu": list(mu),
             "b": _tag_json(chosen.tag),
             "q": sigma.q,
-            "operator": [[frac_str(v) for v in row] for row in cert.operator.matrix],
+            "operator": [[frac_str(v) for v in row] for row in cert.operator],
             "certificate": [frac_str(v) for v in cert.pic_class.values()],
             "difference": [frac_str(v) for v in cert.difference],
             "invertible": cert.invertible,

@@ -227,9 +227,6 @@ class FinAbGroup:
             n *= x
         return n
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     # -- elements ----------------------------------------------------------
 
     def project(self, x: Sequence[int]) -> Vec:
@@ -254,19 +251,6 @@ class FinAbGroup:
 
     def zero(self) -> Vec:
         return tuple(0 for d in self._diag if d != 1)
-
-    def coord_add(self, a: Sequence[int], b: Sequence[int]) -> Vec:
-        return self._coord_norm(tuple(x + y for x, y in zip(a, b)))
-
-    def _coord_norm(self, coords: Sequence[int]) -> Vec:
-        out = []
-        it = iter(coords)
-        for di in self._diag:
-            if di == 1:
-                continue
-            c = next(it)
-            out.append(c % di if di > 1 else c)
-        return tuple(out)
 
     def torsion_elements(self) -> Iterator[Vec]:
         """All elements of the torsion subgroup, in lexicographic order."""
@@ -318,23 +302,26 @@ class FinAbGroup:
             cols.append(tuple(one_minus[i][j] for i in range(n)))
         return FinAbGroup.from_columns(n, cols)
 
+    def _crossed_block(self, f: Mat) -> Mat:
+        """The block matrix [1 - f | relations]: a vector (c, r) solves
+        block . (c, r) = d exactly when (1 - f) c = d in the quotient."""
+        self._check_endo(f)
+        n = self.ambient_rank
+        return tuple(
+            tuple((1 if i == j else 0) - f[i][j] for j in range(n))
+            + tuple(self.relations[i])
+            for i in range(n)
+        )
+
     def fixed_subgroup(self, f: Mat) -> tuple["FinAbGroup", list[Vec]]:
         """Kernel of (1 - f) on the quotient.
 
         Returns the kernel as an abstract group together with lifts in
         Z^ambient_rank of its generators.
         """
-        self._check_endo(f)
+        block = self._crossed_block(f)
         n = self.ambient_rank
         rel_cols = len(self.relations[0]) if n else 0
-        one_minus = tuple(
-            tuple((1 if i == j else 0) - f[i][j] for j in range(n)) for i in range(n)
-        )
-        block = tuple(
-            tuple(one_minus[i][j] for j in range(n))
-            + tuple(self.relations[i][j] for j in range(rel_cols))
-            for i in range(n)
-        )
         pre = [k[:n] for k in int_kernel_basis(block)]
         basis = lattice_basis(pre, n)
         if not basis:
@@ -354,21 +341,10 @@ class FinAbGroup:
 
     def solve_crossed(self, f: Mat, d: Sequence[int]) -> Vec:
         """A vector c with (1 - f) c = d in the quotient, or NoSolution."""
-        self._check_endo(f)
-        n = self.ambient_rank
-        rel_cols = len(self.relations[0]) if n else 0
-        one_minus = tuple(
-            tuple((1 if i == j else 0) - f[i][j] for j in range(n)) for i in range(n)
-        )
-        block = tuple(
-            tuple(one_minus[i][j] for j in range(n))
-            + tuple(self.relations[i][j] for j in range(rel_cols))
-            for i in range(n)
-        )
-        sol = solve_int(block, d)
+        sol = solve_int(self._crossed_block(f), d)
         if sol is None:
             raise NoSolution("c - f(c) = d has no solution in the quotient")
-        return sol[:n]
+        return sol[: self.ambient_rank]
 
     def describe(self) -> str:
         """Human-readable shape, e.g. 'Z/2 + Z'."""

@@ -148,12 +148,10 @@ class FrobeniusDatum:
         return tuple(Fraction(c, n) for c in mat_vec(p, x.lam))
 
     def newton_point(self, x: AffineWeylElement) -> "NewtonPoint":
-        p, n = self._newton_data(x.u_idx)
-        raw = tuple(Fraction(c, n) for c in mat_vec(p, x.lam))
-        dom, _wit = self.datum.dominant_rep(raw)
+        dom, _wit = self.datum.dominant_rep(self.newton_vector(x))
         sigma_dom, _ = self.datum.dominant_rep(self.on_vector(dom))
         assert sigma_dom == dom, "Newton point must be sigma-invariant"
-        return NewtonPoint(dom, n)
+        return NewtonPoint(dom, self._newton_data(x.u_idx)[1])
 
     def kottwitz(self, x: AffineWeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(class in pi_1, class in sigma-coinvariants of pi_1)."""
@@ -230,68 +228,23 @@ class FrobeniusDatum:
             self._plateau_cache[m] = info
         return info
 
-    def _route_within(
-        self, members: frozenset, start: AffineWeylElement, goal: AffineWeylElement
-    ) -> list[int]:
-        """Twisted-conjugation steps from start to goal inside one plateau."""
-        if start == goal:
-            return []
-        w = self.datum.weyl
-        prev: dict[AffineWeylElement, tuple[AffineWeylElement, int]] = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s in w.simple_affine:
-                    z = self.conj_step(s.index, y)
-                    if z in members and z not in prev:
-                        prev[z] = (y, s.index)
-                        if z == goal:
-                            steps = []
-                            cur = z
-                            while prev[cur] is not None:
-                                p, i = prev[cur]
-                                steps.append(i)
-                                cur = p
-                            return steps[::-1]
-                        nxt.append(z)
-            frontier = nxt
-        raise AssertionError("plateau is connected by construction")
-
     def reduce_to_minimal(
-        self,
-        x: AffineWeylElement,
-        node_budget: int = 200_000,
-        want_path: bool = True,
-    ) -> tuple[AffineWeylElement, "ReductionPath | None"]:
+        self, x: AffineWeylElement, node_budget: int = 200_000
+    ) -> AffineWeylElement:
         """Walk w -> s w sigma(s) without ever increasing length until no
         further decrease is possible anywhere on the final plateau.
 
         Descent choices are canonical (least plateau member, lowest
         simple index), so the walk is deterministic; an element that is
-        already minimal comes back unchanged with an empty path.
+        already minimal comes back unchanged.
         """
         cur = x
-        path: list[tuple[int, AffineWeylElement]] = []
-
-        def walk(to: AffineWeylElement, members: frozenset):
-            nonlocal cur
-            if want_path:
-                for i in self._route_within(members, cur, to):
-                    cur = self.conj_step(i, cur)
-                    path.append((i, cur))
-            else:
-                cur = to
-
         while True:
             info = self.plateau(cur, node_budget)
             if info.descent is None:
-                return cur, (ReductionPath(x, tuple(path)) if want_path else None)
+                return cur
             y, i = info.descent
-            walk(y, info.members)
-            cur = self.conj_step(i, cur)
-            if want_path:
-                path.append((i, cur))
+            cur = self.conj_step(i, y)
 
     # -- filters over finite sets ------------------------------------------------
 
@@ -379,25 +332,3 @@ class StraightClassTag:
 
     def __repr__(self):
         return f"Tag(nu={'/'.join(str(c) for c in self.nu_bar)}, k={self.kappa0})"
-
-
-@dataclass(frozen=True)
-class ReductionPath:
-    """Witness for w ->_sigma w': twisted conjugation steps, lengths
-    never increasing."""
-
-    start: AffineWeylElement
-    steps: tuple[tuple[int, AffineWeylElement], ...]
-
-    def end(self) -> AffineWeylElement:
-        return self.steps[-1][1] if self.steps else self.start
-
-    def verify(self, sigma: FrobeniusDatum) -> bool:
-        w = sigma.datum.weyl
-        cur = self.start
-        for i, after in self.steps:
-            nxt = sigma.conj_step(i, cur)
-            if nxt != after or w.length(nxt) > w.length(cur):
-                return False
-            cur = nxt
-        return True

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
-from .admissible import in_adm, DEFAULT_BUDGET
-from .affine_weyl import AffineRoot, AffineWeylElement
+from .admissible import in_adm
+from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
@@ -105,7 +105,7 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
     return levi
 
 
-def sub_element(d: RootDatum, levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElement:
+def sub_element(d: RootDatum, x: AffineWeylElement) -> AffineWeylElement:
     """Reinterpret an M_v-group element inside the ambient group."""
     return d.weyl.from_matrix(x.lam, x.mat)
 
@@ -293,7 +293,7 @@ def jb_shadow(d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement) -> JbSh
     reps = []
     for g in gens:
         om = sub_w.omega_of(sub_w.translation(g))
-        big = sub_element(d, levi, om)
+        big = sub_element(d, om)
         twisted = x * sigma.apply(big) * x.inverse()
         assert twisted == big, "lift of a tau-fixed class must be tau-fixed"
         reps.append(big)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .admissible import DEFAULT_BUDGET, MEMO, adm
-from .affine_weyl import AffineWeylElement, AffineWeylGroup
-from .errors import ExtremalityViolation, NoSolution, TagNotInBGMu
+from .admissible import MEMO, adm
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup
+from .errors import ExtremalityViolation, NoSolution
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
 from .linalg import mat_vec, vec_sub
@@ -186,12 +186,3 @@ def obstruction_class(
         fixed_subgroup=fixed,
         fixed_generators=tuple(tuple(g) for g in gens),
     )
-
-
-def tag_index(
-    elements: Sequence[BGMuElement], tag: StraightClassTag
-) -> int:
-    for i, e in enumerate(elements):
-        if e.tag == tag:
-            return i
-    raise TagNotInBGMu(f"{tag} is not in B(G, mu)")

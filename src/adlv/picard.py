@@ -104,13 +104,6 @@ class PicClass:
         return len(self.nums)
 
 
-@dataclass(frozen=True)
-class PicOperator:
-    """Rational matrix over the affine simple basis."""
-
-    matrix: Mat
-
-
 class PicardLattice:
     """Operator algebra over the basis indexed by the affine simples."""
 
@@ -124,34 +117,20 @@ class PicardLattice:
             tuple((k, (k == i) - a) for k, a in enumerate(row) if (k == i) != a)
             for i, row in enumerate(self.cartan)
         )
-        self._actions: OrderedDict[tuple, PicOperator] = OrderedDict()
+        self._actions: OrderedDict[tuple, Mat] = OrderedDict()
 
-    def reflection_action(self, i: int) -> PicOperator:
+    def reflection_action(self, i: int) -> Mat:
         """eps_i -> eps_i - sum_j A_ij eps_j; other basis vectors fixed."""
         a = self.cartan
-        mat = tuple(
+        return tuple(
             tuple(
                 (1 if r == c else 0) - (a[i][r] if c == i else 0)
                 for c in range(self.n)
             )
             for r in range(self.n)
         )
-        return PicOperator(mat)
 
-    def permutation_action(self, perm: Sequence[int]) -> PicOperator:
-        mat = tuple(
-            tuple(1 if perm[c] == r else 0 for c in range(self.n))
-            for r in range(self.n)
-        )
-        return PicOperator(mat)
-
-    def sigma_action(self, sigma: FrobeniusDatum) -> PicOperator:
-        perm_op = self.permutation_action(sigma.s_permutation)
-        q = sigma.q
-        mat = tuple(tuple(q * x for x in row) for row in perm_op.matrix)
-        return PicOperator(mat)
-
-    def element_action(self, x: AffineWeylElement) -> PicOperator:
+    def element_action(self, x: AffineWeylElement) -> Mat:
         """Product of reflection operators along a reduced word, then the
         length-zero permutation.
 
@@ -175,7 +154,7 @@ class PicardLattice:
         if not omega.is_identity():
             perm = self.group.s_permutation_of(omega)
             cols = [cols[perm[c]] for c in range(n)]
-        op = PicOperator(tuple(zip(*cols)))
+        op = tuple(zip(*cols))
         self._actions[key] = op
         if len(self._actions) > ACTION_MEMO_SIZE:
             self._actions.popitem(last=False)
@@ -193,14 +172,9 @@ def is_ample(cls: PicClass, k_set: Sequence[int] = ()) -> bool:
     return all(n > 0 for i, n in enumerate(cls.nums) if i not in kk)
 
 
-def descends_to_parahoric(cls: PicClass, k_set: Sequence[int]) -> bool:
-    """A class descends along FL -> Gr_K iff it vanishes on K."""
-    return all(cls.nums[i] == 0 for i in k_set)
-
-
 @dataclass(frozen=True)
 class DescentCertificate:
-    operator: PicOperator  # x . sigma . w^{-1} on the Picard lattice
+    operator: Mat  # x . sigma . w^{-1} on the Picard lattice
     pic_class: PicClass
     difference: tuple[Fraction, ...]  # (M - 1) applied to the class
     invertible: bool = True
@@ -237,12 +211,12 @@ def descent_certificate(
     perm = sigma.s_permutation
     xs = tuple(
         tuple(sigma.q * row[perm[c]] for c in range(n))
-        for row in pic.element_action(x).matrix
+        for row in pic.element_action(x)
     )
-    op = PicOperator(mat_mul(xs, pic.element_action(w.inverse()).matrix))
+    op = mat_mul(xs, pic.element_action(w.inverse()))
     m_minus_one = tuple(
         tuple(v - (r == c) for c, v in enumerate(row))
-        for r, row in enumerate(op.matrix)
+        for r, row in enumerate(op)
     )
     tgt = tuple(Fraction(t) for t in (target if target is not None else (1,) * n))
     if not all(t > 0 for t in tgt):

@@ -94,12 +94,11 @@ def naive_in_adm(d, mu, x) -> bool:
     return any(w.bruhat_leq(x, t) for t in maximal_translations(d, mu))
 
 
-def conjugation_orbit_min(sigma, x, buffer: int = 2) -> int:
-    """Minimal length over the twisted conjugation orbit of x, explored
-    through elements of length at most l(x) + buffer."""
+def conjugation_orbit(sigma, x, buffer: int = 2) -> set:
+    """The twisted conjugation orbit of x, explored through elements of
+    length at most l(x) + buffer."""
     w = sigma.datum.weyl
     cap = w.length(x) + buffer
-    best = w.length(x)
     seen = {x}
     frontier = [x]
     while frontier:
@@ -109,10 +108,9 @@ def conjugation_orbit_min(sigma, x, buffer: int = 2) -> int:
                 z = sigma.conj_step(s.index, y)
                 if w.length(z) <= cap and z not in seen:
                     seen.add(z)
-                    best = min(best, w.length(z))
                     nxt.append(z)
         frontier = nxt
-    return best
+    return seen
 
 
 def v_alcove_oracle(d, sigma, x, v, window: int = 40) -> bool:

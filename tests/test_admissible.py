@@ -228,12 +228,12 @@ def test_adm_parahoric_example():
     closed, reps = adm_parahoric(d, (1,), (1,))
     assert set(aset.elements) <= closed
     # brute force W_K Adm W_K
-    wk = w.parabolic_elements((1,))
+    wk = (w.identity(), w.simple(1))
     brute = {u * x * v for u in wk for x in aset.elements for v in wk}
     assert closed == brute
     for r in reps:
         assert not w.has_left_descent_in(r, (1,))
-        assert not w.has_right_descent_in(r, (1,))
+        assert not w.is_right_descent(1, r)
     assert w.min_double_coset_rep(w.translation((1,)), (1,)) in reps
 
 

@@ -96,7 +96,7 @@ def test_levi_order_matches_ambient():
         for b in ball:
             if sub.weyl.bruhat_leq(a, b):
                 assert d.weyl.bruhat_leq(
-                    sub_element(d, levi, a), sub_element(d, levi, b)
+                    sub_element(d, a), sub_element(d, b)
                 )
 
 
@@ -247,7 +247,7 @@ def test_jb_shadow_examples():
     jb = jb_shadow(d, sig, w.identity())
     assert jb.levi.sub_datum is d
     assert sorted(len(o.roots) for o in jb.orbits) == [1, 1]
-    assert jb.omega_fixed_group.is_trivial()
+    assert jb.omega_fixed_group.order() == 1
     assert jb.iwahori_fixed_part
     # torus case: no orbits, fixed Omega = lattice
     t = w.translation((1,))
@@ -295,7 +295,7 @@ def test_pi0_predict_basic_and_nonbasic():
     bg = b_g_mu(d, sig, (1,))
     basic = pi0_predict(d, sig, (1,), bg[0].tag)
     assert basic.case == "basic"
-    assert basic.group.is_trivial()
+    assert basic.group.order() == 1
     assert not basic.upper_bound_only
 
     nonbasic = pi0_predict(d, sig, (1,), bg[1].tag)
@@ -381,7 +381,7 @@ def test_interval_closure_matches_bruhat_recursion():
             ball = w.ball(2, [o.element for o in w.omega_elements()])
             ball_set = set(ball)
             for b in ball:
-                assert w.bruhat_interval_below(b) & ball_set == {
+                assert w.bruhat_interval_below([b]) & ball_set == {
                     a for a in ball if w.bruhat_leq(a, b)
                 }, (p.name, levi.direction, b)
 
@@ -423,7 +423,7 @@ def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
                         if sw.bruhat_leq(a, b):
                             checked += 1
                             if not d.weyl.bruhat_leq(
-                                sub_element(d, levi, a), sub_element(d, levi, b)
+                                sub_element(d, a), sub_element(d, b)
                             ):
                                 bad.append({"x": sw.to_json(a), "y": sw.to_json(b)})
             assert run["mu"] == f"{label}:{list(mu)}"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adlv.admissible import MEMO, adm
-from adlv.errors import BudgetExceeded, NoSolution, TagNotInBGMu
+from adlv.errors import BudgetExceeded, NoSolution
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import mat_vec, vec_sub
 from adlv.newton_bg import (
@@ -12,7 +12,6 @@ from adlv.newton_bg import (
     mu_natural,
     obstruction_class,
     straight_classes,
-    tag_index,
 )
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
@@ -101,16 +100,6 @@ def test_bgmu_translation_parts_admissible():
         for _label, mu in p.mu_grid:
             for e in b_g_mu(d, sig, mu):
                 assert in_adm(d, mu, d.weyl.translation(e.representative.lam))
-
-
-def test_tag_index_and_missing():
-    d = preset("A1_sc").datum
-    sig = FrobeniusDatum(d)
-    elements = b_g_mu(d, sig, (1,))
-    assert tag_index(elements, elements[1].tag) == 1
-    fake = sig.tag_of(d.weyl.translation((2,)))
-    with pytest.raises(TagNotInBGMu):
-        tag_index(elements, fake)
 
 
 def test_obstruction_tau_case():
