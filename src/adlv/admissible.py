@@ -1,17 +1,18 @@
 """Admissible sets: downward Bruhat closures of the translations t^{x(mu)}.
 
 Enumeration closes the maximal translations under covers, by
-`AffineWeylGroup.bruhat_interval_below` (the covers of x come from its
-right inversions, by the strong exchange condition), which never needs
-a Bruhat comparison.  Membership tests for external elements use the
-memoized Bruhat recursion against the maximal translations; the two
-routes cross-check each other in the test suite.
+`affine_weyl.closure` with step `covers_below` (the covers of x come
+from its right inversions, by the strong exchange condition), which
+never needs a Bruhat comparison.  Membership tests for external
+elements use the memoized Bruhat recursion against the maximal
+translations; the two routes cross-check each other in the test suite.
 
-The sets, the membership data and the straight classes and B(G, {mu})
-of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
-number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
-one admissible set may hold.  Entries are stored on their group, so a
-datum that is no longer referenced takes its entries with it.
+The sets, the membership data, the straight classes and B(G, {mu}) of
+`newton_bg` and the Picard lattices of `picard` (weight 1) share one
+least-recently-used memo, MEMO, bounded by the number of Weyl group
+elements its values hold: DEFAULT_BUDGET, the most one admissible set
+may hold.  Entries are stored on their group, so a datum that is no
+longer referenced takes its entries with it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Sequence
 
-from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, OmegaElt
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, OmegaElt, closure
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
 from .frobenius import FrobeniusDatum
 from .linalg import dot, mat_vec
@@ -124,16 +125,10 @@ MEMO = ElementMemo(DEFAULT_BUDGET)
 
 def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:
     """The finite Weyl orbit of mu, deduplicated and sorted."""
-    seen = {tuple(int(x) for x in mu)}
-    stack = list(seen)
-    while stack:
-        lam = stack.pop()
-        for m in d.simple_reflections:
-            nu = tuple(mat_vec(m, lam))
-            if nu not in seen:
-                seen.add(nu)
-                stack.append(nu)
-    return sorted(seen)
+    def step(lam):
+        return (tuple(mat_vec(m, lam)) for m in d.simple_reflections)
+
+    return sorted(closure([tuple(int(x) for x in mu)], step))
 
 
 def tau_mu(d: RootDatum, mu: Sequence[int]) -> OmegaElt:
@@ -187,7 +182,7 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     mu_dom = tuple(int(x) for x in mu_dom_q)
     maxima = maximal_translations(d, mu)
     try:
-        elements = w.bruhat_interval_below(maxima, budget)
+        elements = closure(maxima, w.covers_below, budget)
     except BudgetExceeded:
         raise BudgetExceeded(f"admissible set exceeds node budget {budget}") from None
     return AdmissibleSet(
@@ -253,23 +248,15 @@ def adm_parahoric(
     if not w.parabolic_is_finite(k_set):
         raise InfiniteParabolic(f"W_K infinite for K={sorted(k_set)}")
     base = adm(d, mu, budget=budget)
-    seen = set(base.elements)
-    frontier = list(base.elements)
     gens = [w.simple(i) for i in k_set]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for cand in (g * x, x * g):
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-                        if len(seen) > budget:
-                            raise BudgetExceeded(
-                                f"Adm^K exceeds node budget {budget}"
-                            )
-        frontier = nxt
-    closed = frozenset(seen)
+
+    def step(x):
+        return [cand for g in gens for cand in (g * x, x * g)]
+
+    try:
+        closed = frozenset(closure(base.elements, step, budget))
+    except BudgetExceeded:
+        raise BudgetExceeded(f"Adm^K exceeds node budget {budget}") from None
     escapes = audit_downward_closed(d, closed)
     if escapes:
         x, below = escapes[0]

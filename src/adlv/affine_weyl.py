@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from .linalg import (
@@ -38,6 +38,31 @@ IntVec = tuple[int, ...]
 
 # The most elements an enumeration visits before it raises BudgetExceeded.
 DEFAULT_BUDGET = 5_000_000
+
+
+def closure(
+    seeds: Iterable, step: Callable[[object], Iterable], budget: int = DEFAULT_BUDGET
+) -> set:
+    """The least set holding `seeds` and closed under `step`, by
+    breadth-first search: Bruhat intervals (step = covers_below), Weyl
+    orbits, Adm^K and twisted-conjugation plateaus.
+
+    Raises BudgetExceeded once a step takes the set past `budget`
+    elements, rather than truncating.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > budget:
+                        raise BudgetExceeded(f"closure exceeds node budget {budget}")
+        frontier = nxt
+    return seen
 
 
 class AffineRoot(NamedTuple):
@@ -470,30 +495,6 @@ class AffineWeylGroup:
         """l(lam - k v, u') from the pairings <c, lam> and <c, v> over the
         positive roots c and the length offsets of u'."""
         return sum(abs(p - k * s - o) for p, s, o in zip(pairings, slopes, offsets))
-
-    def bruhat_interval_below(
-        self, tops: Iterable[AffineWeylElement], budget: int = DEFAULT_BUDGET
-    ) -> set[AffineWeylElement]:
-        """All x <= y for some y in tops, by closing under covers.
-
-        Raises BudgetExceeded once a cover takes the set past `budget`
-        elements, rather than truncating.
-        """
-        seen = set(tops)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for c in self.covers_below(w):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-                        if len(seen) > budget:
-                            raise BudgetExceeded(
-                                f"Bruhat interval exceeds node budget {budget}"
-                            )
-            frontier = nxt
-        return seen
 
     # -- ball enumeration ----------------------------------------------------------
 

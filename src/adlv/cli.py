@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import click
 
@@ -187,7 +187,7 @@ def _dispatch(spec: JobSpec) -> dict:
         if spec.group is not None:
             return _targeted_verify(spec)
         scales = VerifyScales() if spec.scale == "full" else VerifyScales.quick()
-        return run_verify(scales)
+        return run_verify(replace(scales, budget=spec.budget))
     if spec.command == "presets":
         return {
             "schema_version": SCHEMA_VERSION,

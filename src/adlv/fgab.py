@@ -249,9 +249,6 @@ class FinAbGroup:
             y[i] = next(it)
         return mat_vec(uinv, y)
 
-    def zero(self) -> Vec:
-        return tuple(0 for d in self._diag if d != 1)
-
     def torsion_elements(self) -> Iterator[Vec]:
         """All elements of the torsion subgroup, in lexicographic order."""
         slots = [di for di in self._diag if di != 1]

@@ -13,8 +13,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .affine_weyl import AffineRoot, AffineWeylElement
-from .errors import BallExhausted, DatumMismatch, PeriodOverflow, SchemaError
+from .affine_weyl import AffineRoot, AffineWeylElement, closure
+from .errors import (
+    BallExhausted,
+    BudgetExceeded,
+    DatumMismatch,
+    PeriodOverflow,
+    SchemaError,
+)
 from .fgab import FinAbGroup
 from .linalg import (
     Mat,
@@ -192,6 +198,8 @@ class FrobeniusDatum:
     def plateau(self, x: AffineWeylElement, node_budget: int = 200_000) -> "Plateau":
         """Closure of x under equal-length twisted conjugation steps.
 
+        The step records each (member, simple index) whose conjugate is
+        shorter; the canonical descent is the least of those records.
         Cached for every member; raises BallExhausted past the budget,
         whether or not the plateau is cached.
         """
@@ -202,27 +210,22 @@ class FrobeniusDatum:
             return hit
         w = self.datum.weyl
         lx = w.length(x)
-        members = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s in w.simple_affine:
-                    z = self.conj_step(s.index, y)
-                    if w.length(z) == lx and z not in members:
-                        members.add(z)
-                        nxt.append(z)
-                        if len(members) > node_budget:
-                            raise BallExhausted(f"plateau exceeds {node_budget} nodes")
-            frontier = nxt
-        descent = None
-        for y in sorted(members, key=lambda e: e.key()):
+        descents = []
+
+        def step(y):
             for s in w.simple_affine:
-                if w.length(self.conj_step(s.index, y)) < lx:
-                    descent = (y, s.index)
-                    break
-            if descent:
-                break
+                z = self.conj_step(s.index, y)
+                lz = w.length(z)
+                if lz == lx:
+                    yield z
+                elif lz < lx:
+                    descents.append((y, s.index))
+
+        try:
+            members = closure([x], step, node_budget)
+        except BudgetExceeded:
+            raise BallExhausted(f"plateau exceeds {node_budget} nodes") from None
+        descent = min(descents, key=lambda d: (d[0].key(), d[1]), default=None)
         info = Plateau(frozenset(members), descent)
         for m in members:
             self._plateau_cache[m] = info

@@ -19,10 +19,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
+from .admissible import MEMO
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from .frobenius import FrobeniusDatum
@@ -90,10 +90,6 @@ class PicClass:
             nums.append(n)
             exps.append(e)
         return cls(prime, tuple(nums), tuple(exps))
-
-    @classmethod
-    def ones(cls, prime: int, n: int) -> "PicClass":
-        return cls(prime, (1,) * n, (0,) * n)
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -180,10 +176,10 @@ class DescentCertificate:
     invertible: bool = True
 
 
-@lru_cache(maxsize=8)
+@MEMO(lambda _: 1)
 def _lattice(group: AffineWeylGroup) -> PicardLattice:
     """The lattice of `group`, shared by its certificates so that they
-    reuse one element_action memo; the eight most recent are kept."""
+    reuse one element_action memo; a MEMO entry on the group, of weight 1."""
     return PicardLattice(group)
 
 

@@ -13,8 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissible import adm, verify_s_tau_membership, verify_straight_class_containment
-from .affine_weyl import DEFAULT_BUDGET
+from .admissible import (
+    adm,
+    maximal_translations,
+    verify_s_tau_membership,
+    verify_straight_class_containment,
+)
+from .affine_weyl import DEFAULT_BUDGET, closure
 from .errors import SingularOperator
 from .frobenius import FrobeniusDatum
 from .levi import is_fundamental, levi_of, sub_element, tau_orbits, twist_map
@@ -183,26 +188,19 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
         for sig_name, sigma in _sigmas(p):
             elements = w.ball(pad, _designated_omegas(d), budget=scales.budget)
             in_set = set(elements)
-            comp_min: dict = {}
+
+            def step(y):
+                conjugates = (sigma.conj_step(s.index, y) for s in w.simple_affine)
+                return [z for z in conjugates if z in in_set]
+
+            comp_min: list = []
             comp_id: dict = {}
             for x in elements:
                 if x in comp_id:
                     continue
-                cid = len(comp_min)
-                comp_id[x] = cid
-                best = w.length(x)
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for s in w.simple_affine:
-                            z = sigma.conj_step(s.index, y)
-                            if z in in_set and z not in comp_id:
-                                comp_id[z] = cid
-                                best = min(best, w.length(z))
-                                nxt.append(z)
-                    frontier = nxt
-                comp_min[cid] = best
+                comp = closure([x], step, scales.budget)
+                comp_id.update(dict.fromkeys(comp, len(comp_min)))
+                comp_min.append(min(map(w.length, comp)))
             bad = []
             checked = 0
             for x in elements:
@@ -336,17 +334,11 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
                 orbits = tau_orbits(d, walls, tau)
                 gens = [o.longest for o in orbits if o.finite]
                 pad = cap + max((w.length(g) for g in gens), default=0)
-                generated = {w.identity()}
-                frontier = [w.identity()]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for g in gens:
-                            for z in (g * y, y * g):
-                                if w.length(z) <= pad and z not in generated:
-                                    generated.add(z)
-                                    nxt.append(z)
-                    frontier = nxt
+
+                def step(y):
+                    return [z for g in gens for z in (g * y, y * g) if w.length(z) <= pad]
+
+                generated = closure([w.identity()], step, scales.budget)
                 generated = {z for z in generated if w.length(z) <= cap}
                 fixed = {
                     x
@@ -481,7 +473,7 @@ def _levi_order_pairs(d, levi, scales: VerifyScales) -> tuple[int, list]:
     ball_m = sub.weyl.coset_ball(scales.levi_ball_length, budget=scales.budget)[
         : scales.levi_pair_cap
     ]
-    below = {b: sub.weyl.bruhat_interval_below([b], scales.budget) for b in ball_m}
+    below = {b: closure([b], sub.weyl.covers_below, scales.budget) for b in ball_m}
     checked = 0
     bad = []
     for a in ball_m:
@@ -521,8 +513,12 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                 if w.translation(x.lam) not in aset.elements:
                     t_bad.append(w.to_json(x))
                 sub = levi.sub_datum
-                sub_adm = adm(sub, x.lam, budget=scales.budget)
-                for y in sub_adm.elements:
+                # Each Levi set is read once here, so it is closed
+                # directly rather than kept in the admissible-set memo.
+                sub_adm = closure(
+                    maximal_translations(sub, x.lam), sub.weyl.covers_below, scales.budget
+                )
+                for y in sub_adm:
                     if sub_element(d, y) not in aset.elements:
                         sub_bad.append({"w": w.to_json(x), "y": sub.weyl.to_json(y)})
                 # Straight elements are length zero in their Levi and fix nu.

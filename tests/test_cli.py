@@ -249,7 +249,7 @@ def test_inline_data_do_not_outlive_their_queries(monkeypatch):
     )
     held = MEMO.held
     for n in range(20):
-        for command in ("adm", "bgmu", "straight"):
+        for command in ("adm", "bgmu", "straight", "pi0", "pic-cert"):
             assert run(JobSpec(command=command, group=inline, mu=(1, 0)))[1] == EXIT_OK
         gc.collect()
         assert len(made) == 0, n
@@ -341,6 +341,22 @@ def test_exit_budget_exceeded():
     result = invoke("adm", "--group", "C2_sc", "--mu", "1,1", "--budget", "2")
     assert result.exit_code == EXIT_BUDGET
     assert "BudgetExceeded" in json.loads(result.output)["error"]
+
+
+def test_parahoric_budget_keeps_its_text():
+    # |Adm| = 19 fits the budget; |Adm^K| = 22 does not.
+    result = invoke(
+        "adm", "--group", "C2_sc", "--mu", "1,0", "--level", "1", "--budget", "20"
+    )
+    assert result.exit_code == EXIT_BUDGET
+    error = json.loads(result.output)["error"]
+    assert error == "BudgetExceeded: Adm^K exceeds node budget 20"
+
+
+def test_catalog_verify_honours_budget():
+    result = invoke("verify", "--scale", "quick", "--budget", "3")
+    assert result.exit_code == EXIT_BUDGET
+    assert json.loads(result.output)["error"].startswith("BudgetExceeded: ")
 
 
 def test_exit_hypothesis_violated():

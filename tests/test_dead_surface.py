@@ -1,12 +1,13 @@
 """Every function, method and class of the package has a reader.
 
-A name counts as read when it occurs as a word in the package or in the
-benchmark scripts outside its own definition.  Tests do not count: code
-that only tests call is surface that nothing else needs.
+A name counts as read when the package or the benchmark scripts refer
+to it outside its own definition: as a name, as an attribute, or as a
+string that is an identifier (the benchmark patches methods by name).
+Prose does not count, and neither do tests: code that only tests call
+is surface that nothing else needs.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,17 +30,31 @@ def definitions(tree, prefix=""):
             yield from definitions(node, prefix)
 
 
+def references(tree):
+    """(identifier, line) of every name, attribute and identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value, node.lineno
+
+
 def test_every_definition_is_read_outside_itself():
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in READERS}
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    refs = {path: list(references(tree)) for path, tree in trees.items()}
     unread = []
     for path in PACKAGE:
-        others = "\n".join("\n".join(lines[p]) for p in READERS if p != path)
-        for qual, node in definitions(ast.parse("\n".join(lines[path]))):
-            if qual in ALLOWED:
+        elsewhere = {name for p in READERS if p != path for name, _line in refs[p]}
+        for qual, node in definitions(trees[path]):
+            if qual in ALLOWED or node.name in elsewhere:
                 continue
-            # Another definition of the same name is not a reader.
-            word = re.compile(rf"(?<!def )(?<!class )\b{re.escape(node.name)}\b")
-            rest = lines[path][: node.lineno - 1] + lines[path][node.end_lineno :]
-            if not (word.search("\n".join(rest)) or word.search(others)):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and line not in inside for name, line in refs[path]):
                 unread.append(f"{path.name}:{qual}")
     assert not unread, "defined but never read: " + ", ".join(unread)

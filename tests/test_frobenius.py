@@ -198,6 +198,25 @@ def test_straight_class_is_single_plateau():
                 assert w.length(y) != w.length(x) or y in members
 
 
+def test_plateau_descent_is_least_shorter_conjugate():
+    # The canonical descent: the first (member, simple index) in key
+    # order whose twisted conjugate is shorter, found by a second scan.
+    for name in ("A2_sc", "C2_sc"):
+        p = preset(name)
+        w = p.datum.weyl
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(p.datum, p.sigmas[sig_name])
+            for x in w.ball(4, [o.element for o in w.omega_elements()]):
+                info = sig.plateau(x)
+                shorter = [
+                    (y, s.index)
+                    for y in sorted(info.members, key=lambda e: e.key())
+                    for s in w.simple_affine
+                    if w.length(sig.conj_step(s.index, y)) < w.length(x)
+                ]
+                assert info.descent == (shorter[0] if shorter else None), (name, x)
+
+
 def test_plateau_budget():
     d, sig = split("C2_sc")
     w = d.weyl

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.admissible import adm
+from adlv.admissible import MEMO, adm
+from adlv.affine_weyl import closure
 from adlv.errors import NotStraight, TagNotInBGMu
 from adlv.frobenius import FrobeniusDatum
 from adlv.levi import (
@@ -381,9 +382,21 @@ def test_interval_closure_matches_bruhat_recursion():
             ball = w.ball(2, [o.element for o in w.omega_elements()])
             ball_set = set(ball)
             for b in ball:
-                assert w.bruhat_interval_below([b]) & ball_set == {
+                assert closure([b], w.covers_below) & ball_set == {
                     a for a in ball if w.bruhat_leq(a, b)
                 }, (p.name, levi.direction, b)
+
+
+def test_levi_sets_stay_out_of_the_memo(memo_runs):
+    # The check reads each Levi admissible set once: only the grid sets
+    # are memoized, and no proper Levi sub-datum's group holds an entry.
+    MEMO.clear()
+    check_levi_embedding_facts(VerifyScales.quick())
+    assert memo_runs["_adm"] == sum(len(p.mu_grid) for p in catalog())
+    for p in catalog():
+        for levi in _straight_levis(p):
+            if levi.sub_datum is not p.datum:
+                assert levi.sub_datum.weyl.memo_entries == {}, (p.name, levi.direction)
 
 
 @pytest.fixture(scope="module")

@@ -127,13 +127,13 @@ def test_element_action_matches_matrix_products_all_presets():
 
 
 def test_is_ample():
-    assert is_ample(PicClass.ones(2, 3))
+    assert is_ample(PicClass(2, (1, 1, 1), (0, 0, 0)))
     assert not is_ample(PicClass.from_fractions(2, [Fraction(1), Fraction(0)]))
     assert is_ample(PicClass.from_fractions(2, [Fraction(1, 2), Fraction(2)]))
     cls = PicClass.from_fractions(2, [Fraction(0), Fraction(3)])
     assert is_ample(cls, k_set=(0,))
     with pytest.raises(SupportViolation):
-        is_ample(PicClass.ones(2, 2), k_set=(0,))
+        is_ample(PicClass(2, (1, 1), (0, 0)), k_set=(0,))
 
 
 def test_descent_certificate_split_examples():
