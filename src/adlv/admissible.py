@@ -3,16 +3,42 @@
 Enumeration closes the maximal translations under covers, by
 `affine_weyl.closure` with step `covers_below` (the covers of x come
 from its right inversions, by the strong exchange condition), which
-never needs a Bruhat comparison.  Membership tests for external
-elements use the memoized Bruhat recursion against the maximal
-translations; the two routes cross-check each other in the test suite.
+never needs a Bruhat comparison.
+
+Membership of one element, `in_adm`, gives the answer of the Bruhat
+tests against every maximal translation t^lam, lam in W0 mu, and
+usually makes one of them:
+
+1. x must lie in the W_a-coset of t^mu (kappa) and have length at
+   most l(t^mu).
+2. x <= t^{lam_C}, for C the Weyl chamber of the alcove x(a0) and
+   lam_C the element of W0 mu on the closure of C, proves membership,
+   as t^{lam_C} is one of the maxima.  C is found in integers: for
+   x = (lam, u), the vector N lam + u(2 rho^vee) is N times the image of
+   an interior point of a0, so it lies in C.
+3. Otherwise x must lie in the permissible set Perm(mu): x(v) - v in
+   Conv(W0 mu) for every vertex v of the base alcove a0.  Failing that
+   proves non-membership, because Adm(mu) lies in Perm(mu)
+   (Kottwitz-Rapoport; Haines-Ngo, "Alcoves associated to special
+   fibers of local models", Amer. J. Math. 124 (2002), who also prove
+   equality when every factor is of type A).  The test runs in
+   integers on the vertices scaled by a common denominator.
+4. The other maxima are tested only for x in Perm(mu) not below
+   t^{lam_C}.  A member lies below the translation of its own chamber
+   (Haines-He, "Vertexwise criteria for admissibility of alcoves",
+   Amer. J. Math. 139 (2017)), so this step finds none, but the answer
+   does not rest on that.
+
+The enumeration and the naive all-maxima scan cross-check `in_adm` on
+every catalog ball in the test suite.
 
 The sets, the membership data, the straight classes and B(G, {mu}) of
-`newton_bg` and the Picard lattices of `picard` (weight 1) share one
+`newton_bg` and the Picard lattices of `picard` share one
 least-recently-used memo, MEMO, bounded by the number of Weyl group
-elements its values hold: DEFAULT_BUDGET, the most one admissible set
-may hold.  Entries are stored on their group, so a datum that is no
-longer referenced takes its entries with it.
+elements its values hold (a Picard lattice weighs the operators its
+action memo may hold): DEFAULT_BUDGET, the most one admissible set may
+hold.  Entries are stored on their group, so a datum that is no longer
+referenced takes its entries with it.
 """
 
 from __future__ import annotations
@@ -21,7 +47,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, OmegaElt, closure
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
@@ -196,30 +222,102 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
 
 
 def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
-    """Membership via Bruhat tests against each maximal translation.
+    """Whether x lies in Adm({mu}): the answer of testing x <= t^lam for
+    every lam in W0 mu, in four steps.
 
-    Prunes by Kottwitz class and length before any Bruhat recursion;
-    agrees with the naive all-x scan (tested).
+    1. Prune by kappa and by length.
+    2. True when x <= t^{lam_C}, for C the chamber of x(a0): exact, as
+       t^{lam_C} is one of the maxima.
+    3. False when x is not in Perm(mu): exact, as Adm(mu) lies in
+       Perm(mu) (Haines-Ngo 2002).
+    4. Otherwise the other maxima.  A member lies below t^{lam_C}
+       (Haines-He 2017), so this step finds none; it stays so that the
+       answer never depends on that.
+
+    >>> from adlv.presets import preset
+    >>> d = preset("C2_sc").datum
+    >>> ball = d.weyl.ball(dot(d.two_rho, (1, 1)))
+    >>> {x for x in ball if in_adm(d, (1, 1), x)} == adm(d, (1, 1)).elements
+    True
     """
     w = d.weyl
-    kappa_mu, max_length, maxima = _membership_data(w, tuple(int(c) for c in mu))
-    if w.kappa(x) != kappa_mu:
+    data = _membership_data(w, tuple(int(c) for c in mu))
+    if w.kappa(x) != data.kappa or w.length(x) > data.max_length:
         return False
-    if w.length(x) > max_length:
+    chamber = _chamber_maximum(d, data, x)
+    if w.bruhat_leq(x, chamber):
+        return True
+    if not _in_perm(d, data, x):
         return False
-    return any(w.bruhat_leq(x, t) for t in maxima)
+    return any(w.bruhat_leq(x, t) for t in data.maxima if t != chamber)
 
 
-@MEMO(lambda data: len(data[2]))
-def _membership_data(
-    w: AffineWeylGroup, mu: IntVec
-) -> tuple[tuple[int, ...], int, tuple[AffineWeylElement, ...]]:
-    """kappa(t^mu), the length of t^mu, and the maximal translations:
-    what in_adm tests x against, kept per group and mu."""
+def _chamber_maximum(d: RootDatum, data: _Membership, x: AffineWeylElement) -> AffineWeylElement:
+    """The maximum t^{lam_C} for the chamber C of the alcove x(a0).
+
+    v = N lam + u(2 rho^vee) is N x(p) for the point p = 2 rho^vee / N
+    inside a0, so v lies in the open chamber C, and lam_C is the lam in
+    W0 mu with <alpha, lam> <alpha, v> >= 0 for every positive root.
+    """
+    alcove = d.base_alcove
+    n = alcove.interior_den
+    v = [n * c + e for c, e in zip(x.lam, mat_vec(x.mat, alcove.interior))]
+    signs = [dot(a, v) for a in d.positive_roots]
+    for t, pairings in zip(data.maxima, data.pairings):
+        if all(p * s >= 0 for p, s in zip(pairings, signs)):
+            return t
+    raise AssertionError(f"no maximal translation on the chamber of {x}")
+
+
+def _in_perm(d: RootDatum, data: _Membership, x: AffineWeylElement) -> bool:
+    """x(v) - v in Conv(W0 mu) at every vertex v of a0, for x in the
+    W_a-coset of t^mu (Kottwitz-Rapoport's Perm(mu)).
+
+    In integers: D (x(v) - v) is brought to the dominant chamber and
+    compared with D mu_dom on the fundamental weights.  The difference of
+    the two already lies in the coroot span, as x and t^mu share a
+    coset, so it is a nonnegative sum of simple coroots exactly when
+    every fundamental weight pairs nonnegatively with it.  The vertices
+    that are 0 on every component of a0 but one suffice, since x(v) - v
+    and Conv(W0 mu) split over the components.
+    """
+    alcove = d.base_alcove
+    m = x.mat
+    lam = [alcove.vertex_den * c for c in x.lam]
+    for vertex in alcove.vertices:
+        image = [c + e - f for c, e, f in zip(lam, mat_vec(m, vertex), vertex)]
+        dominant, _ = d.dominant_word(image)
+        for weight, bound in zip(alcove.weights, data.bounds):
+            if dot(weight, dominant) > bound:
+                return False
+    return True
+
+
+class _Membership(NamedTuple):
+    """What in_adm reads per group and mu."""
+
+    kappa: tuple[int, ...]  # kappa(t^mu)
+    max_length: int  # l(t^mu)
+    maxima: tuple[AffineWeylElement, ...]  # t^lam, lam in W0 mu
+    pairings: tuple[IntVec, ...]  # <alpha, lam> over the positive roots, per maximum
+    bounds: IntVec  # <omega_i, D mu_dom> per scaled fundamental weight
+
+
+@MEMO(lambda data: len(data.maxima))
+def _membership_data(w: AffineWeylGroup, mu: IntVec) -> _Membership:
+    """The membership data of mu, kept per group and mu."""
     d = w.datum
     mu_dom_q, _ = d.dominant_rep(mu)
-    max_length = dot(d.two_rho, tuple(int(c) for c in mu_dom_q))
-    return w.kappa(w.translation(mu)), max_length, maximal_translations(d, mu)
+    mu_dom = tuple(int(c) for c in mu_dom_q)
+    alcove = d.base_alcove
+    maxima = maximal_translations(d, mu)
+    return _Membership(
+        kappa=w.kappa(w.translation(mu)),
+        max_length=dot(d.two_rho, mu_dom),
+        maxima=maxima,
+        pairings=tuple(tuple(dot(a, t.lam) for a in d.positive_roots) for t in maxima),
+        bounds=tuple(alcove.vertex_den * dot(wt, mu_dom) for wt in alcove.weights),
+    )
 
 
 def audit_downward_closed(d: RootDatum, elements: frozenset) -> list:

@@ -176,10 +176,11 @@ class DescentCertificate:
     invertible: bool = True
 
 
-@MEMO(lambda _: 1)
+@MEMO(lambda _: ACTION_MEMO_SIZE)
 def _lattice(group: AffineWeylGroup) -> PicardLattice:
     """The lattice of `group`, shared by its certificates so that they
-    reuse one element_action memo; a MEMO entry on the group, of weight 1."""
+    reuse one element_action memo; a MEMO entry on the group, weighed as
+    the ACTION_MEMO_SIZE operators that memo may hold."""
     return PicardLattice(group)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, SchemaError
 from .fgab import FinAbGroup
@@ -28,6 +28,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     principal_minors_positive,
+    solve_bareiss,
     solve_fraction,
 )
 
@@ -46,6 +47,25 @@ def reflection_matrix(rank: int, root: Sequence[int], coroot: Sequence[int]) -> 
         tuple((1 if r == c else 0) - coroot[r] * root[c] for c in range(rank))
         for r in range(rank)
     )
+
+
+class BaseAlcove(NamedTuple):
+    """Integer data of the base alcove a0: the points p with
+    <alpha_i, p> > 0 for every simple root and <theta, p> < 1 for every
+    highest root theta."""
+
+    # 2 rho^vee, the sum of the positive coroots, and N > <theta, 2 rho^vee>
+    # for every highest root, so that 2 rho^vee / N lies inside a0.
+    interior: IntVec
+    interior_den: int
+    # D and the vectors D v for v = 0 and v = omega_i^vee / m_i, where
+    # theta = sum m_i alpha_i over the component of i: the vertices of a0
+    # that are 0 on every component but one.
+    vertex_den: int
+    vertices: tuple[IntVec, ...]
+    # The fundamental weights omega_i in the span of the roots,
+    # <omega_i, alpha_j^vee> = delta_ij, each scaled to an integer covector.
+    weights: tuple[IntVec, ...]
 
 
 class RootDatum:
@@ -247,26 +267,40 @@ class RootDatum:
         """<v, 2 rho> as an exact rational."""
         return Fraction(dot(self.two_rho, v))
 
+    def dominant_word(self, v: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The dominant vector of the W0-orbit of the integer vector v, and
+        the simple reflections i_1, ..., i_k that took v there, in the
+        order applied: s_{i_k} ... s_{i_1} v is the result.
+
+        Reflects by  x - <alpha_i, x> alpha_i^vee  at the first simple
+        root with <alpha_i, x> < 0, in integers, until there is none.
+        """
+        cur = list(v)
+        word = []
+        while True:
+            for i, (a, av) in enumerate(zip(self.simple_roots, self.simple_coroots)):
+                p = dot(a, cur)
+                if p < 0:
+                    cur = [c - p * cv for c, cv in zip(cur, av)]
+                    word.append(i)
+                    break
+            else:
+                return cur, word
+
     def dominant_rep(self, v: Sequence) -> tuple[QVec, Mat]:
         """Dominant representative of the W0-orbit of v and a witness w.
 
-        The witness matrix satisfies  witness . v = result.  Works on the
-        integer numerator of v over the lcm of its denominators, which
-        reflects by  x - <alpha_i, x> alpha_i^vee  in integers.
+        The witness matrix satisfies  witness . v = result.  Runs
+        dominant_word on the integer numerator of v over the lcm of its
+        denominators.
         """
         q = [Fraction(x) for x in v]
         den = lcm(*(x.denominator for x in q))
-        cur = [x.numerator * (den // x.denominator) for x in q]
+        cur, word = self.dominant_word([x.numerator * (den // x.denominator) for x in q])
         wit = identity_matrix(self.rank)
-        while True:
-            for i, a in enumerate(self.simple_roots):
-                p = dot(a, cur)
-                if p < 0:
-                    cur = [c - p * cv for c, cv in zip(cur, self.simple_coroots[i])]
-                    wit = mat_mul(self.simple_reflections[i], wit)
-                    break
-            else:
-                return tuple(Fraction(c, den) for c in cur), wit
+        for i in word:
+            wit = mat_mul(self.simple_reflections[i], wit)
+        return tuple(Fraction(c, den) for c in cur), wit
 
     def dominance_leq(self, lam: Sequence, lam2: Sequence) -> bool:
         """lam <= lam2 in dominance order; both must be dominant."""
@@ -295,6 +329,38 @@ class RootDatum:
             tv = self.coroot(theta)
             acc = [x + y for x, y in zip(acc, tv)]
         return tuple(acc)
+
+    @cached_property
+    def base_alcove(self) -> BaseAlcove:
+        """The chamber probe, vertices and fundamental weights that
+        admissible.in_adm reads, solved once in integers by Cramer's rule."""
+        n, rank = self.n_simple, self.rank
+        interior = tuple(
+            sum(self.coroot(a)[r] for a in self.positive_roots) for r in range(rank)
+        )
+        interior_den = 1 + max((dot(a, interior) for a in self.positive_roots), default=0)
+
+        def in_span(basis, coeffs, scale=1):
+            return tuple(scale * sum(c * b[r] for c, b in zip(coeffs, basis)) for r in range(rank))
+
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        # A Cartan matrix of finite type has det > 0, and the solves return
+        # y with cartan . y = det e_i: omega_i = sum_k y_k alpha_k / det.
+        weights = tuple(
+            in_span(self.simple_roots, solve_bareiss(self.cartan, e)[0]) for e in units
+        )
+        # omega_i^vee = sum_k y_k alpha_k^vee / det, from the transpose
+        # <alpha_j, alpha_k^vee>; m_i is the coefficient of alpha_i in the
+        # highest root of its component.
+        det = mat_det(self.cartan) if n else 1
+        m = [sum(c) for c in zip(*map(self.simple_coefficients, self.highest_roots))]
+        vertex_den = det * lcm(*m)
+        pairing = tuple(zip(*self.cartan))
+        vertices = ((0,) * rank,) + tuple(
+            in_span(self.simple_coroots, solve_bareiss(pairing, e)[0], vertex_den // (det * mi))
+            for e, mi in zip(units, m)
+        )
+        return BaseAlcove(interior, interior_den, vertex_den, vertices, weights)
 
     @cached_property
     def weyl(self):

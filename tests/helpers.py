@@ -2,17 +2,18 @@
 
 Everything here recomputes quantities by a different route than the
 package: lengths by counting separating hyperplanes, Bruhat order by
-subword enumeration, admissibility by the naive all-orbit scan.  The
-oracles deliberately avoid the code paths they check.
+subword enumeration, admissibility by the naive all-orbit scan, the
+permissible set by Fraction geometry.  The oracles deliberately avoid
+the code paths they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
-from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec
+from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec, solve_fraction
 
 
 def length_oracle(w, x: AffineWeylElement) -> int:
@@ -92,6 +93,49 @@ def naive_in_adm(d, mu, x) -> bool:
 
     w = d.weyl
     return any(w.bruhat_leq(x, t) for t in maximal_translations(d, mu))
+
+
+def alcove_vertices(d) -> list[tuple[Fraction, ...]]:
+    """Every vertex of the base alcove, in the span of the coroots.
+
+    Per component, a vertex lies on all the walls of the component's
+    affine simple roots (the finite simple roots and 1 - theta) but one;
+    the base alcove is the product of its components, so its vertices
+    are the sums of one vertex per component.
+    """
+    w = d.weyl
+    per_component = []
+    for ci, comp in enumerate(d.components):
+        walls = [w.simple_affine[ci].root] + [AffineRoot(d.simple_roots[i], 0) for i in comp]
+        basis = [d.simple_coroots[i] for i in comp]
+        points = []
+        for skip in range(len(walls)):
+            rows = [r for k, r in enumerate(walls) if k != skip]
+            coeffs = solve_fraction(
+                tuple(tuple(dot(r.gradient, b) for b in basis) for r in rows),
+                [Fraction(-r.level) for r in rows],
+            )
+            points.append(tuple(dot(coeffs, col) for col in zip(*basis)))
+        per_component.append(points)
+    return [
+        tuple(sum(col, Fraction(0)) for col in zip(*choice))
+        for choice in product(*per_component)
+    ]
+
+
+def perm_oracle(d, mu, x, vertices=None) -> bool:
+    """x in Perm(mu): x lies in the W_a-coset of t^mu and x(v) - v lies
+    in Conv(W0 mu) at every vertex v of the base alcove, decided over
+    Fractions by dominant_rep and dominance_leq."""
+    w = d.weyl
+    if w.kappa(x) != w.kappa(w.translation(mu)):
+        return False
+    mu_dom, _ = d.dominant_rep(mu)
+    for v in vertices if vertices is not None else alcove_vertices(d):
+        moved, _ = d.dominant_rep(tuple(a - b for a, b in zip(x.apply(v), v)))
+        if not d.dominance_leq(moved, mu_dom):
+            return False
+    return True
 
 
 def conjugation_orbit(sigma, x, buffer: int = 2) -> set:

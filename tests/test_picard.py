@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import adlv.picard as picard_module
+from adlv import cli
+from adlv.admissible import MEMO
 from adlv.errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import identity_matrix, mat_mul
@@ -205,6 +207,19 @@ def test_element_action_memo_is_bounded(monkeypatch):
     for i in w.reduced_word(xs[3])[0]:
         manual = mat_mul(manual, pic.reflection_action(i))
     assert ops[3] == manual
+
+
+def test_lattice_memo_entry_weighs_its_action_memo():
+    # The lattice of a group keeps up to ACTION_MEMO_SIZE operators, and
+    # its MEMO entry weighs that many, so the element bound sees them.
+    spec = cli.JobSpec(command="pic-cert", group="A1_sc", mu=(1,))
+    assert cli.run(spec)[1] == cli.EXIT_OK
+    entries = preset("A1_sc").datum.weyl.memo_entries
+    key = next(k for k in entries if k[0] is picard_module._lattice.__wrapped__)
+    MEMO._drop(entries[key].ref)
+    held = MEMO.held
+    assert cli.run(spec)[1] == cli.EXIT_OK
+    assert MEMO.held == held + picard_module.ACTION_MEMO_SIZE
 
 
 def test_descent_certificate_mixed_tag_pairs():

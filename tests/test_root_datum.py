@@ -10,7 +10,7 @@ from adlv.linalg import dot, mat_vec
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 
-from helpers import dominance_grid_oracle, dominant_rep_oracle
+from helpers import alcove_vertices, dominance_grid_oracle, dominant_rep_oracle
 
 
 def orbit_closure_count(d) -> int:
@@ -137,6 +137,24 @@ def test_dominant_rep_matches_fraction_loop(data):
     assert dom == dom_o and wit == wit_o
     assert [type(c) for c in dom] == [type(c) for c in dom_o] == [Fraction] * d.rank
     assert [type(c) for row in wit for c in row] == [type(c) for row in wit_o for c in row]
+
+
+def test_base_alcove_against_fraction_geometry():
+    for p in catalog():
+        d = p.datum
+        alcove = d.base_alcove
+        # The chamber probe lies strictly inside a0.
+        probe = tuple(Fraction(c, alcove.interior_den) for c in alcove.interior)
+        assert all(dot(a, probe) > 0 for a in d.simple_roots)
+        assert all(dot(theta, probe) < 1 for theta in d.highest_roots)
+        # The vertices, 0 on every component but one, are those of a0.
+        vertices = [tuple(Fraction(c, alcove.vertex_den) for c in v) for v in alcove.vertices]
+        assert len(vertices) == 1 + d.n_simple
+        assert set(vertices) <= set(alcove_vertices(d))
+        # Fundamental weights, each scaled by a positive integer.
+        for i, weight in enumerate(alcove.weights):
+            pairs = [dot(weight, av) for av in d.simple_coroots]
+            assert pairs[i] > 0 and all(x == 0 for j, x in enumerate(pairs) if j != i)
 
 
 def test_dominance_examples_and_oracle():
