@@ -32,13 +32,11 @@ usually makes one of them:
 The enumeration and the naive all-maxima scan cross-check `in_adm` on
 every catalog ball in the test suite.
 
-The sets, the membership data, the straight classes and B(G, {mu}) of
-`newton_bg` and the Picard lattices of `picard` share one
-least-recently-used memo, MEMO, bounded by the number of Weyl group
-elements its values hold (a Picard lattice weighs the operators its
-action memo may hold): DEFAULT_BUDGET, the most one admissible set may
-hold.  Entries are stored on their group, so a datum that is no longer
-referenced takes its entries with it.
+The sets, the membership data, and the straight classes and B(G, {mu})
+of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
+number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
+one admissible set may hold.  Entries are stored on their group, so a
+datum that is no longer referenced takes its entries with it.
 """
 
 from __future__ import annotations
@@ -204,8 +202,7 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     datum: equal data built apart have distinct groups, and a set's
     elements are bound to one of them.  A BudgetExceeded is not cached."""
     d = w.datum
-    mu_dom_q, _ = d.dominant_rep(mu)
-    mu_dom = tuple(int(x) for x in mu_dom_q)
+    mu_dom = tuple(int(x) for x in d.dominant(mu))
     maxima = maximal_translations(d, mu)
     try:
         elements = closure(maxima, w.covers_below, budget)
@@ -307,8 +304,7 @@ class _Membership(NamedTuple):
 def _membership_data(w: AffineWeylGroup, mu: IntVec) -> _Membership:
     """The membership data of mu, kept per group and mu."""
     d = w.datum
-    mu_dom_q, _ = d.dominant_rep(mu)
-    mu_dom = tuple(int(c) for c in mu_dom_q)
+    mu_dom = tuple(int(c) for c in d.dominant(mu))
     alcove = d.base_alcove
     maxima = maximal_translations(d, mu)
     return _Membership(

@@ -154,8 +154,8 @@ class FrobeniusDatum:
         return tuple(Fraction(c, n) for c in mat_vec(p, x.lam))
 
     def newton_point(self, x: AffineWeylElement) -> "NewtonPoint":
-        dom, _wit = self.datum.dominant_rep(self.newton_vector(x))
-        sigma_dom, _ = self.datum.dominant_rep(self.on_vector(dom))
+        dom = self.datum.dominant(self.newton_vector(x))
+        sigma_dom = self.datum.dominant(self.on_vector(dom))
         assert sigma_dom == dom, "Newton point must be sigma-invariant"
         return NewtonPoint(dom, self._newton_data(x.u_idx)[1])
 

@@ -36,7 +36,7 @@ def mu_natural(sigma: FrobeniusDatum, mu: Sequence[int]) -> tuple[int, ...]:
 def mu_diamond(sigma: FrobeniusDatum, mu: Sequence[int]) -> QVec:
     """Average of the dominant representative over the sigma action."""
     d = sigma.datum
-    dom, _ = d.dominant_rep(mu)
+    dom = d.dominant(mu)
     n = sigma.order
     acc = [Fraction(0)] * d.rank
     cur = dom

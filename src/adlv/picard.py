@@ -10,26 +10,22 @@ The descent certificate solves (M - 1) L = target for the operator M of
 x . sigma . w^{-1}; invertibility is the no-eigenvalue-one property and
 a singular operator is reported as a counterexample candidate.  The
 operator and the solve stay in integers: simple reflections are applied
-as column updates, element actions are memoized per lattice, and the
-system is solved by one fraction-free elimination.
+as column updates, the actions a straight class needs are built once per
+member by class_certificates, and the system is solved by one
+fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .admissible import MEMO
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from .frobenius import FrobeniusDatum
 from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_bareiss
-
-# Element actions kept per lattice; the least recently used is dropped.
-ACTION_MEMO_SIZE = 1024
 
 
 def prime_of_residue_cardinality(q: int) -> int:
@@ -58,6 +54,23 @@ def _split_p_power(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+def _p_adic(num: int, den: int, p: int) -> tuple[int, int]:
+    """num / den as (n, e) meaning n / p^e, with p not dividing n (or
+    n = 0, e = 0); den is nonzero and may be negative.  Raises unless
+    the reduced denominator is a power of p."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = num // g, den // g
+    e, rest = _split_p_power(den, p)
+    if rest != 1:
+        raise AdlvError(
+            f"coefficient {Fraction(num, den)} has a denominator prime to {p}"
+        )
+    return num, e
+
+
 @dataclass(frozen=True)
 class PicClass:
     """Coefficient vector over the affine simple basis, in Z[1/p].
@@ -72,21 +85,16 @@ class PicClass:
 
     @classmethod
     def from_fractions(cls, prime: int, values: Sequence[Fraction]) -> "PicClass":
+        return cls.from_ratios(
+            prime, ((f.numerator, f.denominator) for f in map(Fraction, values))
+        )
+
+    @classmethod
+    def from_ratios(cls, prime: int, ratios: Iterable[tuple[int, int]]) -> "PicClass":
+        """From integer (numerator, denominator) pairs, as _p_adic reduces them."""
         nums, exps = [], []
-        for v in values:
-            f = Fraction(v)
-            e, rest = _split_p_power(f.denominator, prime)
-            if rest != 1:
-                raise AdlvError(
-                    f"coefficient {f} has a denominator prime to {prime}"
-                )
-            n = f.numerator
-            # Normalize: strip p from the numerator into the exponent.
-            while n != 0 and n % prime == 0 and e > 0:
-                n //= prime
-                e -= 1
-            if n == 0:
-                e = 0
+        for num, den in ratios:
+            n, e = _p_adic(num, den, prime)
             nums.append(n)
             exps.append(e)
         return cls(prime, tuple(nums), tuple(exps))
@@ -113,7 +121,6 @@ class PicardLattice:
             tuple((k, (k == i) - a) for k, a in enumerate(row) if (k == i) != a)
             for i, row in enumerate(self.cartan)
         )
-        self._actions: OrderedDict[tuple, Mat] = OrderedDict()
 
     def reflection_action(self, i: int) -> Mat:
         """eps_i -> eps_i - sum_j A_ij eps_j; other basis vectors fixed."""
@@ -133,14 +140,8 @@ class PicardLattice:
         Right multiplication by s_i changes only column i, to
         col_i - sum_k A_ik col_k, and by a permutation only reorders the
         columns, so the product is built column by column in O(n^2) per
-        letter.  Memoized by x.key(), keeping the ACTION_MEMO_SIZE most
-        recently used actions.
+        letter.
         """
-        key = x.key()
-        hit = self._actions.get(key)
-        if hit is not None:
-            self._actions.move_to_end(key)
-            return hit
         n = self.n
         word, omega = self.group.reduced_word(x)
         cols = [list(col) for col in identity_matrix(n)]
@@ -150,11 +151,7 @@ class PicardLattice:
         if not omega.is_identity():
             perm = self.group.s_permutation_of(omega)
             cols = [cols[perm[c]] for c in range(n)]
-        op = tuple(zip(*cols))
-        self._actions[key] = op
-        if len(self._actions) > ACTION_MEMO_SIZE:
-            self._actions.popitem(last=False)
-        return op
+        return tuple(zip(*cols))
 
 
 def is_ample(cls: PicClass, k_set: Sequence[int] = ()) -> bool:
@@ -176,12 +173,47 @@ class DescentCertificate:
     invertible: bool = True
 
 
-@MEMO(lambda _: ACTION_MEMO_SIZE)
-def _lattice(group: AffineWeylGroup) -> PicardLattice:
-    """The lattice of `group`, shared by its certificates so that they
-    reuse one element_action memo; a MEMO entry on the group, weighed as
-    the ACTION_MEMO_SIZE operators that memo may hold."""
-    return PicardLattice(group)
+def _twisted_action(
+    pic: PicardLattice, sigma: FrobeniusDatum, x: AffineWeylElement
+) -> Mat:
+    """The operator of x . sigma: q times x's action with its columns
+    permuted by sigma's diagram permutation."""
+    perm = sigma.s_permutation
+    return tuple(
+        tuple(sigma.q * row[perm[c]] for c in range(pic.n))
+        for row in pic.element_action(x)
+    )
+
+
+def _certify(
+    twisted: Mat, inverse: Mat, q: int, rhs: tuple[int, ...], den: int
+) -> DescentCertificate | None:
+    """The certificate for the operator M = twisted . inverse and the
+    target rhs / den, or None when det(M - 1) = 0.
+
+    Solves (M - 1) y = d * rhs with d = det(M - 1), checked in integers,
+    so L = y / (d * den); then scales L by the least positive integer
+    that leaves only powers of the residue characteristic in its
+    denominators.
+    """
+    op = mat_mul(twisted, inverse)
+    m_minus_one = tuple(
+        tuple(v - (r == c) for c, v in enumerate(row))
+        for r, row in enumerate(op)
+    )
+    y, d = solve_bareiss(m_minus_one, rhs)
+    if d == 0 or mat_vec(m_minus_one, y) != tuple(d * b for b in rhs):
+        return None
+    p = prime_of_residue_cardinality(q)
+    full = abs(d) * den
+    scale = 1
+    for v in y:
+        _e, rest = _split_p_power(full // gcd(v, full), p)
+        scale = lcm(scale, rest)
+    cls = PicClass.from_ratios(p, [(v * scale, d * den) for v in y])
+    diff = tuple(Fraction(b * scale, den) for b in rhs)
+    assert all(dv > 0 for dv in diff), "difference must be dominant regular"
+    return DescentCertificate(operator=op, pic_class=cls, difference=diff)
 
 
 def descent_certificate(
@@ -199,41 +231,49 @@ def descent_certificate(
     a positive integer so every denominator is a power of the residue
     characteristic.
     """
-    group = sigma.datum.weyl
     if not sigma.is_straight(w):
         raise NotStraight("descent certificate is defined at straight elements")
-    pic = _lattice(group)
-    n = pic.n
-    # x . sigma: sigma permutes the columns of x's action and scales by q.
-    perm = sigma.s_permutation
-    xs = tuple(
-        tuple(sigma.q * row[perm[c]] for c in range(n))
-        for row in pic.element_action(x)
-    )
-    op = mat_mul(xs, pic.element_action(w.inverse()))
-    m_minus_one = tuple(
-        tuple(v - (r == c) for c, v in enumerate(row))
-        for r, row in enumerate(op)
-    )
-    tgt = tuple(Fraction(t) for t in (target if target is not None else (1,) * n))
+    pic = PicardLattice(sigma.datum.weyl)
+    twisted = _twisted_action(pic, sigma, x)
+    inverse = pic.element_action(w.inverse())
+    tgt = tuple(Fraction(t) for t in (target if target is not None else (1,) * pic.n))
     if not all(t > 0 for t in tgt):
         raise AdlvError("target vector must be strictly positive")
     den = lcm(*(t.denominator for t in tgt))
     rhs = tuple(t.numerator * (den // t.denominator) for t in tgt)
-    # L = y / (d * den) with (M - 1) y = d * rhs, checked in integers.
-    y, d = solve_bareiss(m_minus_one, rhs)
-    if d == 0 or mat_vec(m_minus_one, y) != tuple(d * b for b in rhs):
+    cert = _certify(twisted, inverse, sigma.q, rhs, den)
+    if cert is None:
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
             "no-fixed-line property"
         )
-    p = prime_of_residue_cardinality(sigma.q)
-    full = abs(d) * den
-    scale = 1
-    for v in y:
-        _e, rest = _split_p_power(full // gcd(v, full), p)
-        scale = lcm(scale, rest)
-    cls = PicClass.from_fractions(p, [Fraction(v * scale, d * den) for v in y])
-    diff = tuple(Fraction(b * scale, den) for b in rhs)
-    assert all(dv > 0 for dv in diff), "difference must be dominant regular"
-    return DescentCertificate(operator=op, pic_class=cls, difference=diff)
+    return cert
+
+
+def class_certificates(
+    sigma: FrobeniusDatum, members: Sequence[AffineWeylElement]
+) -> Iterator[tuple[AffineWeylElement, AffineWeylElement, DescentCertificate | None]]:
+    """(w, x, certificate) for every ordered pair of the straight class
+    `members`, w outer and x inner, at the all-ones target.
+
+    Each member's straightness, its twisted action and the action of its
+    inverse are computed once, not once per pair.  Raises NotStraight
+    before any certificate if a member is not straight; the certificate
+    is None where det(M - 1) = 0.
+
+    >>> from adlv.presets import preset
+    >>> d = preset("A1_sc").datum
+    >>> t = d.weyl.translation((1,))
+    >>> [(c.operator, c.pic_class.nums) for _w, _x, c in
+    ...  class_certificates(FrobeniusDatum(d, q=2), [t])]
+    [(((2, 0), (0, 2)), (1, 1))]
+    """
+    if not all(sigma.is_straight(m) for m in members):
+        raise NotStraight("descent certificate is defined at straight elements")
+    pic = PicardLattice(sigma.datum.weyl)
+    twisted = [_twisted_action(pic, sigma, m) for m in members]
+    inverses = [pic.element_action(m.inverse()) for m in members]
+    rhs = (1,) * pic.n
+    for w, inverse in zip(members, inverses):
+        for x, tw in zip(members, twisted):
+            yield w, x, _certify(tw, inverse, sigma.q, rhs, 1)

@@ -287,16 +287,25 @@ class RootDatum:
             else:
                 return cur, word
 
-    def dominant_rep(self, v: Sequence) -> tuple[QVec, Mat]:
-        """Dominant representative of the W0-orbit of v and a witness w.
-
-        The witness matrix satisfies  witness . v = result.  Runs
-        dominant_word on the integer numerator of v over the lcm of its
-        denominators.
-        """
+    def _dominant_scaled(self, v: Sequence) -> tuple[list[int], list[int], int]:
+        """dominant_word on the integer numerator of v over the lcm `den`
+        of its denominators; returns (dominant numerator, word, den)."""
         q = [Fraction(x) for x in v]
         den = lcm(*(x.denominator for x in q))
         cur, word = self.dominant_word([x.numerator * (den // x.denominator) for x in q])
+        return cur, word, den
+
+    def dominant(self, v: Sequence) -> QVec:
+        """Dominant representative of the W0-orbit of v."""
+        cur, _word, den = self._dominant_scaled(v)
+        return tuple(Fraction(c, den) for c in cur)
+
+    def dominant_rep(self, v: Sequence) -> tuple[QVec, Mat]:
+        """Dominant representative of the W0-orbit of v and a witness w.
+
+        The witness matrix satisfies  witness . v = result.
+        """
+        cur, word, den = self._dominant_scaled(v)
         wit = identity_matrix(self.rank)
         for i in word:
             wit = mat_mul(self.simple_reflections[i], wit)

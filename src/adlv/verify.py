@@ -20,12 +20,11 @@ from .admissible import (
     verify_straight_class_containment,
 )
 from .affine_weyl import DEFAULT_BUDGET, closure
-from .errors import SingularOperator
 from .frobenius import FrobeniusDatum
 from .levi import is_fundamental, levi_of, sub_element, tau_orbits, twist_map
 from .linalg import identity_matrix, mat_mul, mat_vec
 from .newton_bg import b_g_mu
-from .picard import PicardLattice, PicClass, descent_certificate, is_ample
+from .picard import PicardLattice, PicClass, class_certificates, is_ample
 from .presets import Preset, catalog
 
 SCHEMA_VERSION = 1
@@ -423,21 +422,15 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                 for _tag, members in sorted(
                     by_tag.items(), key=lambda kv: repr(kv[0])
                 ):
-                    for wx in members:
-                        for xx in members:
-                            cert_count += 1
-                            try:
-                                cert = descent_certificate(sigma, wx, xx)
-                            except SingularOperator:
-                                singular += 1
-                                cert_failures.append(
-                                    {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
-                                )
-                                continue
-                            if not all(v > 0 for v in cert.difference):
-                                cert_failures.append(
-                                    {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
-                                )
+                    for wx, xx, cert in class_certificates(sigma, members):
+                        cert_count += 1
+                        if cert is None:
+                            singular += 1
+                        elif all(v > 0 for v in cert.difference):
+                            continue
+                        cert_failures.append(
+                            {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
+                        )
         ok_here = not relation_failures and ample_bad == 0 and not cert_failures
         ok = ok and ok_here
         runs.append(

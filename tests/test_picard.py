@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adlv.picard as picard_module
-from adlv import cli
-from adlv.admissible import MEMO
 from adlv.errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import identity_matrix, mat_mul
@@ -12,6 +12,7 @@ from adlv.picard import (
     DescentCertificate,
     PicardLattice,
     PicClass,
+    class_certificates,
     descent_certificate,
     is_ample,
     prime_of_residue_cardinality,
@@ -193,33 +194,64 @@ def test_descent_certificate_rejects_zero_determinant(monkeypatch):
         descent_certificate(FrobeniusDatum(d, q=2), t, t)
 
 
-def test_element_action_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(picard_module, "ACTION_MEMO_SIZE", 3)
-    w = preset("A1_sc").datum.weyl
-    pic = PicardLattice(w)
-    xs = [w.translation((k,)) for k in range(5)]
-    ops = [pic.element_action(x) for x in xs]
-    assert len(pic._actions) == 3
-    assert pic.element_action(xs[-1]) is ops[-1]
-    # A dropped entry is rebuilt with the same matrix.
-    assert pic.element_action(xs[0]) == ops[0]
-    manual = identity_matrix(2)
-    for i in w.reduced_word(xs[3])[0]:
-        manual = mat_mul(manual, pic.reflection_action(i))
-    assert ops[3] == manual
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    prime=st.sampled_from([2, 3]),
+    nums=st.lists(st.integers(-200, 200), min_size=1, max_size=5),
+    p_power=st.integers(0, 4),
+    det=st.sampled_from([1, -1, 5, -7]),
+)
+def test_pic_class_integer_path_matches_fractions(prime, nums, p_power, det):
+    # The certificate's path, integer numerators over one common
+    # denominator (which may be negative), normalizes as from_fractions.
+    den = det * prime**p_power
+    cls = PicClass.from_ratios(prime, [(n * abs(det), den) for n in nums])
+    want = PicClass.from_fractions(prime, [Fraction(n * abs(det), den) for n in nums])
+    assert cls == want
 
 
-def test_lattice_memo_entry_weighs_its_action_memo():
-    # The lattice of a group keeps up to ACTION_MEMO_SIZE operators, and
-    # its MEMO entry weighs that many, so the element bound sees them.
-    spec = cli.JobSpec(command="pic-cert", group="A1_sc", mu=(1,))
-    assert cli.run(spec)[1] == cli.EXIT_OK
-    entries = preset("A1_sc").datum.weyl.memo_entries
-    key = next(k for k in entries if k[0] is picard_module._lattice.__wrapped__)
-    MEMO._drop(entries[key].ref)
-    held = MEMO.held
-    assert cli.run(spec)[1] == cli.EXIT_OK
-    assert MEMO.held == held + picard_module.ACTION_MEMO_SIZE
+def _certificate_or_none(sigma, w, x):
+    try:
+        return descent_certificate(sigma, w, x)
+    except SingularOperator:
+        return None
+
+
+def test_class_certificates_match_descent_certificate_all_presets():
+    # Pair by pair, in the same w-outer, x-inner order.
+    for p in catalog():
+        w = p.datum.weyl
+        omegas = [o.element for o in w.omega_elements()]
+        for q in (2, 3):
+            for name in sorted(p.sigmas):
+                sigma = FrobeniusDatum(p.datum, p.sigmas[name], q=q)
+                for _tag, members in sigma.straight_class_tags(w.ball(4, omegas)):
+                    got = list(class_certificates(sigma, members))
+                    want = [
+                        (wx, xx, _certificate_or_none(sigma, wx, xx))
+                        for wx in members
+                        for xx in members
+                    ]
+                    assert got == want, (p.name, name, q)
+
+
+def test_class_certificates_reject_a_non_straight_member():
+    d = preset("A1_sc").datum
+    w = d.weyl
+    sigma = FrobeniusDatum(d, q=2)
+    with pytest.raises(NotStraight):
+        next(class_certificates(sigma, [w.translation((1,)), w.simple(0)]))
+
+
+def test_class_certificates_yield_none_at_zero_determinant(monkeypatch):
+    d = preset("A1_sc").datum
+    w = d.weyl
+    members = [w.translation((1,)), w.translation((-1,))]
+    monkeypatch.setattr(
+        picard_module, "solve_bareiss", lambda a, rhs: ((0,) * len(rhs), 0)
+    )
+    got = list(class_certificates(FrobeniusDatum(d, q=2), members))
+    assert [c for _w, _x, c in got] == [None] * 4
 
 
 def test_descent_certificate_mixed_tag_pairs():
