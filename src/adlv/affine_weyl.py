@@ -302,10 +302,9 @@ class AffineWeylGroup:
         return k + dot(a, lam) < self.w0_offsets[u_idx][j] ^ flip
 
     def is_right_descent(self, i: int, x: AffineWeylElement) -> bool:
-        """l(x s_i) < l(x): x sends the affine root of s_i to a negative one."""
-        return not self.is_positive_affine(
-            self.act_on_affine_root(x, self.simple_affine[i].root)
-        )
+        """l(x s_i) < l(x), i.e. l(s_i x^{-1}) < l(x^{-1})."""
+        y = x.inverse()
+        return self.is_left_descent(i, y.lam, y.u_idx)
 
     def left_descent(self, x: AffineWeylElement) -> int | None:
         """Lowest affine-simple index i with l(s_i x) < l(x), or None;
@@ -579,13 +578,6 @@ class AffineWeylGroup:
 
     # -- affine root actions ------------------------------------------------------------
 
-    def is_positive_affine(self, root: AffineRoot) -> bool:
-        if root.gradient in self.datum.positive_set:
-            return root.level >= 0
-        if root.gradient in self.datum.root_set:
-            return root.level >= 1
-        raise ValueError(f"{root.gradient} is not a root")
-
     def act_on_affine_root(self, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
         """Conjugation action on affine roots: the function f . x^{-1}.
 
@@ -596,11 +588,6 @@ class AffineWeylGroup:
         minv = self.w0_list[self.w0_inv[x.u_idx]]
         grad = vec_mat(root.gradient, minv)
         return AffineRoot(grad, root.level - dot(grad, x.lam))
-
-    def preimage_affine_root(self, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
-        """The root mapped onto `root` by act_on_affine_root(x, .)."""
-        grad = vec_mat(root.gradient, self.w0_list[x.u_idx])
-        return AffineRoot(grad, root.level + dot(root.gradient, x.lam))
 
     # -- serialization ---------------------------------------------------------------------
 

@@ -47,7 +47,6 @@ def _normalize_direction(v: Sequence) -> tuple[int, ...]:
 class LeviDatum:
     direction: tuple[int, ...]  # primitive integer representative of v
     vanishing_roots: frozenset  # Phi_{v,0}
-    positive_side: frozenset  # Phi_{v,+}
     sub_datum: RootDatum  # root datum of M_v on the same lattice
     simple_affine_roots: tuple[AffineRoot, ...]  # the walls S_v
 
@@ -72,7 +71,6 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
         return hit
 
     vanishing = frozenset(a for a in d.root_set if dot(a, key) == 0)
-    positive_side = frozenset(a for a in d.root_set if dot(a, key) > 0)
     m_positives = [a for a in d.positive_roots if a in vanishing]
     pos_set = set(m_positives)
     simples = tuple(
@@ -97,7 +95,6 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
     levi = LeviDatum(
         direction=key,
         vanishing_roots=vanishing,
-        positive_side=positive_side,
         sub_datum=sub,
         simple_affine_roots=tuple(s.root for s in sub.weyl.simple_affine),
     )
@@ -116,7 +113,7 @@ def sub_element(d: RootDatum, x: AffineWeylElement) -> AffineWeylElement:
 def is_v_alcove(
     d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement, v: Sequence
 ) -> bool:
-    """The two conditions for x to be a (v, sigma)-alcove element.
+    """The two conditions for x = t^lam u to be a (v, sigma)-alcove element.
 
     (1) the linear part of x composed with sigma fixes v;
     (2) on the positive side of v the Iwahori sits inside its
@@ -125,25 +122,22 @@ def is_v_alcove(
 
     Condition (2) is stated for the dominant base alcove this package
     fixes; with the opposite alcove convention the same inequalities
-    appear with the conjugation inverted.  Only levels within
-    |<a, lambda>| + 1 can change positivity, so the scan window is
-    provably sufficient.
+    appear with the conjugation inverted.  The preimage of (a, k) is
+    (a . u, k + <a, lam>), positive when its level is at least
+    [a . u < 0], and the least positive level of a is k = [a < 0]; so (2)
+    is  [a < 0] + <a, lam> >= [a . u < 0]  for each a.  Writing a = +-b
+    for a positive root b, [a . u < 0] is the length offset of u at b,
+    flipped for a = -b (see AffineWeylGroup.is_left_descent).
     """
-    w = d.weyl
-    vv = tuple(Fraction(c) for c in v)
-    lin = tuple(mat_vec(x.mat, mat_vec(sigma.matrix, vv)))
-    if lin != vv:
-        return False
     levi = levi_of(d, v)
-    for a in levi.positive_side:
-        shift = dot(a, x.lam)
-        window = abs(shift) + 1
-        for k in range(0, window + 1):
-            root = AffineRoot(a, k)
-            if w.is_positive_affine(root) and not w.is_positive_affine(
-                w.preimage_affine_root(x, root)
-            ):
-                return False
+    direction = levi.direction
+    if mat_vec(x.mat, mat_vec(sigma.matrix, direction)) != direction:
+        return False
+    for b, off in zip(d.positive_roots, d.weyl.w0_offsets[x.u_idx]):
+        side = dot(b, direction)
+        # a = b: <b, lam> >= off;  a = -b: 1 - <b, lam> >= 1 - off.
+        if side > 0 and dot(b, x.lam) < off or side < 0 and dot(b, x.lam) > off:
+            return False
     return True
 
 

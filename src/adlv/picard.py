@@ -6,7 +6,7 @@ characteristic only, enforced structurally).  Simple reflections act
 through the affine Cartan matrix, length-zero elements permute the
 basis, and Frobenius acts as its diagram permutation scaled by q.
 
-The descent certificate solves (M - 1) L = target for the operator M of
+The descent certificate solves (M - 1) L = (1, ..., 1) for the operator M of
 x . sigma . w^{-1}; invertibility is the no-eigenvalue-one property and
 a singular operator is reported as a counterexample candidate.  The
 operator and the solve stay in integers: simple reflections are applied
@@ -82,12 +82,6 @@ class PicClass:
     prime: int
     nums: tuple[int, ...]
     exps: tuple[int, ...]
-
-    @classmethod
-    def from_fractions(cls, prime: int, values: Sequence[Fraction]) -> "PicClass":
-        return cls.from_ratios(
-            prime, ((f.numerator, f.denominator) for f in map(Fraction, values))
-        )
 
     @classmethod
     def from_ratios(cls, prime: int, ratios: Iterable[tuple[int, int]]) -> "PicClass":
@@ -185,14 +179,12 @@ def _twisted_action(
     )
 
 
-def _certify(
-    twisted: Mat, inverse: Mat, q: int, rhs: tuple[int, ...], den: int
-) -> DescentCertificate | None:
-    """The certificate for the operator M = twisted . inverse and the
-    target rhs / den, or None when det(M - 1) = 0.
+def _certify(twisted: Mat, inverse: Mat, q: int) -> DescentCertificate | None:
+    """The certificate for the operator M = twisted . inverse at the
+    all-ones target, or None when det(M - 1) = 0.
 
-    Solves (M - 1) y = d * rhs with d = det(M - 1), checked in integers,
-    so L = y / (d * den); then scales L by the least positive integer
+    Solves (M - 1) y = d * (1, ..., 1) with d = det(M - 1), checked in
+    integers, so L = y / d; then scales L by the least positive integer
     that leaves only powers of the residue characteristic in its
     denominators.
     """
@@ -201,47 +193,37 @@ def _certify(
         tuple(v - (r == c) for c, v in enumerate(row))
         for r, row in enumerate(op)
     )
-    y, d = solve_bareiss(m_minus_one, rhs)
-    if d == 0 or mat_vec(m_minus_one, y) != tuple(d * b for b in rhs):
+    y, d = solve_bareiss(m_minus_one, (1,) * len(op))
+    if d == 0 or mat_vec(m_minus_one, y) != (d,) * len(op):
         return None
     p = prime_of_residue_cardinality(q)
-    full = abs(d) * den
     scale = 1
     for v in y:
-        _e, rest = _split_p_power(full // gcd(v, full), p)
+        _e, rest = _split_p_power(abs(d) // gcd(v, d), p)
         scale = lcm(scale, rest)
-    cls = PicClass.from_ratios(p, [(v * scale, d * den) for v in y])
-    diff = tuple(Fraction(b * scale, den) for b in rhs)
+    cls = PicClass.from_ratios(p, [(v * scale, d) for v in y])
+    diff = (Fraction(scale),) * len(op)
     assert all(dv > 0 for dv in diff), "difference must be dominant regular"
     return DescentCertificate(operator=op, pic_class=cls, difference=diff)
 
 
 def descent_certificate(
-    sigma: FrobeniusDatum,
-    w: AffineWeylElement,
-    x: AffineWeylElement,
-    target: Sequence[Fraction] | None = None,
+    sigma: FrobeniusDatum, w: AffineWeylElement, x: AffineWeylElement
 ) -> DescentCertificate:
     """A Picard class whose twist difference is dominant regular.
 
     Builds the integer operator M of x sigma w^{-1} and solves
-    (M - 1) L = target (all-ones by default) by one fraction-free
-    elimination.  Raises SingularOperator unless det(M - 1) != 0, also
-    when the singular system happens to be consistent.  Then scales L by
-    a positive integer so every denominator is a power of the residue
-    characteristic.
+    (M - 1) L = (1, ..., 1) by one fraction-free elimination.  Raises
+    SingularOperator unless det(M - 1) != 0, also when the singular
+    system happens to be consistent.  Then scales L by a positive integer
+    so every denominator is a power of the residue characteristic.
     """
     if not sigma.is_straight(w):
         raise NotStraight("descent certificate is defined at straight elements")
     pic = PicardLattice(sigma.datum.weyl)
     twisted = _twisted_action(pic, sigma, x)
     inverse = pic.element_action(w.inverse())
-    tgt = tuple(Fraction(t) for t in (target if target is not None else (1,) * pic.n))
-    if not all(t > 0 for t in tgt):
-        raise AdlvError("target vector must be strictly positive")
-    den = lcm(*(t.denominator for t in tgt))
-    rhs = tuple(t.numerator * (den // t.denominator) for t in tgt)
-    cert = _certify(twisted, inverse, sigma.q, rhs, den)
+    cert = _certify(twisted, inverse, sigma.q)
     if cert is None:
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
@@ -273,7 +255,6 @@ def class_certificates(
     pic = PicardLattice(sigma.datum.weyl)
     twisted = [_twisted_action(pic, sigma, m) for m in members]
     inverses = [pic.element_action(m.inverse()) for m in members]
-    rhs = (1,) * pic.n
     for w, inverse in zip(members, inverses):
         for x, tw in zip(members, twisted):
-            yield w, x, _certify(tw, inverse, sigma.q, rhs, 1)
+            yield w, x, _certify(tw, inverse, sigma.q)

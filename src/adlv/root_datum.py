@@ -26,10 +26,8 @@ from .linalg import (
     identity_matrix,
     mat_det,
     mat_mul,
-    mat_vec,
     principal_minors_positive,
     solve_bareiss,
-    solve_fraction,
 )
 
 IntVec = tuple[int, ...]
@@ -64,8 +62,10 @@ class BaseAlcove(NamedTuple):
     vertex_den: int
     vertices: tuple[IntVec, ...]
     # The fundamental weights omega_i in the span of the roots,
-    # <omega_i, alpha_j^vee> = delta_ij, each scaled to an integer covector.
+    # <omega_i, alpha_j^vee> = delta_ij, each scaled to an integer covector
+    # by weight_den = det of the Cartan matrix.
     weights: tuple[IntVec, ...]
+    weight_den: int
 
 
 class RootDatum:
@@ -143,15 +143,23 @@ class RootDatum:
             raise NonIntegralCartan("Cartan matrix is not of finite type")
 
     def _close_roots(self) -> None:
-        """Reflection closure; fills positive_roots and the coroot table."""
+        """Reflection closure; fills positive_roots, the coroot table and
+        the simple coefficients, which s_i changes at i alone: the
+        coefficient of alpha_i in s_i a is that in a minus <a, alpha_i^vee>.
+        """
         coroot: dict[IntVec, IntVec] = {}
-        frontier = list(zip(self.simple_roots, self.simple_coroots))
-        for a, av in frontier:
-            coroot[a] = av
+        coeffs: dict[IntVec, IntVec] = {}
+        n = self.n_simple
+        frontier = [
+            (a, av, tuple(int(i == j) for j in range(n)))
+            for i, (a, av) in enumerate(zip(self.simple_roots, self.simple_coroots))
+        ]
+        for a, av, c in frontier:
+            coroot[a], coeffs[a] = av, c
         while frontier:
             nxt = []
-            for a, av in frontier:
-                for i in range(self.n_simple):
+            for a, av, c in frontier:
+                for i in range(n):
                     pa = dot(a, self.simple_coroots[i])
                     b = tuple(
                         a[k] - pa * self.simple_roots[i][k] for k in range(self.rank)
@@ -162,18 +170,14 @@ class RootDatum:
                     )
                     if b not in coroot:
                         coroot[b] = bv
-                        nxt.append((b, bv))
+                        coeffs[b] = tuple(x - pa * (j == i) for j, x in enumerate(c))
+                        nxt.append((b, bv, coeffs[b]))
                     elif coroot[b] != bv:
                         raise NonIntegralCartan("inconsistent coroot closure")
             frontier = nxt
         self.coroot_table = coroot
-        self._coeff_table: dict[IntVec, IntVec] = {}
-        positives = []
-        for a in coroot:
-            coeffs = self._expand(a)
-            self._coeff_table[a] = coeffs
-            if all(c >= 0 for c in coeffs):
-                positives.append((sum(coeffs), a))
+        self._coeff_table = coeffs
+        positives = [(sum(c), a) for a, c in coeffs.items() if all(x >= 0 for x in c)]
         positives.sort()
         self.positive_roots: tuple[IntVec, ...] = tuple(a for _h, a in positives)
         self.root_set = frozenset(coroot)
@@ -221,25 +225,9 @@ class RootDatum:
 
     # -- basic queries ---------------------------------------------------------
 
-    def _expand(self, root: Sequence[int]) -> IntVec:
-        cols = tuple(zip(*self.simple_roots))  # rank x n_simple
-        sol = solve_fraction(cols, root)
-        if sol is None:
-            raise NonIntegralCartan(f"{root} is not in the root lattice span")
-        out = tuple(int(c) for c in sol)
-        if any(Fraction(o) != s for o, s in zip(out, sol)):
-            raise NonIntegralCartan(f"{root} has non-integral simple coefficients")
-        return out
-
     def simple_coefficients(self, root: Sequence[int]) -> IntVec:
         """Expansion of a root over the simple roots (integer coefficients)."""
-        key = tuple(root)
-        hit = self._coeff_table.get(key)
-        if hit is not None:
-            return hit
-        out = self._expand(key)
-        self._coeff_table[key] = out
-        return out
+        return self._coeff_table[tuple(root)]
 
     def coroot(self, root: Sequence[int]) -> IntVec:
         return self.coroot_table[tuple(root)]
@@ -312,19 +300,27 @@ class RootDatum:
         return tuple(Fraction(c, den) for c in cur), wit
 
     def dominance_leq(self, lam: Sequence, lam2: Sequence) -> bool:
-        """lam <= lam2 in dominance order; both must be dominant."""
+        """lam <= lam2 in dominance order; both must be dominant.
+
+        In integers: D = den (lam2 - lam) over the lcm den of its
+        denominators, and p_i = <det omega_i, D> from the scaled
+        fundamental weights of base_alcove.  sum_i p_i alpha_i^vee is det
+        times the part of D in the span of the coroots, so lam <= lam2
+        exactly when that sum is det D (D has no central part) and every
+        p_i >= 0.
+        """
         if not self.is_dominant(lam) or not self.is_dominant(lam2):
             raise NotDominantInput("dominance order compares dominant coweights")
-        diff = tuple(Fraction(b) - Fraction(a) for a, b in zip(lam, lam2))
-        if self.n_simple == 0:
-            return all(x == 0 for x in diff)
-        cols = tuple(zip(*self.simple_coroots))  # rank x n_simple
-        sol = solve_fraction(cols, diff)
-        if sol is None:
-            return False
-        if tuple(mat_vec(cols, sol)) != diff:
-            return False
-        return all(c >= 0 for c in sol)
+        diff = [Fraction(b) - Fraction(a) for a, b in zip(lam, lam2)]
+        den = lcm(*(x.denominator for x in diff))
+        scaled = [x.numerator * (den // x.denominator) for x in diff]
+        alcove = self.base_alcove
+        pairs = [dot(weight, scaled) for weight in alcove.weights]
+        span = [
+            sum(p * av[r] for p, av in zip(pairs, self.simple_coroots))
+            for r in range(self.rank)
+        ]
+        return span == [alcove.weight_den * x for x in scaled] and all(p >= 0 for p in pairs)
 
     @cached_property
     def pi1(self) -> FinAbGroup:
@@ -369,7 +365,7 @@ class RootDatum:
             in_span(self.simple_coroots, solve_bareiss(pairing, e)[0], vertex_den // (det * mi))
             for e, mi in zip(units, m)
         )
-        return BaseAlcove(interior, interior_den, vertex_den, vertices, weights)
+        return BaseAlcove(interior, interior_den, vertex_den, vertices, weights, det)
 
     @cached_property
     def weyl(self):

@@ -182,12 +182,10 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
     ok = True
     pad = scales.reduction_length + scales.reduction_buffer
     for p in catalog():
-        d = p.datum
-        w = d.weyl
+        w = p.datum.weyl
+        elements = w.ball(pad, _designated_omegas(p.datum), budget=scales.budget)
+        in_set = set(elements)
         for sig_name, sigma in _sigmas(p):
-            elements = w.ball(pad, _designated_omegas(d), budget=scales.budget)
-            in_set = set(elements)
-
             def step(y):
                 conjugates = (sigma.conj_step(s.index, y) for s in w.simple_affine)
                 return [z for z in conjugates if z in in_set]
@@ -233,12 +231,10 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
     ok = True
     collisions_total = 0
     for p in catalog():
-        d = p.datum
-        w = d.weyl
+        w = p.datum.weyl
+        ball = w.ball(scales.tag_length, _designated_omegas(p.datum), budget=scales.budget)
         for sig_name, sigma in _sigmas(p):
-            straights = sigma.straight_elements_in(
-                w.ball(scales.tag_length, _designated_omegas(d), budget=scales.budget)
-            )
+            straights = sigma.straight_elements_in(ball)
             seen: set = set()
             classes = []
             for x in straights:
@@ -289,10 +285,10 @@ def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
     for p in catalog():
         d = p.datum
         w = d.weyl
+        elements = w.ball(
+            scales.fundamental_length, _designated_omegas(d), budget=scales.budget
+        )
         for sig_name, sigma in _sigmas(p):
-            elements = w.ball(
-                scales.fundamental_length, _designated_omegas(d), budget=scales.budget
-            )
             bad = [
                 w.to_json(x)
                 for x in elements
@@ -398,30 +394,16 @@ def check_picard_suite(scales: VerifyScales) -> dict:
         rng = random.Random(8261)
         ample_bad = 0
         for _ in range(scales.ample_samples):
-            vals = [
-                Fraction(rng.randint(-3, 3), 2 ** rng.randint(0, 2))
-                for _ in range(n)
-            ]
-            cls = PicClass.from_fractions(2, vals)
-            if is_ample(cls) != all(v > 0 for v in vals):
+            ratios = [(rng.randint(-3, 3), 2 ** rng.randint(0, 2)) for _ in range(n)]
+            cls = PicClass.from_ratios(2, ratios)
+            if is_ample(cls) != all(num > 0 for num, _den in ratios):
                 ample_bad += 1
         cert_count = 0
         cert_failures = []
+        ball = w.ball(scales.picard_length, _designated_omegas(d), budget=scales.budget)
         for q in scales.picard_qs:
             for _sig_name, sigma in _sigmas(p, q=q):
-                straights = sigma.straight_elements_in(
-                    w.ball(
-                        scales.picard_length,
-                        _designated_omegas(d),
-                        budget=scales.budget,
-                    )
-                )
-                by_tag: dict = {}
-                for x in straights:
-                    by_tag.setdefault(sigma.tag_of(x), []).append(x)
-                for _tag, members in sorted(
-                    by_tag.items(), key=lambda kv: repr(kv[0])
-                ):
+                for _tag, members in sigma.straight_class_tags(ball):
                     for wx, xx, cert in class_certificates(sigma, members):
                         cert_count += 1
                         if cert is None:

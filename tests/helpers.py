@@ -13,7 +13,31 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
-from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec, solve_fraction
+from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec, solve_fraction, vec_mat
+from adlv.picard import PicClass
+
+
+def is_positive_affine(d, root: AffineRoot) -> bool:
+    """(a, k) is positive on the base alcove: k >= 0 for a positive root
+    a, k >= 1 for a negative one."""
+    if root.gradient in d.positive_set:
+        return root.level >= 0
+    if root.gradient in d.root_set:
+        return root.level >= 1
+    raise ValueError(f"{root.gradient} is not a root")
+
+
+def preimage_affine_root(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
+    """The root that x sends to `root` under w.act_on_affine_root."""
+    grad = vec_mat(root.gradient, w.w0_list[x.u_idx])
+    return AffineRoot(grad, root.level + dot(root.gradient, x.lam))
+
+
+def pic_class_from_fractions(prime: int, values) -> PicClass:
+    """A Picard class from Fraction coefficients."""
+    return PicClass.from_ratios(
+        prime, ((f.numerator, f.denominator) for f in map(Fraction, values))
+    )
 
 
 def length_oracle(w, x: AffineWeylElement) -> int:
@@ -28,9 +52,9 @@ def length_oracle(w, x: AffineWeylElement) -> int:
     for a in d.root_set:
         for k in range(-bound, bound + 1):
             root = AffineRoot(a, k)
-            if not w.is_positive_affine(root):
+            if not is_positive_affine(d, root):
                 continue
-            if not w.is_positive_affine(w.preimage_affine_root(x, root)):
+            if not is_positive_affine(d, preimage_affine_root(w, x, root)):
                 count += 1
     return count
 
@@ -169,8 +193,8 @@ def v_alcove_oracle(d, sigma, x, v, window: int = 40) -> bool:
             continue
         for k in range(-window, window + 1):
             root = AffineRoot(a, k)
-            if w.is_positive_affine(root) and not w.is_positive_affine(
-                w.preimage_affine_root(x, root)
+            if is_positive_affine(d, root) and not is_positive_affine(
+                d, preimage_affine_root(w, x, root)
             ):
                 return False
     return True

@@ -17,7 +17,12 @@ from adlv.linalg import dot, vec_mat
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 
-from helpers import ball_length_counts_oracle, length_oracle, subword_set
+from helpers import (
+    ball_length_counts_oracle,
+    length_oracle,
+    preimage_affine_root,
+    subword_set,
+)
 
 SMALL = ["A1_sc", "A1_ad", "A2_sc", "C2_sc", "G2_sc", "GL2", "A1xA1_sc", "GU_odd(2)"]
 
@@ -440,7 +445,7 @@ def test_affine_root_action_consistency():
             for a in roots:
                 root = AffineRoot(a, rng.randint(-3, 3))
                 image = w.act_on_affine_root(x, root)
-                assert w.preimage_affine_root(x, image) == root
+                assert preimage_affine_root(w, x, image) == root
                 # conjugation of reflections matches the root action
                 assert x * w.reflection(root) * x.inverse() == w.reflection(image)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,31 @@ def test_dominance_examples_and_oracle():
             continue
         pairs += 1
         assert c2.dominance_leq(lam, lam2) == dominance_grid_oracle(c2, lam, lam2)
+
+
+def test_dominance_with_central_directions_against_oracle():
+    # GL2 and GU_odd(2) have a central direction, so a difference of
+    # dominant vectors may have a central part; it is never <= 0.  Every
+    # pair of dominant half-integral vectors in a box; coroot coefficients
+    # of the differences are halves in [0, 3], inside the oracle's grid.
+    halves = [Fraction(k, 2) for k in range(-3, 4)]
+    boxes = {
+        "GL2": product(halves, halves),
+        "GU_odd(2)": product(halves[3:], halves[3:], halves[2:5]),
+    }
+    for name, box in boxes.items():
+        d = preset(name).datum
+        doms = [v for v in box if d.is_dominant(v)]
+        for lam in doms:
+            for lam2 in doms:
+                assert d.dominance_leq(lam, lam2) == dominance_grid_oracle(
+                    d, lam, lam2, max_num=4, max_den=2
+                )
+    gl2, gu = preset("GL2").datum, preset("GU_odd(2)").datum
+    assert gl2.dominance_leq((0, 0), (1, -1))
+    assert not gl2.dominance_leq((0, 0), (1, 0))
+    assert gu.dominance_leq((0, 0, 0), (1, 0, 0))
+    assert not gu.dominance_leq((0, 0, 0), (1, 0, Fraction(1, 2)))
 
 
 def test_dominance_partial_order():
