@@ -35,14 +35,16 @@ every catalog ball in the test suite.
 The sets, the membership data, and the straight classes and B(G, {mu})
 of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
 number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
-one admissible set may hold.  Entries are stored on their group, so a
-datum that is no longer referenced takes its entries with it.
+one admissible set may hold.  Entries are stored on their group with a
+use stamp, and the memo weakly maps each group to the weight it holds,
+so a datum that is no longer referenced takes its entries and their
+weight with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, NamedTuple, Sequence
@@ -62,86 +64,66 @@ class ElementMemo:
 
     `memo(weigh)` decorates a body whose first argument is an
     AffineWeylGroup; the body and its other positional arguments are the
-    key.  An entry is stored on its group, in `group.memo_entries`, and
-    the memo refers to it only weakly, so a group that nothing else
-    references is collected with its entries.  Past `bound`, the least
-    recently used entries are dropped; a value heavier than `bound` is
+    key.  An entry lives on its group, as `group.memo_entries[key] =
+    (value, weight, stamp)`, least recently used first: a hit moves it to
+    the end with a fresh stamp from one counter.  The memo itself holds
+    only a weak map from each group to the weight of its entries, so a
+    group that nothing else references is collected with its entries.
+    Past `bound`, the entry with the smallest stamp among the oldest
+    entries of the groups is dropped; a value heavier than `bound` is
     returned but not kept, and an error is never kept.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
-        self._held = 0
-        # Weak reference to each entry -> its weight, least recent first.
-        self._order: OrderedDict[weakref.ref, int] = OrderedDict()
-        # References to entries collected with their group.  The weakref
-        # callback may run inside any allocation, so it only appends here.
-        self._gone: list[weakref.ref] = []
-        self._on_gone = self._gone.append
+        self._weights: weakref.WeakKeyDictionary[AffineWeylGroup, int] = (
+            weakref.WeakKeyDictionary()
+        )
+        self._stamps = itertools.count()
 
     @property
     def held(self) -> int:
-        """The total weight of the entries still alive."""
-        self._forget_gone()
-        return self._held
+        """The total weight of the entries of the live groups."""
+        return sum(self._weights.values())
 
     def __call__(self, weigh: Callable[[object], int]):
         def decorate(body):
             @wraps(body)
             def memoized(group: AffineWeylGroup, *args):
                 key = (body, args)
-                entry = group.memo_entries.get(key)
+                entries = group.memo_entries
+                entry = entries.pop(key, None)
                 if entry is not None:
-                    self._order.move_to_end(entry.ref)
-                    return entry.value
+                    value, weight, _stamp = entry
+                    entries[key] = (value, weight, next(self._stamps))
+                    return value
                 value = body(group, *args)
-                self._keep(group.memo_entries, key, value, max(1, weigh(value)))
+                self._keep(group, key, value, max(1, weigh(value)))
                 return value
 
             return memoized
 
         return decorate
 
-    def _keep(self, home: dict, key: tuple, value: object, weight: int) -> None:
-        self._forget_gone()
+    def _keep(self, group: AffineWeylGroup, key: tuple, value: object, weight: int) -> None:
         if weight > self.bound:
             return
-        entry = _Entry(home, key, value, self._on_gone)
-        home[key] = entry
-        self._order[entry.ref] = weight
-        self._held += weight
-        while self._held > self.bound:
-            self._drop(next(iter(self._order)))
-
-    def _drop(self, ref: weakref.ref) -> None:
-        self._held -= self._order.pop(ref)
-        entry = ref()
-        if entry is not None:
-            del entry.home[entry.key]
-
-    def _forget_gone(self) -> None:
-        while self._gone:
-            weight = self._order.pop(self._gone.pop(), None)
-            if weight is not None:
-                self._held -= weight
+        group.memo_entries[key] = (value, weight, next(self._stamps))
+        weights = self._weights
+        weights[group] = weights.get(group, 0) + weight
+        while self.held > self.bound:
+            oldest = min(weights, key=lambda g: next(iter(g.memo_entries.values()))[2])
+            entries = oldest.memo_entries
+            _value, dropped, _stamp = entries.pop(next(iter(entries)))
+            if entries:
+                weights[oldest] -= dropped
+            else:
+                del weights[oldest]
 
     def clear(self) -> None:
-        while self._order:
-            self._drop(next(iter(self._order)))
-        self._gone.clear()
-
-
-class _Entry:
-    """One memo entry: `home` is its group's `memo_entries`, and `ref`
-    the memo's weak reference to it."""
-
-    __slots__ = ("home", "key", "value", "ref", "__weakref__")
-
-    def __init__(self, home: dict, key: tuple, value: object, on_gone) -> None:
-        self.home = home
-        self.key = key
-        self.value = value
-        self.ref = weakref.ref(self, on_gone)
+        for group in list(self._weights):
+            group.memo_entries.clear()
+        self._weights.clear()
 
 
 MEMO = ElementMemo(DEFAULT_BUDGET)

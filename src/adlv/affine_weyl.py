@@ -153,8 +153,9 @@ class AffineWeylGroup:
         self._build_affine_simples()
         self._bruhat_cache: dict[tuple, bool] = {}
         self._rw_cache: dict[tuple, tuple] = {}
-        # This group's entries of admissible.MEMO, which go with the group.
-        self.memo_entries: dict[tuple, object] = {}
+        # This group's entries of admissible.MEMO, key -> (value, weight,
+        # stamp), least recently used first; they go with the group.
+        self.memo_entries: dict[tuple, tuple] = {}
 
     # -- finite Weyl group tables -------------------------------------------
 
@@ -237,7 +238,8 @@ class AffineWeylGroup:
             tuple(dot(sj.root.gradient, si.coroot) for sj in simples)
             for si in simples
         )
-        self._simple_by_root = {s.root: s.index for s in simples}
+        # The index of the simple reflection in each wall of the base alcove.
+        self.simple_by_root = {s.root: s.index for s in simples}
         # Per affine simple (a, k): a, k, the index j of the positive root
         # +-a, and flip = 1 when a = -theta is negative; see is_left_descent.
         pos_index = {r: j for j, r in enumerate(d.positive_roots)}
@@ -353,18 +355,16 @@ class AffineWeylGroup:
         return self.datum.pi1.project(x.lam)
 
     def s_permutation_of(self, omega: AffineWeylElement) -> tuple[int, ...]:
-        """Permutation of the affine simple set induced by conjugation."""
-        inv = omega.inverse()
-        perm = []
-        for s in self.simple_affine:
-            conj = omega * s.element * inv
-            idx = next(
-                (t.index for t in self.simple_affine if t.element == conj), None
+        """Permutation of the affine simple set induced by conjugation:
+        omega s omega^{-1} is the reflection in omega's image of the
+        wall of s, by act_on_affine_root."""
+        try:
+            return tuple(
+                self.simple_by_root[self.act_on_affine_root(omega, s.root)]
+                for s in self.simple_affine
             )
-            if idx is None:
-                raise DatumMismatch("element does not normalize the base alcove")
-            perm.append(idx)
-        return tuple(perm)
+        except KeyError:
+            raise DatumMismatch("element does not normalize the base alcove") from None
 
     def omega_elt(self, x: AffineWeylElement) -> OmegaElt:
         assert self.length(x) == 0

@@ -39,10 +39,6 @@ class PeriodOverflow(AdlvError):
     """Newton period search exceeded its provable cap; the datum is broken."""
 
 
-class BallExhausted(AdlvError):
-    """An equal-length conjugation plateau exceeded the node budget."""
-
-
 class BudgetExceeded(AdlvError):
     """An enumeration would exceed the configured node budget.
 

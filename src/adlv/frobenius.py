@@ -13,14 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .affine_weyl import AffineRoot, AffineWeylElement, closure
-from .errors import (
-    BallExhausted,
-    BudgetExceeded,
-    DatumMismatch,
-    PeriodOverflow,
-    SchemaError,
-)
+from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement, closure
+from .errors import BudgetExceeded, DatumMismatch, PeriodOverflow, SchemaError
 from .fgab import FinAbGroup
 from .linalg import (
     Mat,
@@ -74,12 +68,9 @@ class FrobeniusDatum:
                 raise SchemaError(
                     f"/lattice_matrix: coroot of {a} transforms inconsistently"
                 )
-        for s in d.weyl.simple_affine:
-            img = self.on_affine_root(s.root)
-            if img not in {t.root for t in d.weyl.simple_affine}:
-                raise SchemaError(
-                    "/lattice_matrix: automorphism does not fix the base alcove"
-                )
+        walls = d.weyl.simple_by_root
+        if any(self.on_affine_root(s.root) not in walls for s in d.weyl.simple_affine):
+            raise SchemaError("/lattice_matrix: automorphism does not fix the base alcove")
 
     @cached_property
     def order(self) -> int:
@@ -91,8 +82,7 @@ class FrobeniusDatum:
     @cached_property
     def s_permutation(self) -> tuple[int, ...]:
         w = self.datum.weyl
-        by_root = {s.root: s.index for s in w.simple_affine}
-        return tuple(by_root[self.on_affine_root(s.root)] for s in w.simple_affine)
+        return tuple(w.simple_by_root[self.on_affine_root(s.root)] for s in w.simple_affine)
 
     def on_affine_root(self, root: AffineRoot) -> AffineRoot:
         return AffineRoot(vec_mat(root.gradient, self.matrix_inv), root.level)
@@ -195,18 +185,18 @@ class FrobeniusDatum:
         s = w.simple(i)
         return s * x * self.apply(s)
 
-    def plateau(self, x: AffineWeylElement, node_budget: int = 200_000) -> "Plateau":
+    def plateau(self, x: AffineWeylElement, budget: int = DEFAULT_BUDGET) -> "Plateau":
         """Closure of x under equal-length twisted conjugation steps.
 
         The step records each (member, simple index) whose conjugate is
         shorter; the canonical descent is the least of those records.
-        Cached for every member; raises BallExhausted past the budget,
+        Cached for every member; raises BudgetExceeded past the budget,
         whether or not the plateau is cached.
         """
         hit = self._plateau_cache.get(x)
         if hit is not None:
-            if len(hit.members) > node_budget:
-                raise BallExhausted(f"plateau exceeds {node_budget} nodes")
+            if len(hit.members) > budget:
+                raise BudgetExceeded(f"plateau exceeds node budget {budget}")
             return hit
         w = self.datum.weyl
         lx = w.length(x)
@@ -222,9 +212,9 @@ class FrobeniusDatum:
                     descents.append((y, s.index))
 
         try:
-            members = closure([x], step, node_budget)
+            members = closure([x], step, budget)
         except BudgetExceeded:
-            raise BallExhausted(f"plateau exceeds {node_budget} nodes") from None
+            raise BudgetExceeded(f"plateau exceeds node budget {budget}") from None
         descent = min(descents, key=lambda d: (d[0].key(), d[1]), default=None)
         info = Plateau(frozenset(members), descent)
         for m in members:
@@ -232,7 +222,7 @@ class FrobeniusDatum:
         return info
 
     def reduce_to_minimal(
-        self, x: AffineWeylElement, node_budget: int = 200_000
+        self, x: AffineWeylElement, budget: int = DEFAULT_BUDGET
     ) -> AffineWeylElement:
         """Walk w -> s w sigma(s) without ever increasing length until no
         further decrease is possible anywhere on the final plateau.
@@ -243,7 +233,7 @@ class FrobeniusDatum:
         """
         cur = x
         while True:
-            info = self.plateau(cur, node_budget)
+            info = self.plateau(cur, budget)
             if info.descent is None:
                 return cur
             y, i = info.descent

@@ -104,14 +104,14 @@ def _b_g_mu(
     mu_nat = mu_natural(sigma, mu)
     mu_dia = mu_diamond(sigma, mu)
 
-    kept: list[tuple[StraightClassTag, AffineWeylElement]] = []
-    for tag, members in straight_classes(d, sigma, mu, budget=budget):
-        if tag.kappa_sigma != mu_nat:
-            continue
-        if not d.dominance_leq(tag.nu_bar, mu_dia):
-            continue
-        rep = min(members, key=lambda x: (w.length(x),) + x.key())
-        kept.append((tag, rep))
+    # Classes come in (pairing height, nu) order with members sorted by
+    # (length, key), so the filter keeps that order and members[0] is the
+    # least member.
+    kept = [
+        (tag, members[0])
+        for tag, members in straight_classes(d, sigma, mu, budget=budget)
+        if tag.kappa_sigma == mu_nat and d.dominance_leq(tag.nu_bar, mu_dia)
+    ]
 
     # Independent audit: recompute the defining conditions per element.
     for tag, rep in kept:
@@ -119,8 +119,6 @@ def _b_g_mu(
         assert np_.nu_bar == tag.nu_bar
         assert sigma.pi1_coinvariants.project(rep.lam) == mu_nat
         assert d.dominance_leq(np_.nu_bar, mu_dia)
-
-    kept.sort(key=lambda tr: (d.pairing_height(tr[0].nu_bar), tr[0].nu_bar))
 
     tau_tag = sigma.tag_of(adm(d, mu, budget=budget).tau.element)
     lows = [t for t, _ in kept if all(d.dominance_leq(t.nu_bar, o.nu_bar) for o, _ in kept)]
@@ -140,10 +138,7 @@ def _b_g_mu(
             BGMuElement(
                 tag=tag,
                 representative=rep,
-                basic=all(
-                    sum(a[i] * tag.nu_bar[i] for i in range(d.rank)) == 0
-                    for a in d.simple_roots
-                ),
+                basic=d.is_central(tag.nu_bar),
                 is_minimal=tag == lows[0],
                 is_maximal=tag == highs[0],
             )

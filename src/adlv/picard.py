@@ -116,17 +116,6 @@ class PicardLattice:
             for i, row in enumerate(self.cartan)
         )
 
-    def reflection_action(self, i: int) -> Mat:
-        """eps_i -> eps_i - sum_j A_ij eps_j; other basis vectors fixed."""
-        a = self.cartan
-        return tuple(
-            tuple(
-                (1 if r == c else 0) - (a[i][r] if c == i else 0)
-                for c in range(self.n)
-            )
-            for r in range(self.n)
-        )
-
     def element_action(self, x: AffineWeylElement) -> Mat:
         """Product of reflection operators along a reduced word, then the
         length-zero permutation.

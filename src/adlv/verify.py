@@ -204,7 +204,7 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
                 if w.length(x) > scales.reduction_length:
                     continue
                 checked += 1
-                m = sigma.reduce_to_minimal(x)
+                m = sigma.reduce_to_minimal(x, scales.budget)
                 cid = comp_id[x]
                 if comp_id.get(m) != cid or w.length(m) != comp_min[cid]:
                     bad.append(w.to_json(x))
@@ -374,9 +374,9 @@ def check_picard_suite(scales: VerifyScales) -> dict:
         w = d.weyl
         pic = PicardLattice(w)
         n = pic.n
+        reflections = [pic.element_action(w.simple(i)) for i in range(n)]
         relation_failures = []
-        for i in range(n):
-            ri = pic.reflection_action(i)
+        for i, ri in enumerate(reflections):
             if mat_mul(ri, ri) != identity_matrix(n):
                 relation_failures.append(f"s{i}^2")
         for i in range(n):
@@ -385,7 +385,7 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                 m = bond_from_product.get(prod)
                 if m is None:
                     continue
-                rirj = mat_mul(pic.reflection_action(i), pic.reflection_action(j))
+                rirj = mat_mul(reflections[i], reflections[j])
                 power = identity_matrix(n)
                 for _ in range(m):
                     power = mat_mul(power, rirj)

@@ -12,9 +12,9 @@ def memo_runs(monkeypatch):
     runs = Counter()
     keep = MEMO._keep
 
-    def counting(home, key, value, weight):
+    def counting(group, key, value, weight):
         runs[key[0].__name__] += 1
-        keep(home, key, value, weight)
+        keep(group, key, value, weight)
 
     monkeypatch.setattr(MEMO, "_keep", counting)
     return runs

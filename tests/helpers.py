@@ -33,6 +33,27 @@ def preimage_affine_root(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoo
     return AffineRoot(grad, root.level + dot(root.gradient, x.lam))
 
 
+def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]:
+    """The permutation of the affine simples by omega, found by forming
+    omega s omega^{-1} and searching the simple reflections for it."""
+    inv = omega.inverse()
+    perm = []
+    for s in w.simple_affine:
+        conj = omega * s.element * inv
+        perm.append(next(t.index for t in w.simple_affine if t.element == conj))
+    return tuple(perm)
+
+
+def reflection_action(pic, i: int):
+    """The full matrix of s_i on the Picard lattice:
+    eps_i -> eps_i - sum_j A_ij eps_j, other basis vectors fixed."""
+    a = pic.cartan
+    return tuple(
+        tuple((1 if r == c else 0) - (a[i][r] if c == i else 0) for c in range(pic.n))
+        for r in range(pic.n)
+    )
+
+
 def pic_class_from_fractions(prime: int, values) -> PicClass:
     """A Picard class from Fraction coefficients."""
     return PicClass.from_ratios(

@@ -241,9 +241,8 @@ def test_memo_evicts_least_recent_by_weight(monkeypatch, memo_runs):
 
     def held_mus():
         # The entries of d's group, least recently used first.
-        entries = [ref() for ref in MEMO._order]
-        assert all(e.home is w.memo_entries for e in entries)
-        return [e.key[1][0] for e in entries if e.key[0] is admissible._adm.__wrapped__]
+        assert list(MEMO._weights) == [w]
+        return [args[0] for body, args in w.memo_entries if body is admissible._adm.__wrapped__]
 
     first = adm(d, (1, 0))
     adm(d, (1, 1))
@@ -284,8 +283,34 @@ def test_memo_entries_go_with_their_group():
     del fresh
     gc.collect()
     assert group() is None
-    assert MEMO.held == kept and len(MEMO._order) == 1
+    assert MEMO.held == kept and list(MEMO._weights) == [d.weyl]
     assert len(d.weyl.memo_entries) == 1
+
+
+def test_memo_evicts_least_recent_across_groups(monkeypatch):
+    # The bound is summed over groups: under a bound of two sets, the
+    # entry used least recently goes first, whichever group holds it.
+    a2, c2 = preset("A2_sc").datum, preset("C2_sc").datum
+    monkeypatch.setattr(MEMO, "bound", len(adm(a2, (1, 1))) + len(adm(c2, (1, 1))))
+
+    def held_mus(d):
+        return [args[0] for _body, args in d.weyl.memo_entries]
+
+    MEMO.clear()
+    adm(a2, (1, 1))
+    adm(c2, (1, 1))
+    assert MEMO.held == MEMO.bound
+    adm(c2, (0, 0))
+    assert held_mus(a2) == [] and held_mus(c2) == [(1, 1), (0, 0)]
+    assert list(MEMO._weights) == [c2.weyl]
+    # A hit renews its entry: the C2 set is now the least recent.
+    MEMO.clear()
+    first = adm(a2, (1, 1))
+    adm(c2, (1, 1))
+    assert adm(a2, (1, 1)) is first
+    adm(c2, (0, 0))
+    assert held_mus(a2) == [(1, 1)] and held_mus(c2) == [(0, 0)]
+    assert MEMO.held == len(first) + 1
 
 
 def test_adm_parahoric_trivial_k():

@@ -21,6 +21,7 @@ from helpers import (
     ball_length_counts_oracle,
     length_oracle,
     preimage_affine_root,
+    s_permutation_by_conjugation,
     subword_set,
 )
 
@@ -341,6 +342,19 @@ def test_omega_normalizes_walls():
             for s in w.simple_affine:
                 conj = om.element * s.element * om.element.inverse()
                 assert conj == w.simple(perm[s.index])
+
+
+def test_s_permutation_matches_conjugation_oracle():
+    # The wall map of act_on_affine_root against forming omega s omega^{-1}.
+    for p in catalog():
+        w = p.datum.weyl
+        omegas = [o.element for o in w.omega_elements()]
+        seen = set(omegas) | {w.omega_of(x) for x in w.ball(4, omegas)}
+        for om in seen:
+            assert w.s_permutation_of(om) == s_permutation_by_conjugation(w, om), (p.name, om)
+    w = preset("A1_sc").datum.weyl
+    with pytest.raises(DatumMismatch):
+        w.s_permutation_of(w.simple(0))
 
 
 def test_kappa_homomorphism():

@@ -14,9 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "adlv").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
-# Tests read the memo's bound through it.
-ALLOWED = {"ElementMemo.held"}
-
 
 def definitions(tree, prefix=""):
     """(qualified name, node) of every non-dunder def and class."""
@@ -52,7 +49,7 @@ def test_every_definition_is_read_outside_itself():
     for path in PACKAGE:
         elsewhere = {name for p in READERS if p != path for name, _line in refs[p]}
         for qual, node in definitions(trees[path]):
-            if qual in ALLOWED or node.name in elsewhere:
+            if node.name in elsewhere:
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and line not in inside for name, line in refs[path]):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.errors import BallExhausted, SchemaError
+from adlv.errors import BudgetExceeded, SchemaError
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
@@ -221,12 +221,12 @@ def test_plateau_budget():
     d, sig = split("C2_sc")
     w = d.weyl
     x = w.simple(0) * w.simple(1)
-    with pytest.raises(BallExhausted):
-        sig.plateau(x, node_budget=1)
+    with pytest.raises(BudgetExceeded):
+        sig.plateau(x, budget=1)
     # A cached plateau obeys the budget too.
     assert len(sig.plateau(x).members) == 2
-    with pytest.raises(BallExhausted):
-        sig.plateau(x, node_budget=1)
+    with pytest.raises(BudgetExceeded):
+        sig.plateau(x, budget=1)
 
 
 def test_tags_group_translations():

@@ -19,7 +19,7 @@ from adlv.picard import (
 )
 from adlv.presets import catalog, preset
 
-from helpers import pic_class_from_fractions
+from helpers import pic_class_from_fractions, reflection_action, s_permutation_by_conjugation
 
 
 def permutation_action(n, perm):
@@ -53,7 +53,7 @@ def test_pic_class_p_power_denominators():
 def test_reflection_action_affine_a1():
     w = preset("A1_sc").datum.weyl
     pic = PicardLattice(w)
-    s1 = pic.reflection_action(1)
+    s1 = reflection_action(pic, 1)
     # s1 eps1 = -eps1 + 2 eps0 per the Cartan matrix ((2,-2),(-2,2))
     assert [row[1] for row in s1] == [2, -1]
     assert [row[0] for row in s1] == [1, 0]
@@ -66,7 +66,7 @@ def test_involutions_and_coxeter_relations_all_presets():
         pic = PicardLattice(p.datum.weyl)
         n = pic.n
         for i in range(n):
-            m = pic.reflection_action(i)
+            m = reflection_action(pic, i)
             assert mat_mul(m, m) == identity_matrix(n)
         for i in range(n):
             for j in range(i + 1, n):
@@ -74,7 +74,7 @@ def test_involutions_and_coxeter_relations_all_presets():
                 m_ij = bond.get(prod)
                 if m_ij is None:
                     continue
-                two = mat_mul(pic.reflection_action(i), pic.reflection_action(j))
+                two = mat_mul(reflection_action(pic, i), reflection_action(pic, j))
                 power = identity_matrix(n)
                 for _ in range(m_ij):
                     power = mat_mul(power, two)
@@ -96,7 +96,7 @@ def test_word_and_sigma_actions():
     pic = PicardLattice(w)
     # word of t^{alpha^vee} = s0 s1 equals the direct matrix product
     t_op = pic.element_action(w.translation((1,)))
-    manual = mat_mul(pic.reflection_action(0), pic.reflection_action(1))
+    manual = mat_mul(reflection_action(pic, 0), reflection_action(pic, 1))
     assert t_op == manual
     # translation operators are unipotent: (M - 1)^2 = 0 in rank 2
     m_minus = tuple(
@@ -115,6 +115,17 @@ def test_omega_action_has_factor_one():
     assert sorted(x for row in op for x in row) == [0, 0, 1, 1]
 
 
+def matrix_action(pic, x):
+    """x's Picard operator as the product of the full reflection matrices
+    along its reduced word, then omega's permutation by conjugation."""
+    w = pic.group
+    word, omega = w.reduced_word(x)
+    manual = identity_matrix(pic.n)
+    for i in word:
+        manual = mat_mul(manual, reflection_action(pic, i))
+    return mat_mul(manual, permutation_action(pic.n, s_permutation_by_conjugation(w, omega)))
+
+
 def test_element_action_matches_matrix_products_all_presets():
     # The column updates must agree with the product of the full
     # reflection and permutation matrices along the reduced word.
@@ -123,12 +134,39 @@ def test_element_action_matches_matrix_products_all_presets():
         pic = PicardLattice(w)
         omegas = [o.element for o in w.omega_elements()]
         for x in w.ball(3, omegas):
-            word, omega = w.reduced_word(x)
-            manual = identity_matrix(pic.n)
-            for i in word:
-                manual = mat_mul(manual, pic.reflection_action(i))
-            perm = permutation_action(pic.n, w.s_permutation_of(omega))
-            assert pic.element_action(x) == mat_mul(manual, perm)
+            assert pic.element_action(x) == matrix_action(pic, x)
+
+
+def test_certificates_by_the_element_x_sigma_w_inverse():
+    # M = A(x) . q P_sigma . A(w^{-1}) is built per member; independently,
+    # it is q A(y) P_sigma for the one element y = x sigma(w^{-1}), since
+    # P_sigma A(v) = A(sigma(v)) P_sigma.  Then (M - 1) L is the stated
+    # difference, in Fractions.
+    checked = 0
+    for p in catalog():
+        w = p.datum.weyl
+        pic = PicardLattice(w)
+        omegas = [o.element for o in w.omega_elements()]
+        for name in sorted(p.sigmas):
+            sigma = FrobeniusDatum(p.datum, p.sigmas[name], q=2)
+            p_sigma = permutation_action(pic.n, sigma.s_permutation)
+            for _tag, members in sigma.straight_class_tags(w.ball(4, omegas)):
+                for wx, xx, cert in class_certificates(sigma, members):
+                    assert cert is not None, (p.name, name, wx, xx)
+                    y = xx * sigma.apply(wx.inverse())
+                    op = tuple(
+                        tuple(sigma.q * v for v in row)
+                        for row in mat_mul(matrix_action(pic, y), p_sigma)
+                    )
+                    assert op == cert.operator, (p.name, name, wx, xx)
+                    values = cert.pic_class.values()
+                    diff = tuple(
+                        sum(m * v for m, v in zip(row, values)) - v_r
+                        for row, v_r in zip(op, values)
+                    )
+                    assert diff == cert.difference, (p.name, name, wx, xx)
+                    checked += 1
+    assert checked == 733
 
 
 def test_is_ample():
