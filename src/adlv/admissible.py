@@ -184,7 +184,7 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     datum: equal data built apart have distinct groups, and a set's
     elements are bound to one of them.  A BudgetExceeded is not cached."""
     d = w.datum
-    mu_dom = tuple(int(x) for x in d.dominant(mu))
+    mu_dom = tuple(d.dominant_word(mu)[0])
     maxima = maximal_translations(d, mu)
     try:
         elements = closure(maxima, w.covers_below, budget)
@@ -286,7 +286,7 @@ class _Membership(NamedTuple):
 def _membership_data(w: AffineWeylGroup, mu: IntVec) -> _Membership:
     """The membership data of mu, kept per group and mu."""
     d = w.datum
-    mu_dom = tuple(int(c) for c in d.dominant(mu))
+    mu_dom = tuple(d.dominant_word(mu)[0])
     alcove = d.base_alcove
     maxima = maximal_translations(d, mu)
     return _Membership(

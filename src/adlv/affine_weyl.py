@@ -17,6 +17,7 @@ memo); elements are immutable values.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -374,14 +375,8 @@ class AffineWeylGroup:
         """One length-zero element per torsion class of pi_1, plus one
         designated generator per free class."""
         pi1 = self.datum.pi1
-        out = []
-        for coords in pi1.torsion_elements():
-            lam = pi1.lift(coords)
-            out.append(self.omega_elt(self.omega_of(self.translation(lam))))
-        for coords in pi1.free_generator_coords():
-            lam = pi1.lift(coords)
-            out.append(self.omega_elt(self.omega_of(self.translation(lam))))
-        return out
+        coords = itertools.chain(pi1.torsion_elements(), pi1.free_generator_coords())
+        return [self.omega_elt(self.omega_of(self.translation(pi1.lift(c)))) for c in coords]
 
     # -- Bruhat order ------------------------------------------------------------
 

@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -251,19 +252,9 @@ class FinAbGroup:
 
     def torsion_elements(self) -> Iterator[Vec]:
         """All elements of the torsion subgroup, in lexicographic order."""
-        slots = [di for di in self._diag if di != 1]
-
-        def rec(i: int, acc: list[int]) -> Iterator[Vec]:
-            if i == len(slots):
-                yield tuple(acc)
-                return
-            rng = range(slots[i]) if slots[i] > 1 else [0]
-            for c in rng:
-                acc.append(c)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
+        return itertools.product(
+            *(range(di) if di > 1 else (0,) for di in self._diag if di != 1)
+        )
 
     def free_generator_coords(self) -> list[Vec]:
         """One coordinate tuple per free summand (unit vectors)."""

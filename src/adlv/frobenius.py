@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement, closure
 from .errors import BudgetExceeded, DatumMismatch, PeriodOverflow, SchemaError
@@ -87,9 +87,6 @@ class FrobeniusDatum:
     def on_affine_root(self, root: AffineRoot) -> AffineRoot:
         return AffineRoot(vec_mat(root.gradient, self.matrix_inv), root.level)
 
-    def on_vector(self, v: Sequence) -> tuple:
-        return tuple(mat_vec(self.matrix, v))
-
     def _perm_of(self, u_idx: int) -> int:
         hit = self._u_perm.get(u_idx)
         if hit is not None:
@@ -119,41 +116,23 @@ class FrobeniusDatum:
         if hit is not None:
             return hit
         w = self.datum.weyl
-        n0 = self.order
         b = mat_mul(w.w0_list[u_idx], self.matrix)
         ident = identity_matrix(self.datum.rank)
-        cap = n0 * len(w.w0_list)
-        power = ident
-        acc = [[0] * self.datum.rank for _ in range(self.datum.rank)]
-        n = 0
-        while n < cap:
-            for i in range(self.datum.rank):
-                for j in range(self.datum.rank):
-                    acc[i][j] += power[i][j]
-            power = mat_mul(power, b)
-            n += 1
-            if n % n0 == 0 and power == ident:
-                res = (tuple(tuple(r) for r in acc), n)
+        cap = self.order * len(w.w0_list)
+        powers = [ident]
+        while len(powers) <= cap:
+            nxt = mat_mul(powers[-1], b)
+            if len(powers) % self.order == 0 and nxt == ident:
+                res = (tuple(tuple(map(sum, zip(*rows))) for rows in zip(*powers)), len(powers))
                 self._newton_cache[u_idx] = res
                 return res
+            powers.append(nxt)
         raise PeriodOverflow(f"no period below {cap}; datum is inconsistent")
 
     def newton_vector(self, x: AffineWeylElement) -> QVec:
         """The raw (not dominantized) Newton vector of x."""
         p, n = self._newton_data(x.u_idx)
         return tuple(Fraction(c, n) for c in mat_vec(p, x.lam))
-
-    def newton_point(self, x: AffineWeylElement) -> "NewtonPoint":
-        dom = self.datum.dominant(self.newton_vector(x))
-        sigma_dom = self.datum.dominant(self.on_vector(dom))
-        assert sigma_dom == dom, "Newton point must be sigma-invariant"
-        return NewtonPoint(dom, self._newton_data(x.u_idx)[1])
-
-    def kottwitz(self, x: AffineWeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(class in pi_1, class in sigma-coinvariants of pi_1)."""
-        k0 = self.datum.pi1.project(x.lam)
-        ks = self.pi1_coinvariants.project(x.lam)
-        return k0, ks
 
     @cached_property
     def pi1_coinvariants(self) -> FinAbGroup:
@@ -173,9 +152,27 @@ class FrobeniusDatum:
         return total == n * self.datum.weyl.length(x)
 
     def tag_of(self, x: AffineWeylElement) -> "StraightClassTag":
-        np_ = self.newton_point(x)
-        k0, ks = self.kottwitz(x)
-        return StraightClassTag(np_.nu_bar, k0, ks)
+        """(Newton point, Kottwitz) tag of x: the dominant representative
+        of P lam, found in integers and divided by N once.
+
+        >>> from adlv.presets import preset
+        >>> d = preset("A1_ad").datum
+        >>> sigma = FrobeniusDatum(d)
+        >>> sigma.tag_of(d.weyl.omega_elements()[1].element)
+        Tag(nu=0, k=(1,))
+        >>> sigma.tag_of(d.weyl.translation((-3,)))
+        Tag(nu=3, k=(1,))
+        """
+        p, n = self._newton_data(x.u_idx)
+        dom = self.datum.dominant_word(mat_vec(p, x.lam))[0]
+        assert self.datum.dominant_word(mat_vec(self.matrix, dom))[0] == dom, (
+            "Newton point must be sigma-invariant"
+        )
+        return StraightClassTag(
+            tuple(Fraction(c, n) for c in dom),
+            self.datum.pi1.project(x.lam),
+            self.pi1_coinvariants.project(x.lam),
+        )
 
     # -- reduction -------------------------------------------------------------
 
@@ -257,7 +254,7 @@ class FrobeniusDatum:
             groups.setdefault(self.tag_of(x), []).append(x)
         return sorted(
             groups.items(),
-            key=lambda kv: (self.datum.pairing_height(kv[0].nu_bar), kv[0].nu_bar),
+            key=lambda kv: (dot(self.datum.two_rho, kv[0].nu_bar), kv[0].nu_bar),
         )
 
     # -- serialization -------------------------------------------------------------
@@ -278,10 +275,10 @@ class FrobeniusDatum:
             if not isinstance(row, list) or len(row) != datum.rank:
                 raise SchemaError(f"/lattice_matrix/{i}: expected {datum.rank} entries")
             for j, x in enumerate(row):
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise SchemaError(f"/lattice_matrix/{i}/{j}: expected integer")
         q = obj.get("q", 2)
-        if not isinstance(q, int):
+        if isinstance(q, bool) or not isinstance(q, int):
             raise SchemaError("/q: expected integer")
         return cls(datum, tuple(tuple(r) for r in mat), q)
 
@@ -307,12 +304,6 @@ class Plateau:
 
     members: frozenset
     descent: tuple | None  # (member, simple index) or None
-
-
-@dataclass(frozen=True)
-class NewtonPoint:
-    nu_bar: QVec
-    period: int
 
 
 @dataclass(frozen=True)

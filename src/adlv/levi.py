@@ -25,8 +25,6 @@ from .linalg import dot, mat_mul, mat_vec, principal_minors_positive
 from .newton_bg import b_g_mu, straight_classes
 from .root_datum import RootDatum
 
-QVec = tuple[Fraction, ...]
-
 
 def _normalize_direction(v: Sequence) -> tuple[int, ...]:
     """Scale v by a positive rational to a primitive integer vector."""
@@ -46,7 +44,6 @@ def _normalize_direction(v: Sequence) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class LeviDatum:
     direction: tuple[int, ...]  # primitive integer representative of v
-    vanishing_roots: frozenset  # Phi_{v,0}
     sub_datum: RootDatum  # root datum of M_v on the same lattice
     simple_affine_roots: tuple[AffineRoot, ...]  # the walls S_v
 
@@ -70,8 +67,7 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
     if hit is not None:
         return hit
 
-    vanishing = frozenset(a for a in d.root_set if dot(a, key) == 0)
-    m_positives = [a for a in d.positive_roots if a in vanishing]
+    m_positives = [a for a in d.positive_roots if dot(a, key) == 0]
     pos_set = set(m_positives)
     simples = tuple(
         a
@@ -94,7 +90,6 @@ def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
         d._levi_sub_cache[simples] = sub
     levi = LeviDatum(
         direction=key,
-        vanishing_roots=vanishing,
         sub_datum=sub,
         simple_affine_roots=tuple(s.root for s in sub.weyl.simple_affine),
     )
@@ -339,7 +334,6 @@ def essentially_noncentral(
 @dataclass(frozen=True)
 class Pi0Stratum:
     element: AffineWeylElement
-    newton: QVec
     levi_rank: int
     pi1_levi: FinAbGroup
     essentially_nontrivial: bool
@@ -416,12 +410,10 @@ def pi0_predict(
         members = [x for x in members if not w.has_left_descent_in(x, k_tuple)]
     strata = []
     for x in members:
-        nu = sigma.newton_vector(x)
-        levi = levi_of(d, nu)
+        levi = levi_of(d, sigma.newton_vector(x))
         strata.append(
             Pi0Stratum(
                 element=x,
-                newton=nu,
                 levi_rank=levi.semisimple_rank,
                 pi1_levi=levi.pi1,
                 essentially_nontrivial=essentially_noncentral(

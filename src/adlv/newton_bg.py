@@ -34,19 +34,17 @@ def mu_natural(sigma: FrobeniusDatum, mu: Sequence[int]) -> tuple[int, ...]:
 
 
 def mu_diamond(sigma: FrobeniusDatum, mu: Sequence[int]) -> QVec:
-    """Average of the dominant representative over the sigma action."""
+    """Average of the dominant representative over the sigma action,
+    summed in integers and divided by the order of sigma once."""
     d = sigma.datum
-    dom = d.dominant(mu)
-    n = sigma.order
-    acc = [Fraction(0)] * d.rank
-    cur = dom
-    for _ in range(n):
+    cur = d.dominant_word(mu)[0]
+    acc = [0] * d.rank
+    for _ in range(sigma.order):
         acc = [a + c for a, c in zip(acc, cur)]
-        cur = tuple(Fraction(x) for x in mat_vec(sigma.matrix, cur))
-    out = tuple(a / n for a in acc)
-    assert d.is_dominant(out), "sigma average left the dominant chamber"
-    assert tuple(Fraction(x) for x in mat_vec(sigma.matrix, out)) == out
-    return out
+        cur = mat_vec(sigma.matrix, cur)
+    assert d.is_dominant(acc), "sigma average left the dominant chamber"
+    assert mat_vec(sigma.matrix, acc) == tuple(acc)
+    return tuple(Fraction(a, sigma.order) for a in acc)
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,10 @@ def _b_g_mu(
 
     # Independent audit: recompute the defining conditions per element.
     for tag, rep in kept:
-        np_ = sigma.newton_point(rep)
-        assert np_.nu_bar == tag.nu_bar
-        assert sigma.pi1_coinvariants.project(rep.lam) == mu_nat
-        assert d.dominance_leq(np_.nu_bar, mu_dia)
+        again = sigma.tag_of(rep)
+        assert again == tag
+        assert again.kappa_sigma == mu_nat
+        assert d.dominance_leq(again.nu_bar, mu_dia)
 
     tau_tag = sigma.tag_of(adm(d, mu, budget=budget).tau.element)
     lows = [t for t, _ in kept if all(d.dominance_leq(t.nu_bar, o.nu_bar) for o, _ in kept)]

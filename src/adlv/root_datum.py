@@ -251,10 +251,6 @@ class RootDatum:
         """Pairs to zero with every root."""
         return all(dot(a, v) == 0 for a in self.simple_roots)
 
-    def pairing_height(self, v: Sequence) -> Fraction:
-        """<v, 2 rho> as an exact rational."""
-        return Fraction(dot(self.two_rho, v))
-
     def dominant_word(self, v: Sequence[int]) -> tuple[list[int], list[int]]:
         """The dominant vector of the W0-orbit of the integer vector v, and
         the simple reflections i_1, ..., i_k that took v there, in the
@@ -275,25 +271,16 @@ class RootDatum:
             else:
                 return cur, word
 
-    def _dominant_scaled(self, v: Sequence) -> tuple[list[int], list[int], int]:
-        """dominant_word on the integer numerator of v over the lcm `den`
-        of its denominators; returns (dominant numerator, word, den)."""
-        q = [Fraction(x) for x in v]
-        den = lcm(*(x.denominator for x in q))
-        cur, word = self.dominant_word([x.numerator * (den // x.denominator) for x in q])
-        return cur, word, den
-
-    def dominant(self, v: Sequence) -> QVec:
-        """Dominant representative of the W0-orbit of v."""
-        cur, _word, den = self._dominant_scaled(v)
-        return tuple(Fraction(c, den) for c in cur)
-
     def dominant_rep(self, v: Sequence) -> tuple[QVec, Mat]:
         """Dominant representative of the W0-orbit of v and a witness w.
 
-        The witness matrix satisfies  witness . v = result.
+        The witness matrix satisfies  witness . v = result.  Runs
+        dominant_word on the integer numerator of v over the lcm of its
+        denominators.
         """
-        cur, word, den = self._dominant_scaled(v)
+        q = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in q))
+        cur, word = self.dominant_word([x.numerator * (den // x.denominator) for x in q])
         wit = identity_matrix(self.rank)
         for i in word:
             wit = mat_mul(self.simple_reflections[i], wit)
@@ -427,6 +414,6 @@ def build_root_datum(spec) -> RootDatum:
             if not isinstance(v, list):
                 raise SchemaError(f"/{key}/{i}: expected a list of integers")
             for j, x in enumerate(v):
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise SchemaError(f"/{key}/{i}/{j}: expected integer")
     return RootDatum(rank, roots, coroots, name=str(spec.get("name", "")))

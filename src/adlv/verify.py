@@ -33,7 +33,6 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class VerifyScales:
     reduction_length: int = 8
-    reduction_buffer: int = 2
     tag_length: int = 12
     fundamental_length: int = 8
     fixed_point_length: int = 10
@@ -48,7 +47,6 @@ class VerifyScales:
     def quick(cls) -> "VerifyScales":
         return cls(
             reduction_length=4,
-            reduction_buffer=2,
             tag_length=6,
             fundamental_length=5,
             fixed_point_length=6,
@@ -180,7 +178,11 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
     W_a-coset, so it never leaves the ball."""
     runs = []
     ok = True
-    pad = scales.reduction_length + scales.reduction_buffer
+    # A step s y sigma(s) changes length by at most 2.  Padding the ball
+    # by 2 lets each component pass one step above every checked element,
+    # so the reduction is compared with minima reached through longer
+    # elements too.
+    pad = scales.reduction_length + 2
     for p in catalog():
         w = p.datum.weyl
         elements = w.ball(pad, _designated_omegas(p.datum), budget=scales.budget)

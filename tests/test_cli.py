@@ -326,6 +326,17 @@ def test_exit_schema_errors():
         (("adm", "--group",
           '{"rank": true, "simple_roots": [[2]], "simple_coroots": [[1]]}',
           "--mu", "1"), "/rank"),
+        # JSON booleans are not integers, although Python's bool is an int.
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma",
+          '{"lattice_matrix": [[true]], "q": 2}'), "/lattice_matrix/0/0: expected integer"),
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma",
+          '{"lattice_matrix": [[1]], "q": true}'), "/q: expected integer"),
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": [[true]], "simple_coroots": [[1]]}',
+          "--mu", "1"), "/simple_roots/0/0: expected integer"),
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": [[2]], "simple_coroots": [[true]]}',
+          "--mu", "1"), "/simple_coroots/0/0: expected integer"),
         # Rejected before any rank x rank matrix is allocated.
         (("adm", "--group",
           '{"rank": 100000, "simple_roots": [], "simple_coroots": []}',

@@ -8,7 +8,7 @@ from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import conjugation_orbit
+from helpers import conjugation_orbit, tag_by_fractions
 
 
 def split(name, q=2):
@@ -67,30 +67,29 @@ def test_triality_has_order_three():
 def test_newton_examples():
     d, sig = split("A1_sc")
     w = d.weyl
-    np1 = sig.newton_point(w.translation((1,)))
-    assert np1.nu_bar == (Fraction(1),) and np1.period == 1
-    np2 = sig.newton_point(w.translation((-1,)))
-    assert np2.nu_bar == (Fraction(1),)
-    assert sig.newton_point(w.simple(1)).nu_bar == (Fraction(0),)
-    assert sig.newton_point(w.simple(0)).nu_bar == (Fraction(0),)
+    t = w.translation((1,))
+    assert sig.tag_of(t).nu_bar == (Fraction(1),) and sig._newton_data(t.u_idx)[1] == 1
+    assert sig.tag_of(w.translation((-1,))).nu_bar == (Fraction(1),)
+    assert sig.tag_of(w.simple(1)).nu_bar == (Fraction(0),)
+    assert sig.tag_of(w.simple(0)).nu_bar == (Fraction(0),)
     assert sig.newton_vector(w.simple(0)) == (Fraction(0),)
 
 
 def test_newton_sigma_trivial_translation():
     d, sig = split("C2_sc")
     w = d.weyl
-    nu = sig.newton_point(w.translation((0, -2)))
     dom, _ = d.dominant_rep((0, -2))
-    assert nu.nu_bar == dom
+    assert sig.tag_of(w.translation((0, -2))).nu_bar == dom
 
 
 def test_kottwitz_examples():
     d, sig = split("A1_sc")
-    assert sig.kottwitz(d.weyl.translation((1,))) == ((), ())
+    tag = sig.tag_of(d.weyl.translation((1,)))
+    assert (tag.kappa0, tag.kappa_sigma) == ((), ())
     d2, sig2 = split("A1_ad")
     tau = d2.weyl.from_finite_word((1,), (0,))
-    k0, ks = sig2.kottwitz(tau)
-    assert k0 == (1,) and ks == (1,)
+    tag = sig2.tag_of(tau)
+    assert (tag.kappa0, tag.kappa_sigma) == ((1,), (1,))
 
 
 def test_straight_examples():
@@ -132,10 +131,10 @@ def test_newton_invariant_under_twisted_conjugation():
             sig = FrobeniusDatum(p.datum, p.sigmas[sig_name])
             w = p.datum.weyl
             for x in w.ball(6):
-                nu = sig.newton_point(x).nu_bar
+                nu = sig.tag_of(x).nu_bar
                 for s in w.simple_affine:
                     y = sig.conj_step(s.index, x)
-                    assert sig.newton_point(y).nu_bar == nu
+                    assert sig.tag_of(y).nu_bar == nu
 
 
 def test_kappa_constant_on_classes_in_coinvariants():
@@ -147,7 +146,26 @@ def test_kappa_constant_on_classes_in_coinvariants():
     for _ in range(60):
         x, g = rng.choice(ball), rng.choice(ball)
         tw = g * x * sig.apply(g.inverse())
-        assert sig.kottwitz(tw)[1] == sig.kottwitz(x)[1]
+        assert sig.tag_of(tw).kappa_sigma == sig.tag_of(x).kappa_sigma
+
+
+def test_tag_matches_fraction_route():
+    """tag_of, in integers, against the Newton vector made dominant in
+    Fractions and the two Kottwitz projections, on every catalog sigma.
+
+    Every catalog sigma is split or acts on a trivial pi_1, so its two
+    Kottwitz classes agree; the swap on A1_ad x A1_ad, where pi_1 =
+    (Z/2)^2 and the coinvariants are Z/2, tells them apart."""
+    ad2 = RootDatum(2, ((1, 0), (0, 1)), ((2, 0), (0, 2)), name="A1adxA1ad")
+    cases = [(p.datum, name, p.sigmas[name]) for p in catalog() for name in sorted(p.sigmas)]
+    cases.append((ad2, "swap", ((0, 1), (1, 0))))
+    for d, sig_name, matrix in cases:
+        w = d.weyl
+        sig = FrobeniusDatum(d, matrix)
+        for x in w.ball(4, [o.element for o in w.omega_elements()]):
+            tag = sig.tag_of(x)
+            got = (tag.nu_bar, tag.kappa0, tag.kappa_sigma)
+            assert got == tag_by_fractions(sig, x), (d.name, sig_name, x)
 
 
 def test_reduce_examples():

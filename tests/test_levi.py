@@ -356,7 +356,7 @@ def test_levi_sub_datum_shared_per_vanishing_roots():
     # Two regular directions: no root vanishes on either.
     first = levi_of(d, (3, 1))
     second = levi_of(d, (1, 3))
-    assert first.vanishing_roots == second.vanishing_roots == frozenset()
+    assert first.sub_datum.positive_roots == second.sub_datum.positive_roots == ()
     assert first.sub_datum is second.sub_datum
     assert first.direction != second.direction
     assert first is not second

@@ -140,15 +140,6 @@ def test_dominant_rep_matches_fraction_loop(data):
     assert [type(c) for row in wit for c in row] == [type(c) for row in wit_o for c in row]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_dominant_is_dominant_rep_without_witness(data):
-    d = data.draw(st.sampled_from([p.datum for p in catalog()]))
-    entry = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
-    v = tuple(data.draw(entry) for _ in range(d.rank))
-    assert d.dominant(v) == d.dominant_rep(v)[0]
-
-
 def test_base_alcove_against_fraction_geometry():
     for p in catalog():
         d = p.datum
