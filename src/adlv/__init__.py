@@ -3,7 +3,7 @@
 from .admissible import AdmissibleSet, adm, in_adm, tau_mu
 from .affine_weyl import AffineRoot, AffineWeylElement, AffineWeylGroup, OmegaElt
 from .frobenius import FrobeniusDatum, StraightClassTag
-from .levi import LeviDatum, jb_shadow, levi_of, pi0_predict
+from .levi import jb_shadow, levi_of, pi0_predict
 from .newton_bg import BGMuElement, b_g_mu, obstruction_class
 from .picard import PicardLattice, PicClass, descent_certificate
 from .presets import catalog, preset
@@ -18,7 +18,6 @@ __all__ = [
     "AffineWeylGroup",
     "BGMuElement",
     "FrobeniusDatum",
-    "LeviDatum",
     "OmegaElt",
     "PicClass",
     "PicardLattice",

@@ -32,6 +32,23 @@ from .root_datum import RootDatum
 QVec = tuple[Fraction, ...]
 
 
+def prime_of_residue_cardinality(q: int) -> int:
+    """The prime p with q = p^e."""
+    if q < 2:
+        raise SchemaError("/q: residue cardinality must be at least 2")
+    p = 2
+    n = q
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            if n != 1:
+                raise SchemaError(f"/q: residue cardinality {q} is not a prime power")
+            return p
+        p += 1
+    return n
+
+
 class FrobeniusDatum:
     """Length-preserving automorphism of (W, S) given by a lattice matrix."""
 
@@ -42,9 +59,8 @@ class FrobeniusDatum:
             if matrix is not None
             else identity_matrix(datum.rank)
         )
-        if q < 2:
-            raise SchemaError("/q: residue cardinality must be at least 2")
         self.q = q
+        self.p = prime_of_residue_cardinality(q)
         det = mat_det(self.matrix)
         if det not in (1, -1):
             raise SchemaError(f"/lattice_matrix: determinant {det} is not +-1")
@@ -129,10 +145,10 @@ class FrobeniusDatum:
             powers.append(nxt)
         raise PeriodOverflow(f"no period below {cap}; datum is inconsistent")
 
-    def newton_vector(self, x: AffineWeylElement) -> QVec:
-        """The raw (not dominantized) Newton vector of x."""
-        p, n = self._newton_data(x.u_idx)
-        return tuple(Fraction(c, n) for c in mat_vec(p, x.lam))
+    def newton_direction(self, x: AffineWeylElement) -> tuple[int, ...]:
+        """N nu for the raw (not dominantized) Newton vector nu of x, in
+        integers: P lam."""
+        return mat_vec(self._newton_data(x.u_idx)[0], x.lam)
 
     @cached_property
     def pi1_coinvariants(self) -> FinAbGroup:

@@ -12,12 +12,10 @@ lattice, its Weyl elements are directly comparable with ambient ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Callable, Sequence
 
 from .admissible import in_adm
-from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement
+from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement, closure
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
@@ -26,75 +24,35 @@ from .newton_bg import b_g_mu, straight_classes
 from .root_datum import RootDatum
 
 
-def _normalize_direction(v: Sequence) -> tuple[int, ...]:
-    """Scale v by a positive rational to a primitive integer vector."""
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+def levi_of(d: RootDatum, v: Sequence) -> RootDatum:
+    """The root datum of M_v, cached per set of roots vanishing on v.
 
-
-@dataclass(frozen=True)
-class LeviDatum:
-    direction: tuple[int, ...]  # primitive integer representative of v
-    sub_datum: RootDatum  # root datum of M_v on the same lattice
-    simple_affine_roots: tuple[AffineRoot, ...]  # the walls S_v
-
-    @property
-    def pi1(self) -> FinAbGroup:
-        return self.sub_datum.pi1
-
-    @property
-    def semisimple_rank(self) -> int:
-        return self.sub_datum.n_simple
-
-
-def levi_of(d: RootDatum, v: Sequence) -> LeviDatum:
-    """The Levi datum of the direction v, cached per datum.
-
-    Directions with the same vanishing simple roots share one sub-datum,
-    hence one Weyl group and its memos.
+    v may have integer or Fraction entries; v, 2v and -v share one
+    entry, since M_v = M_{-v}.  The full datum is d itself.
     """
-    key = _normalize_direction(v)
+    key = tuple(a for a in d.positive_roots if dot(a, v) == 0)
     hit = d._levi_cache.get(key)
     if hit is not None:
         return hit
-
-    m_positives = [a for a in d.positive_roots if dot(a, key) == 0]
-    pos_set = set(m_positives)
+    pos_set = set(key)
     simples = tuple(
         a
-        for a in m_positives
+        for a in key
         if not any(b != a and tuple(x - y for x, y in zip(a, b)) in pos_set
                    for b in pos_set)
     )
-    sub = d._levi_sub_cache.get(simples)
-    if sub is None:
-        if simples == d.simple_roots:
-            sub = d
-        else:
-            sub = RootDatum(
-                d.rank,
-                simples,
-                tuple(d.coroot(a) for a in simples),
-                name=f"{d.name or 'datum'}|M={simples}",
-            )
-            assert set(sub.positive_roots) == pos_set, "subsystem closure mismatch"
-        d._levi_sub_cache[simples] = sub
-    levi = LeviDatum(
-        direction=key,
-        sub_datum=sub,
-        simple_affine_roots=tuple(s.root for s in sub.weyl.simple_affine),
-    )
-    d._levi_cache[key] = levi
-    return levi
+    if simples == d.simple_roots:
+        sub = d
+    else:
+        sub = RootDatum(
+            d.rank,
+            simples,
+            tuple(d.coroot(a) for a in simples),
+            name=f"{d.name or 'datum'}|M={simples}",
+        )
+        assert set(sub.positive_roots) == pos_set, "subsystem closure mismatch"
+    d._levi_cache[key] = sub
+    return sub
 
 
 def sub_element(d: RootDatum, x: AffineWeylElement) -> AffineWeylElement:
@@ -124,12 +82,11 @@ def is_v_alcove(
     for a positive root b, [a . u < 0] is the length offset of u at b,
     flipped for a = -b (see AffineWeylGroup.is_left_descent).
     """
-    levi = levi_of(d, v)
-    direction = levi.direction
-    if mat_vec(x.mat, mat_vec(sigma.matrix, direction)) != direction:
+    v = tuple(v)
+    if mat_vec(x.mat, mat_vec(sigma.matrix, v)) != v:
         return False
     for b, off in zip(d.positive_roots, d.weyl.w0_offsets[x.u_idx]):
-        side = dot(b, direction)
+        side = dot(b, v)
         # a = b: <b, lam> >= off;  a = -b: 1 - <b, lam> >= 1 - off.
         if side > 0 and dot(b, x.lam) < off or side < 0 and dot(b, x.lam) > off:
             return False
@@ -154,10 +111,9 @@ def is_fundamental(
     """(v, sigma)-alcove and Ad(x).sigma permutes the walls of M_v."""
     if not is_v_alcove(d, sigma, x, v):
         return False
-    levi = levi_of(d, v)
     tau = twist_map(d, sigma, x)
-    walls = set(levi.simple_affine_roots)
-    return all(tau(beta) in walls for beta in levi.simple_affine_roots)
+    walls = {s.root for s in levi_of(d, v).weyl.simple_affine}
+    return all(tau(beta) in walls for beta in walls)
 
 
 # -- tau orbits on the Levi walls ------------------------------------------------------
@@ -260,7 +216,7 @@ class JbShadow:
     part of the Levi.
     """
 
-    levi: LeviDatum
+    levi: RootDatum
     orbits: tuple[TauOrbit, ...]  # all orbits; finite ones carry w0_J
     omega_fixed_group: FinAbGroup
     omega_fixed_reps: tuple[AffineWeylElement, ...]
@@ -270,15 +226,15 @@ class JbShadow:
 def jb_shadow(d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement) -> JbShadow:
     if not sigma.is_straight(x):
         raise NotStraight("J_b structure is computed at straight elements")
-    v = sigma.newton_vector(x)
+    v = sigma.newton_direction(x)
     levi = levi_of(d, v)
     assert is_fundamental(d, sigma, x, v), "straight element must be fundamental"
     tau = twist_map(d, sigma, x)
-    orbits = tau_orbits(d, levi.simple_affine_roots, tau)
+    sub_w = levi.weyl
+    orbits = tau_orbits(d, [s.root for s in sub_w.simple_affine], tau)
     # tau acts on the length-zero part of the Levi through u_w . sigma.
     f_mat = mat_mul(x.mat, sigma.matrix)
     fixed, gens = levi.pi1.fixed_subgroup(f_mat)
-    sub_w = levi.sub_datum.weyl
     reps = []
     for g in gens:
         om = sub_w.omega_of(sub_w.translation(g))
@@ -311,24 +267,14 @@ def essentially_noncentral(
         for comp in d.components:
             image = sigma.on_affine_root(AffineRoot(d.simple_roots[comp[0]], 0))
             comp_perm.append(d.component_of_root(image.gradient))
-        comp_perm = tuple(comp_perm)
-    seen = set()
-    for start in range(len(d.components)):
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = comp_perm[cur]
-        orbit_set = set(orbit)
-        if not any(
-            d.component_of_root(a) in orbit_set and dot(a, mu) != 0
-            for a in d.positive_roots
-        ):
-            return False
-    return True
+    orbits = {
+        frozenset(closure([start], lambda c: (comp_perm[c],)))
+        for start in range(len(d.components))
+    }
+    return all(
+        any(d.component_of_root(a) in orbit and dot(a, mu) != 0 for a in d.positive_roots)
+        for orbit in orbits
+    )
 
 
 @dataclass(frozen=True)
@@ -410,15 +356,13 @@ def pi0_predict(
         members = [x for x in members if not w.has_left_descent_in(x, k_tuple)]
     strata = []
     for x in members:
-        levi = levi_of(d, sigma.newton_vector(x))
+        levi = levi_of(d, sigma.newton_direction(x))
         strata.append(
             Pi0Stratum(
                 element=x,
-                levi_rank=levi.semisimple_rank,
+                levi_rank=levi.n_simple,
                 pi1_levi=levi.pi1,
-                essentially_nontrivial=essentially_noncentral(
-                    levi.sub_datum, None, x.lam
-                ),
+                essentially_nontrivial=essentially_noncentral(levi, None, x.lam),
                 translation_part_admissible=in_adm(d, mu, w.translation(x.lam)),
             )
         )

@@ -4,7 +4,8 @@ B(G, {mu}) is computed constructively from the straight elements of the
 admissible set: group them by (Newton point, Kottwitz) tag, keep the
 tags whose Kottwitz coinvariant image is mu-natural and whose Newton
 point is dominance-below the sigma-average mu-diamond.  An independent
-audit recomputes both defining inequalities on every element returned.
+audit checks each kept Newton point against the twisted power of its
+representative, which does not use the Newton data (P, N).
 
 The straight classes and B(G, {mu}) are kept in the admissible sets'
 memo, `admissible.MEMO`, keyed by group, sigma, mu and budget and
@@ -111,12 +112,15 @@ def _b_g_mu(
         if tag.kappa_sigma == mu_nat and d.dominance_leq(tag.nu_bar, mu_dia)
     ]
 
-    # Independent audit: recompute the defining conditions per element.
+    # Independent audit: the twisted power rep sigma(rep) ... sigma^{n-1}(rep),
+    # multiplied out until n is a multiple of the order of sigma and the
+    # power is a translation, is t^{n nu}; its dominant representative is
+    # n times the tag's Newton point.
     for tag, rep in kept:
-        again = sigma.tag_of(rep)
-        assert again == tag
-        assert again.kappa_sigma == mu_nat
-        assert d.dominance_leq(again.nu_bar, mu_dia)
+        power, twist, n = rep, sigma.apply(rep), 1
+        while n % sigma.order or power.u_idx != w.w0_identity:
+            power, twist, n = power * twist, sigma.apply(twist), n + 1
+        assert d.dominant_word(power.lam)[0] == [n * c for c in tag.nu_bar]
 
     tau_tag = sigma.tag_of(adm(d, mu, budget=budget).tau.element)
     lows = [t for t, _ in kept if all(d.dominance_leq(t.nu_bar, o.nu_bar) for o, _ in kept)]

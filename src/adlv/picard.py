@@ -28,23 +28,6 @@ from .frobenius import FrobeniusDatum
 from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_bareiss
 
 
-def prime_of_residue_cardinality(q: int) -> int:
-    """The prime p with q = p^e."""
-    if q < 2:
-        raise AdlvError(f"residue cardinality {q} must be at least 2")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise AdlvError(f"residue cardinality {q} is not a prime power")
-            return p
-        p += 1
-    return n
-
-
 def _split_p_power(n: int, p: int) -> tuple[int, int]:
     """n = p^e * m with p not dividing m; returns (e, m)."""
     e = 0
@@ -168,13 +151,13 @@ def _twisted_action(
     )
 
 
-def _certify(twisted: Mat, inverse: Mat, q: int) -> DescentCertificate | None:
+def _certify(twisted: Mat, inverse: Mat, p: int) -> DescentCertificate | None:
     """The certificate for the operator M = twisted . inverse at the
     all-ones target, or None when det(M - 1) = 0.
 
     Solves (M - 1) y = d * (1, ..., 1) with d = det(M - 1), checked in
     integers, so L = y / d; then scales L by the least positive integer
-    that leaves only powers of the residue characteristic in its
+    that leaves only powers of p, the residue characteristic, in its
     denominators.
     """
     op = mat_mul(twisted, inverse)
@@ -185,7 +168,6 @@ def _certify(twisted: Mat, inverse: Mat, q: int) -> DescentCertificate | None:
     y, d = solve_bareiss(m_minus_one, (1,) * len(op))
     if d == 0 or mat_vec(m_minus_one, y) != (d,) * len(op):
         return None
-    p = prime_of_residue_cardinality(q)
     scale = 1
     for v in y:
         _e, rest = _split_p_power(abs(d) // gcd(v, d), p)
@@ -212,7 +194,7 @@ def descent_certificate(
     pic = PicardLattice(sigma.datum.weyl)
     twisted = _twisted_action(pic, sigma, x)
     inverse = pic.element_action(w.inverse())
-    cert = _certify(twisted, inverse, sigma.q)
+    cert = _certify(twisted, inverse, sigma.p)
     if cert is None:
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
@@ -246,4 +228,4 @@ def class_certificates(
     inverses = [pic.element_action(m.inverse()) for m in members]
     for w, inverse in zip(members, inverses):
         for x, tw in zip(members, twisted):
-            yield w, x, _certify(tw, inverse, sigma.q)
+            yield w, x, _certify(tw, inverse, sigma.p)

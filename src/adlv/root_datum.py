@@ -113,11 +113,10 @@ class RootDatum:
         self.highest_roots: tuple[IntVec, ...] = tuple(
             self._highest_root(c) for c in self.components
         )
-        # Filled by levi.levi_of: the Levi datum of each primitive
-        # direction, and one sub-datum per tuple of Levi simple roots, so
-        # directions with the same Levi share its Weyl group and memos.
+        # Filled by levi.levi_of: one Levi datum per set of vanishing
+        # positive roots, so directions with the same Levi share its Weyl
+        # group and memos.
         self._levi_cache: dict = {}
-        self._levi_sub_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .admissible import (
     adm,
@@ -295,7 +296,7 @@ def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
                 w.to_json(x)
                 for x in elements
                 if sigma.is_straight(x)
-                != is_fundamental(d, sigma, x, sigma.newton_vector(x))
+                != is_fundamental(d, sigma, x, sigma.newton_direction(x))
             ]
             ok = ok and not bad
             runs.append(
@@ -327,7 +328,7 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
             for om in w.omega_elements():
                 tau_elt = om.element
                 tau = twist_map(d, sigma, tau_elt)
-                walls = levi_of(d, (0,) * d.rank).simple_affine_roots
+                walls = [s.root for s in w.simple_affine]
                 orbits = tau_orbits(d, walls, tau)
                 gens = [o.longest for o in orbits if o.finite]
                 pad = cap + max((w.length(g) for g in gens), default=0)
@@ -437,7 +438,7 @@ def check_picard_suite(scales: VerifyScales) -> dict:
 # -- Levi embedding facts --------------------------------------------------------------------
 
 
-def _levi_order_pairs(d, levi, scales: VerifyScales) -> tuple[int, list]:
+def _levi_order_pairs(d, sub, scales: VerifyScales) -> tuple[int, list]:
     """Related pairs a <= b of the Levi's coset ball, and those whose
     ambient images are not related.
 
@@ -446,7 +447,6 @@ def _levi_order_pairs(d, levi, scales: VerifyScales) -> tuple[int, list]:
     Intervals are not closed in the ambient group, where embedded Levi
     elements are long.
     """
-    sub = levi.sub_datum
     ball_m = sub.weyl.coset_ball(scales.levi_ball_length, budget=scales.budget)[
         : scales.levi_pair_cap
     ]
@@ -472,8 +472,8 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
         d = p.datum
         w = d.weyl
         sigma = FrobeniusDatum(d)
-        # The order sweep depends only on the sub-datum, which directions
-        # with the same Levi share; it runs once per Levi.
+        # The order sweep depends only on the Levi, which directions with
+        # the same vanishing roots share; it runs once per Levi.
         order_by_sub: dict = {}
         for label, mu in p.mu_grid:
             aset = adm(d, mu, budget=scales.budget)
@@ -483,13 +483,12 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
             order_checked = 0
             order_bad = []
             basic_bad = []
-            seen_levis = set()
+            seen_directions = set()
             for x in straights:
-                nu = sigma.newton_vector(x)
-                levi = levi_of(d, nu)
+                nu = sigma.newton_direction(x)
+                sub = levi_of(d, nu)
                 if w.translation(x.lam) not in aset.elements:
                     t_bad.append(w.to_json(x))
-                sub = levi.sub_datum
                 # Each Levi set is read once here, so it is closed
                 # directly rather than kept in the admissible-set memo.
                 sub_adm = closure(
@@ -500,15 +499,16 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                         sub_bad.append({"w": w.to_json(x), "y": sub.weyl.to_json(y)})
                 # Straight elements are length zero in their Levi and fix nu.
                 x_in_sub = sub.weyl.from_matrix(x.lam, x.mat)
-                if sub.weyl.length(x_in_sub) != 0 or tuple(
-                    Fraction(c) for c in mat_vec(x.mat, nu)
-                ) != tuple(nu):
+                if sub.weyl.length(x_in_sub) != 0 or mat_vec(x.mat, nu) != nu:
                     basic_bad.append(w.to_json(x))
-                if levi.direction in seen_levis:
+                # Order pairs count once per primitive direction.
+                g = gcd(*nu) or 1
+                direction = tuple(c // g for c in nu)
+                if direction in seen_directions:
                     continue
-                seen_levis.add(levi.direction)
+                seen_directions.add(direction)
                 if sub not in order_by_sub:
-                    order_by_sub[sub] = _levi_order_pairs(d, levi, scales)
+                    order_by_sub[sub] = _levi_order_pairs(d, sub, scales)
                 checked, bad = order_by_sub[sub]
                 order_checked += checked
                 order_bad.extend(bad)

@@ -95,17 +95,23 @@ def dominant_rep_oracle(d, v):
             return cur, wit
 
 
-def tag_by_fractions(sigma, x):
-    """(nu_bar, kappa0, kappa_sigma) of x without the package's (P, N):
-    the twisted power x sigma(x) ... sigma^{N-1}(x) is multiplied out in
-    the group until N is a multiple of the order of sigma and the power
-    is a translation t^v; v / N is made dominant in Fractions by
-    dominant_rep, and lam is projected to pi_1 and to its
-    sigma-coinvariants."""
+def twisted_power(sigma, x):
+    """(x sigma(x) ... sigma^{n-1}(x), n), multiplied out in the group for
+    the least n that is a multiple of the order of sigma and makes the
+    power a translation t^v."""
     unit = x.group.identity().u_idx
     power, twist, n = x, sigma.apply(x), 1
     while n % sigma.order or power.u_idx != unit:
         power, twist, n = power * twist, sigma.apply(twist), n + 1
+    return power, n
+
+
+def tag_by_fractions(sigma, x):
+    """(nu_bar, kappa0, kappa_sigma) of x without the package's (P, N):
+    for the twisted power t^v of x over n steps, v / n is made dominant
+    in Fractions by dominant_rep, and lam is projected to pi_1 and to its
+    sigma-coinvariants."""
+    power, n = twisted_power(sigma, x)
     nu_bar, _ = sigma.datum.dominant_rep(tuple(Fraction(c, n) for c in power.lam))
     return nu_bar, sigma.datum.pi1.project(x.lam), sigma.pi1_coinvariants.project(x.lam)
 

@@ -331,6 +331,10 @@ def test_exit_schema_errors():
           '{"lattice_matrix": [[true]], "q": 2}'), "/lattice_matrix/0/0: expected integer"),
         (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma",
           '{"lattice_matrix": [[1]], "q": true}'), "/q: expected integer"),
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma", "split:6"),
+         "/q: residue cardinality 6 is not a prime power"),
+        (("pic-cert", "--group", "A1_sc", "--mu", "1", "--sigma", "split:6"),
+         "/q: residue cardinality 6 is not a prime power"),
         (("adm", "--group",
           '{"rank": 1, "simple_roots": [[true]], "simple_coroots": [[1]]}',
           "--mu", "1"), "/simple_roots/0/0: expected integer"),

@@ -8,7 +8,7 @@ from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import conjugation_orbit, tag_by_fractions
+from helpers import conjugation_orbit, tag_by_fractions, twisted_power
 
 
 def split(name, q=2):
@@ -72,7 +72,7 @@ def test_newton_examples():
     assert sig.tag_of(w.translation((-1,))).nu_bar == (Fraction(1),)
     assert sig.tag_of(w.simple(1)).nu_bar == (Fraction(0),)
     assert sig.tag_of(w.simple(0)).nu_bar == (Fraction(0),)
-    assert sig.newton_vector(w.simple(0)) == (Fraction(0),)
+    assert sig.newton_direction(w.simple(0)) == (0,)
 
 
 def test_newton_sigma_trivial_translation():
@@ -151,7 +151,8 @@ def test_kappa_constant_on_classes_in_coinvariants():
 
 def test_tag_matches_fraction_route():
     """tag_of, in integers, against the Newton vector made dominant in
-    Fractions and the two Kottwitz projections, on every catalog sigma.
+    Fractions and the two Kottwitz projections, on every catalog sigma;
+    and newton_direction, P lam, against the twisted power's translation.
 
     Every catalog sigma is split or acts on a trivial pi_1, so its two
     Kottwitz classes agree; the swap on A1_ad x A1_ad, where pi_1 =
@@ -166,6 +167,7 @@ def test_tag_matches_fraction_route():
             tag = sig.tag_of(x)
             got = (tag.nu_bar, tag.kappa0, tag.kappa_sigma)
             assert got == tag_by_fractions(sig, x), (d.name, sig_name, x)
+            assert sig.newton_direction(x) == twisted_power(sig, x)[0].lam, (d.name, x)
 
 
 def test_reduce_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,20 +22,24 @@ from adlv.levi import (
 from adlv.linalg import dot
 from adlv.newton_bg import b_g_mu
 from adlv.presets import catalog, preset
+from adlv.root_datum import from_cartan_matrix
 from adlv.verify import VerifyScales, check_levi_embedding_facts
 
 from helpers import v_alcove_oracle
 
 
+def walls(levi):
+    """The affine simple roots of a Levi datum."""
+    return [s.root for s in levi.weyl.simple_affine]
+
+
 def test_levi_full_and_torus():
     d = preset("A1_sc").datum
-    full = levi_of(d, (0,))
-    assert full.sub_datum is d
-    assert full.simple_affine_roots == tuple(s.root for s in d.weyl.simple_affine)
+    assert levi_of(d, (0,)) is d
     torus = levi_of(d, (1,))
-    assert torus.semisimple_rank == 0
+    assert torus.n_simple == 0
     assert torus.pi1.invariant_factors == (0,)  # pi1(T) = lattice
-    assert torus.simple_affine_roots == ()
+    assert walls(torus) == []
 
 
 def test_levi_on_a_wall():
@@ -43,10 +48,10 @@ def test_levi_on_a_wall():
     v = (Fraction(1), Fraction(1))
     assert dot(d.simple_roots[0], v) == 0
     levi = levi_of(d, v)
-    assert levi.semisimple_rank == 1
-    assert len(levi.simple_affine_roots) == 2
+    assert levi.n_simple == 1
+    assert len(walls(levi)) == 2
     # the two walls are reflections of an affine A1 line inside C2
-    grads = {r.gradient for r in levi.simple_affine_roots}
+    grads = {r.gradient for r in walls(levi)}
     assert grads == {(1, -1), (-1, 1)}
     # scaling v does not change the Levi (cache and filters agree)
     assert levi_of(d, (2, 2)) is levi
@@ -56,23 +61,22 @@ def test_levi_wall_invariants():
     d = preset("C2_sc").datum
     w = d.weyl
     v = (Fraction(1), Fraction(1))
-    levi = levi_of(d, v)
-    sub = levi.sub_datum
+    sub = levi_of(d, v)
     ambient_walls = {s.root for s in w.simple_affine}
     # every wall fixes the direction v and has length one inside the Levi
     from adlv.linalg import mat_vec
 
-    for root in levi.simple_affine_roots:
+    for root in walls(sub):
         refl = w.reflection(root)
         assert tuple(mat_vec(refl.mat, v)) == v
         in_sub = sub.weyl.from_matrix(refl.lam, refl.mat)
         assert sub.weyl.length(in_sub) == 1
     # the walls need not be ambient walls
-    assert any(root not in ambient_walls for root in levi.simple_affine_roots)
+    assert any(root not in ambient_walls for root in walls(sub))
     # the walls generate the affine part of the Levi Weyl group: compare
     # a generated ball with the kappa-trivial coset ball of the Levi
     gens = [sub.weyl.from_matrix(w.reflection(r).lam, w.reflection(r).mat)
-            for r in levi.simple_affine_roots]
+            for r in walls(sub)]
     generated = {sub.weyl.identity()}
     frontier = [sub.weyl.identity()]
     while frontier:
@@ -90,8 +94,7 @@ def test_levi_wall_invariants():
 
 def test_levi_order_matches_ambient():
     d = preset("C2_sc").datum
-    levi = levi_of(d, (Fraction(1), Fraction(1)))
-    sub = levi.sub_datum
+    sub = levi_of(d, (Fraction(1), Fraction(1)))
     ball = sub.weyl.coset_ball(4)
     for a in ball:
         for b in ball:
@@ -125,7 +128,7 @@ def test_v_alcove_against_oracle():
                 for _ in range(6)
             ] + [(Fraction(0),) * d.rank]
             for x in ball[:: max(1, len(ball) // 40)]:
-                for v in vs + [sig.newton_vector(x)]:
+                for v in vs + [sig.newton_direction(x)]:
                     assert is_v_alcove(d, sig, x, v) == v_alcove_oracle(d, sig, x, v)
 
 
@@ -134,7 +137,7 @@ def test_fundamental_examples():
     w = d.weyl
     sig = FrobeniusDatum(d)
     t = w.translation((1,))
-    assert is_fundamental(d, sig, t, sig.newton_vector(t))
+    assert is_fundamental(d, sig, t, sig.newton_direction(t))
     assert not is_fundamental(d, sig, w.simple(0), (0,))
     assert is_fundamental(d, sig, w.identity(), (0,))
     wad = preset("A1_ad").datum.weyl
@@ -150,15 +153,14 @@ def test_straight_iff_fundamental_small():
         for sig_name in sorted(p.sigmas):
             sig = FrobeniusDatum(d, p.sigmas[sig_name])
             for x in d.weyl.ball(5, [o.element for o in d.weyl.omega_elements()]):
-                nu = sig.newton_vector(x)
+                nu = sig.newton_direction(x)
                 assert sig.is_straight(x) == is_fundamental(d, sig, x, nu)
 
 
 def test_tau_orbits_identity():
     d = preset("C2_sc").datum
     sig = FrobeniusDatum(d)
-    levi = levi_of(d, (0, 0))
-    orbits = tau_orbits(d, levi.simple_affine_roots, twist_map(d, sig, d.weyl.identity()))
+    orbits = tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity()))
     assert len(orbits) == 3
     for o in orbits:
         assert len(o.roots) == 1
@@ -173,8 +175,7 @@ def test_tau_orbit_infinite_bond_excluded():
     w = d.weyl
     sig = FrobeniusDatum(d)
     free = w.omega_elements()[1].element
-    levi = levi_of(d, (0, 0))
-    orbits = tau_orbits(d, levi.simple_affine_roots, twist_map(d, sig, free))
+    orbits = tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, free))
     assert len(orbits) == 1
     assert len(orbits[0].roots) == 2
     assert not orbits[0].finite
@@ -186,9 +187,8 @@ def test_tau_orbit_types_a_and_b():
     p = preset("A1xA1_sc")
     d = p.datum
     sig = FrobeniusDatum(d, p.sigmas["swap"])
-    levi = levi_of(d, (0, 0))
     orbits = tau_orbits(
-        d, levi.simple_affine_roots, twist_map(d, sig, d.weyl.identity())
+        d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity())
     )
     finite_sizes = sorted(len(o.roots) for o in orbits)
     assert finite_sizes == [2, 2]
@@ -203,9 +203,8 @@ def test_tau_orbit_types_a_and_b():
     p2 = preset("A2_sc")
     d2 = p2.datum
     sig2 = FrobeniusDatum(d2, p2.sigmas["flip"])
-    levi2 = levi_of(d2, (0, 0))
     orbits2 = tau_orbits(
-        d2, levi2.simple_affine_roots, twist_map(d2, sig2, d2.weyl.identity())
+        d2, walls(levi_of(d2, (0, 0))), twist_map(d2, sig2, d2.weyl.identity())
     )
     by_size = {len(o.roots): o for o in orbits2}
     assert by_size[1].orbit_type == "A"
@@ -220,8 +219,7 @@ def test_w0j_is_longest_by_enumeration():
     p = preset("A2_sc")
     d = p.datum
     sig = FrobeniusDatum(d, p.sigmas["flip"])
-    levi = levi_of(d, (0, 0))
-    for o in tau_orbits(d, levi.simple_affine_roots, twist_map(d, sig, d.weyl.identity())):
+    for o in tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity())):
         if not o.finite:
             continue
         gens = [d.weyl.reflection(r) for r in o.roots]
@@ -247,14 +245,14 @@ def test_jb_shadow_examples():
     sig = FrobeniusDatum(d)
     # basic element: full Levi, singleton orbits, trivial fixed Omega
     jb = jb_shadow(d, sig, w.identity())
-    assert jb.levi.sub_datum is d
+    assert jb.levi is d
     assert sorted(len(o.roots) for o in jb.orbits) == [1, 1]
     assert jb.omega_fixed_group.order() == 1
     assert jb.iwahori_fixed_part
     # torus case: no orbits, fixed Omega = lattice
     t = w.translation((1,))
     jb2 = jb_shadow(d, sig, t)
-    assert jb2.levi.semisimple_rank == 0
+    assert jb2.levi.n_simple == 0
     assert jb2.orbits == ()
     assert jb2.omega_fixed_group.invariant_factors == (0,)
     assert [r.lam for r in jb2.omega_fixed_reps] == [(1,)]
@@ -287,7 +285,7 @@ def test_essentially_noncentral():
     assert essentially_noncentral(d2, swap, (1, 0))
     assert not essentially_noncentral(d2, split, (1, 0))
     assert essentially_noncentral(d2, split, (1, 1))
-    torus = levi_of(d, (1,)).sub_datum
+    torus = levi_of(d, (1,))
     assert not essentially_noncentral(torus, None, (1,))
 
 
@@ -355,11 +353,24 @@ def test_levi_sub_datum_shared_per_vanishing_roots():
     d = preset("C2_sc").datum
     # Two regular directions: no root vanishes on either.
     first = levi_of(d, (3, 1))
-    second = levi_of(d, (1, 3))
-    assert first.sub_datum.positive_roots == second.sub_datum.positive_roots == ()
-    assert first.sub_datum is second.sub_datum
-    assert first.direction != second.direction
-    assert first is not second
+    assert first.positive_roots == ()
+    assert levi_of(d, (1, 3)) is first
+
+
+def test_levi_cache_holds_one_entry_per_vanishing_set():
+    # C2 has six Levis: G itself, one of semisimple rank one per positive
+    # root, and the torus; v, 2v, -v and v / 2 share one entry.
+    d = from_cartan_matrix(((2, -1), (-2, 2)))
+    box = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    for v in box:
+        levi_of(d, v)
+    assert len(d._levi_cache) == 6
+    for v in box:
+        m = levi_of(d, v)
+        assert levi_of(d, tuple(2 * c for c in v)) is m
+        assert levi_of(d, tuple(-c for c in v)) is m
+        assert levi_of(d, tuple(Fraction(c, 2) for c in v)) is m
+    assert len(d._levi_cache) == 6
 
 
 def _straight_levis(p):
@@ -369,9 +380,8 @@ def _straight_levis(p):
     levis = {}
     for _label, mu in p.mu_grid:
         for x in sigma.straight_elements_in(adm(d, mu).elements):
-            levi = levi_of(d, sigma.newton_vector(x))
-            levis.setdefault(levi.sub_datum, levi)
-    return list(levis.values())
+            levis.setdefault(levi_of(d, sigma.newton_direction(x)))
+    return list(levis)
 
 
 def test_interval_closure_matches_bruhat_recursion():
@@ -379,13 +389,13 @@ def test_interval_closure_matches_bruhat_recursion():
     # are independent routes to the Bruhat order.
     for p in catalog():
         for levi in _straight_levis(p):
-            w = levi.sub_datum.weyl
+            w = levi.weyl
             ball = w.ball(2, [o.element for o in w.omega_elements()])
             ball_set = set(ball)
             for b in ball:
                 assert closure([b], w.covers_below) & ball_set == {
                     a for a in ball if w.bruhat_leq(a, b)
-                }, (p.name, levi.direction, b)
+                }, (p.name, levi.name, b)
 
 
 def test_levi_sets_stay_out_of_the_memo(memo_runs):
@@ -396,8 +406,8 @@ def test_levi_sets_stay_out_of_the_memo(memo_runs):
     assert memo_runs["_adm"] == sum(len(p.mu_grid) for p in catalog())
     for p in catalog():
         for levi in _straight_levis(p):
-            if levi.sub_datum is not p.datum:
-                assert levi.sub_datum.weyl.memo_entries == {}, (p.name, levi.direction)
+            if levi is not p.datum:
+                assert levi.weyl.memo_entries == {}, (p.name, levi.name)
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +422,8 @@ def test_levi_order_pairs_quick_total(quick_levi_report):
 
 
 def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
-    # Reference sweep: every direction on its own, all pairs, the Levi
-    # order by the descent recursion.
+    # Reference sweep: every primitive direction on its own, all pairs,
+    # the Levi order by the descent recursion.
     scales = VerifyScales.quick()
     for name in ("A2_sc", "C2_sc"):
         p = preset(name)
@@ -426,11 +436,13 @@ def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
             bad = []
             seen = set()
             for x in sigma.straight_elements_in(adm(d, mu).elements):
-                levi = levi_of(d, sigma.newton_vector(x))
-                if levi.direction in seen:
+                nu = sigma.newton_direction(x)
+                g = gcd(*nu) or 1
+                direction = tuple(c // g for c in nu)
+                if direction in seen:
                     continue
-                seen.add(levi.direction)
-                sw = levi.sub_datum.weyl
+                seen.add(direction)
+                sw = levi_of(d, nu).weyl
                 ball = sw.coset_ball(scales.levi_ball_length)[: scales.levi_pair_cap]
                 for a in ball:
                     for b in ball:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import adlv.picard as picard_module
 from adlv.errors import AdlvError, NotStraight, SingularOperator, SupportViolation
-from adlv.frobenius import FrobeniusDatum
+from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality
 from adlv.linalg import identity_matrix, mat_mul
 from adlv.picard import (
     DescentCertificate,
@@ -15,7 +15,6 @@ from adlv.picard import (
     class_certificates,
     descent_certificate,
     is_ample,
-    prime_of_residue_cardinality,
 )
 from adlv.presets import catalog, preset
 
