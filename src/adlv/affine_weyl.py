@@ -154,6 +154,9 @@ class AffineWeylGroup:
         self._build_affine_simples()
         self._bruhat_cache: dict[tuple, bool] = {}
         self._rw_cache: dict[tuple, tuple] = {}
+        # right_step's per-(u, i) data, filled on first use; at most
+        # |W0| . |S~| entries.
+        self._right_steps: dict[tuple[int, int], tuple] = {}
         # This group's entries of admissible.MEMO, key -> (value, weight,
         # stamp), least recently used first; they go with the group.
         self.memo_entries: dict[tuple, tuple] = {}
@@ -241,15 +244,16 @@ class AffineWeylGroup:
         )
         # The index of the simple reflection in each wall of the base alcove.
         self.simple_by_root = {s.root: s.index for s in simples}
-        # Per affine simple (a, k): a, k, the index j of the positive root
-        # +-a, and flip = 1 when a = -theta is negative; see is_left_descent.
+        # Per affine simple s_i = t^{-k a^vee} s_a: a, k, the index j of the
+        # positive root +-a, flip = 1 when a = -theta is negative (see
+        # is_left_descent), a^vee and the W0 index of s_a (see left_step).
         pos_index = {r: j for j, r in enumerate(d.positive_roots)}
         descent_data = []
         for s in simples:
             a, k = s.root
             flip = a not in pos_index
             j = pos_index[tuple(-c for c in a) if flip else a]
-            descent_data.append((a, k, j, int(flip)))
+            descent_data.append((a, k, j, int(flip), s.coroot, s.element.u_idx))
         self._descent_data = tuple(descent_data)
 
     def identity(self) -> AffineWeylElement:
@@ -301,36 +305,68 @@ class AffineWeylGroup:
         level k + <a, lam>; a root is negative when its level is below 1
         (negative gradient) or below 0 (positive gradient).
         """
-        a, k, j, flip = self._descent_data[i]
+        a, k, j, flip, *_ = self._descent_data[i]
         return k + dot(a, lam) < self.w0_offsets[u_idx][j] ^ flip
 
-    def is_right_descent(self, i: int, x: AffineWeylElement) -> bool:
-        """l(x s_i) < l(x), i.e. l(s_i x^{-1}) < l(x^{-1})."""
-        y = x.inverse()
-        return self.is_left_descent(i, y.lam, y.u_idx)
+    def left_step(self, i: int, lam: IntVec, u_idx: int) -> tuple[IntVec, int, bool]:
+        """(lam', u', fell) with s_i x = (lam', u') for x = (lam, u), and
+        fell = l(s_i x) < l(x).
 
-    def left_descent(self, x: AffineWeylElement) -> int | None:
-        """Lowest affine-simple index i with l(s_i x) < l(x), or None;
-        decided by is_left_descent, with no product or length."""
-        for i in range(len(self.simple_affine)):
-            if self.is_left_descent(i, x.lam, x.u_idx):
-                return i
-        return None
+        With s_i = t^{-k a^vee} s_a and c = k + <a, lam>, s_i x is
+        (lam - c a^vee, s_a u), and c is the level that is_left_descent
+        compares; one pairing gives both, with no product or length.
+        """
+        a, k, j, flip, av, s_idx = self._descent_data[i]
+        c = k + dot(a, lam)
+        return (
+            tuple(l - c * v for l, v in zip(lam, av)),
+            self.w0_mul[s_idx][u_idx],
+            c < self.w0_offsets[u_idx][j] ^ flip,
+        )
+
+    def right_step(self, i: int, lam: IntVec, u_idx: int) -> tuple[IntVec, int, bool]:
+        """(lam', u', fell) with x s_i = (lam', u') for x = (lam, u), and
+        fell = l(x s_i) < l(x).
+
+        x s_i = (lam - k u(a^vee), u s_a), and s_i is a right descent of x
+        iff it is a left descent of x^{-1} = (-u^{-1} lam, u^{-1}), i.e.
+        iff k - <a . u^{-1}, lam> < off[u^{-1}][j] ^ flip.  Everything but
+        lam depends on (u, i) only and is kept in _right_steps.
+        """
+        hit = self._right_steps.get((u_idx, i))
+        if hit is None:
+            a, k, j, flip, av, s_idx = self._descent_data[i]
+            u_inv = self.w0_inv[u_idx]
+            hit = (
+                k,
+                vec_mat(a, self.w0_list[u_inv]),
+                tuple(k * v for v in mat_vec(self.w0_list[u_idx], av)),
+                self.w0_mul[u_idx][s_idx],
+                self.w0_offsets[u_inv][j] ^ flip,
+            )
+            self._right_steps[u_idx, i] = hit
+        k, b, shift, v_idx, bound = hit
+        return tuple(map(operator.sub, lam, shift)), v_idx, k - dot(b, lam) < bound
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
-        """Word (i_1..i_l) and omega with x = s_{i_1} ... s_{i_l} omega."""
+        """Word (i_1..i_l) and omega with x = s_{i_1} ... s_{i_l} omega,
+        peeling the lowest left descent at each step."""
         key = x.key()
         hit = self._rw_cache.get(key)
         if hit is not None:
             return hit
         word: list[int] = []
-        cur = x
+        lam, u = x.lam, x.u_idx
         while True:
-            i = self.left_descent(cur)
-            if i is None:
+            for i in range(len(self.simple_affine)):
+                lam_i, u_i, fell = self.left_step(i, lam, u)
+                if fell:
+                    word.append(i)
+                    lam, u = lam_i, u_i
+                    break
+            else:
                 break
-            word.append(i)
-            cur = self.simple(i) * cur
+        cur = AffineWeylElement(self, lam, u)
         assert self.length(cur) == 0
         out = (tuple(word), cur)
         self._rw_cache[key] = out
@@ -394,10 +430,14 @@ class AffineWeylGroup:
         Each step takes the lowest left descent s of y and replaces y by
         s y, and x by s x when s is a descent of x too.  Descents are read
         off affine-root signs, so l(x) and l(y) are computed once per
-        chain and then decremented with the moves.
+        chain and then decremented with the moves.  The steps are
+        left_step, inlined so that the level c found by the descent
+        search also moves y.
         """
         chain = []
         lx = ly = None
+        offsets = self.w0_offsets
+        w0_mul = self.w0_mul
         while True:
             if xl == yl and xu == yu:
                 res = True
@@ -415,14 +455,18 @@ class AffineWeylGroup:
                 res = False
                 break
             # ly > lx >= 0, so y has a descent.
-            y = AffineWeylElement(self, yl, yu)
-            s = self.simple_affine[self.left_descent(y)]
-            sy = s.element * y
-            yl, yu = sy.lam, sy.u_idx
+            off = offsets[yu]
+            for a, k, j, flip, av, s_idx in self._descent_data:
+                c = k + dot(a, yl)
+                if c < off[j] ^ flip:
+                    break
+            yl = tuple(l - c * v for l, v in zip(yl, av))
+            yu = w0_mul[s_idx][yu]
             ly -= 1
-            if self.is_left_descent(s.index, xl, xu):
-                sx = s.element * AffineWeylElement(self, xl, xu)
-                xl, xu = sx.lam, sx.u_idx
+            c = k + dot(a, xl)
+            if c < offsets[xu][j] ^ flip:
+                xl = tuple(l - c * v for l, v in zip(xl, av))
+                xu = w0_mul[s_idx][xu]
                 lx -= 1
         for key in chain:
             self._bruhat_cache[key] = res
@@ -501,9 +545,9 @@ class AffineWeylGroup:
         """All elements of length <= max_length in the W_a-coset of omega.
 
         Breadth-first search from the length-zero element of the coset:
-        level k is the set of products s . x with x in level k - 1 and s
+        level k is the set of left steps s . x with x in level k - 1 and s
         an affine simple reflection that is not a left descent of x, so
-        that s . x has length k; the product is formed only then.  It
+        that s . x has length k.  It
         holds every element s_{i_1} ... s_{i_k} omega of length k, since
         dropping the first letter of a reduced word leaves one of length
         k - 1.  Sorted by (length, canonical key); raises BudgetExceeded
@@ -516,10 +560,11 @@ class AffineWeylGroup:
         for k in range(1, max_length + 1):
             found: set[AffineWeylElement] = set()
             for x in level:
-                for s in self.simple_affine:
-                    if self.is_left_descent(s.index, x.lam, x.u_idx):
+                for i in range(len(self.simple_affine)):
+                    lam, u, fell = self.left_step(i, x.lam, x.u_idx)
+                    if fell:
                         continue
-                    y = s.element * x
+                    y = AffineWeylElement(self, lam, u)
                     if y not in found:
                         found.add(y)
                         if len(out) + len(found) > budget:
@@ -554,22 +599,20 @@ class AffineWeylGroup:
         return any(self.is_left_descent(i, x.lam, x.u_idx) for i in k_set)
 
     def min_double_coset_rep(self, x: AffineWeylElement, k_set: Sequence[int]) -> AffineWeylElement:
-        """The minimal element of W_K x W_K, by peeling descents."""
+        """The minimal element of W_K x W_K, by peeling descents: left
+        ones first, then right ones, each in the order of k_set."""
         if not self.parabolic_is_finite(k_set):
             raise InfiniteParabolic(f"W_K for K={sorted(k_set)} is infinite")
-        cur = x
+        steps = [(step, i) for step in (self.left_step, self.right_step) for i in k_set]
+        lam, u = x.lam, x.u_idx
         while True:
-            for i in k_set:
-                if self.is_left_descent(i, cur.lam, cur.u_idx):
-                    cur = self.simple(i) * cur
+            for step, i in steps:
+                lam_i, u_i, fell = step(i, lam, u)
+                if fell:
+                    lam, u = lam_i, u_i
                     break
             else:
-                for i in k_set:
-                    if self.is_right_descent(i, cur):
-                        cur = cur * self.simple(i)
-                        break
-                else:
-                    return cur
+                return AffineWeylElement(self, lam, u)
 
     # -- affine root actions ------------------------------------------------------------
 

@@ -32,21 +32,60 @@ from .root_datum import RootDatum
 QVec = tuple[Fraction, ...]
 
 
+# Miller-Rabin with these bases decides primality exactly below 3.3e24.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n >= 2, exact for n < 3.3e24."""
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_of_residue_cardinality(q: int) -> int:
-    """The prime p with q = p^e."""
+    """The prime p with q = p^e.
+
+    Takes the largest e for which q has an exact integer e-th root r;
+    q is a prime power iff that r is prime, and then p = r.
+
+    >>> prime_of_residue_cardinality(2 ** 10)
+    2
+    >>> prime_of_residue_cardinality(15 ** 4)
+    Traceback (most recent call last):
+    ...
+    adlv.errors.SchemaError: /q: residue cardinality 50625 is not a prime power
+    """
     if q < 2:
         raise SchemaError("/q: residue cardinality must be at least 2")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise SchemaError(f"/q: residue cardinality {q} is not a prime power")
-            return p
-        p += 1
-    return n
+    if q >= 1 << 64:
+        raise SchemaError("/q: residue cardinality must be below 2^64")
+    # For e >= 2 the root is below 2^32, so the float estimate is off by
+    # less than one; for e = 1 the root is q itself.
+    root = q
+    for e in range(q.bit_length() - 1, 1, -1):
+        r = round(q ** (1.0 / e))
+        exact = [c for c in (r - 1, r, r + 1) if c**e == q]
+        if exact:
+            root = exact[0]
+            break
+    if not _is_prime(root):
+        raise SchemaError(f"/q: residue cardinality {q} is not a prime power")
+    return root
 
 
 class FrobeniusDatum:
@@ -192,11 +231,24 @@ class FrobeniusDatum:
 
     # -- reduction -------------------------------------------------------------
 
+    def _twisted_step(self, i: int, x: AffineWeylElement) -> tuple[AffineWeylElement, int]:
+        """(s_i x sigma(s_i), number of the two simple steps that fell).
+
+        sigma(s_i) is the simple reflection s_{sigma(i)}, so this is a
+        left step and a right step.  Each moves the length by one, down
+        exactly when it fell: the conjugate is shorter by 2, equal or
+        longer by 2 as 2, 1 or 0 steps fell.
+        """
+        w = self.datum.weyl
+        if x.group is not w and x.group.datum != self.datum:
+            raise DatumMismatch("element and Frobenius live over different data")
+        lam, u, fell_left = w.left_step(i, x.lam, x.u_idx)
+        lam, u, fell_right = w.right_step(self.s_permutation[i], lam, u)
+        return AffineWeylElement(w, lam, u), fell_left + fell_right
+
     def conj_step(self, i: int, x: AffineWeylElement) -> AffineWeylElement:
         """s_i x sigma(s_i)."""
-        w = self.datum.weyl
-        s = w.simple(i)
-        return s * x * self.apply(s)
+        return self._twisted_step(i, x)[0]
 
     def plateau(self, x: AffineWeylElement, budget: int = DEFAULT_BUDGET) -> "Plateau":
         """Closure of x under equal-length twisted conjugation steps.
@@ -211,18 +263,16 @@ class FrobeniusDatum:
             if len(hit.members) > budget:
                 raise BudgetExceeded(f"plateau exceeds node budget {budget}")
             return hit
-        w = self.datum.weyl
-        lx = w.length(x)
+        indices = range(len(self.datum.weyl.simple_affine))
         descents = []
 
         def step(y):
-            for s in w.simple_affine:
-                z = self.conj_step(s.index, y)
-                lz = w.length(z)
-                if lz == lx:
+            for i in indices:
+                z, fell = self._twisted_step(i, y)
+                if fell == 1:
                     yield z
-                elif lz < lx:
-                    descents.append((y, s.index))
+                elif fell == 2:
+                    descents.append((y, i))
 
         try:
             members = closure([x], step, budget)

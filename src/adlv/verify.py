@@ -442,22 +442,28 @@ def _levi_order_pairs(d, sub, scales: VerifyScales) -> tuple[int, list]:
     """Related pairs a <= b of the Levi's coset ball, and those whose
     ambient images are not related.
 
-    The lower interval of each b is closed once in the Levi (the subword
-    property); the ambient order is tested only on the related pairs.
+    The lower interval of b in the Levi is b and the lower intervals of
+    its covers (the subword property).  The ball is sorted by length, so
+    the capped prefix holds every element shorter than its last one, and
+    the covers of b are done before b.  The ambient order is tested only
+    on the related pairs.
     Intervals are not closed in the ambient group, where embedded Levi
     elements are long.
     """
     ball_m = sub.weyl.coset_ball(scales.levi_ball_length, budget=scales.budget)[
         : scales.levi_pair_cap
     ]
-    below = {b: closure([b], sub.weyl.covers_below, scales.budget) for b in ball_m}
+    below: dict = {}
+    for b in ball_m:
+        below[b] = {b}.union(*(below[c] for c in sub.weyl.covers_below(b)))
+    ambient = {a: sub_element(d, a) for a in ball_m}
     checked = 0
     bad = []
     for a in ball_m:
         for b in ball_m:
             if a in below[b]:
                 checked += 1
-                if not d.weyl.bruhat_leq(sub_element(d, a), sub_element(d, b)):
+                if not d.weyl.bruhat_leq(ambient[a], ambient[b]):
                     bad.append({"x": sub.weyl.to_json(a), "y": sub.weyl.to_json(b)})
     return checked, bad
 

@@ -33,6 +33,12 @@ def preimage_affine_root(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoo
     return AffineRoot(grad, root.level + dot(root.gradient, x.lam))
 
 
+def is_right_descent(w, i: int, x: AffineWeylElement) -> bool:
+    """l(x s_i) < l(x), as the left descent s_i of x^{-1}."""
+    y = x.inverse()
+    return w.is_left_descent(i, y.lam, y.u_idx)
+
+
 def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]:
     """The permutation of the affine simples by omega, found by forming
     omega s omega^{-1} and searching the simple reflections for it."""
@@ -221,6 +227,29 @@ def conjugation_orbit(sigma, x, buffer: int = 2) -> set:
                     nxt.append(z)
         frontier = nxt
     return seen
+
+
+def plateau_by_products(sigma, x) -> tuple[set, tuple | None]:
+    """(members, descent) of the plateau of x, with each conjugate formed
+    as the product s x sigma(s) and compared by length."""
+    w = sigma.datum.weyl
+    lx = w.length(x)
+    members = {x}
+    frontier = [x]
+    shorter = []
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for s in w.simple_affine:
+                z = s.element * y * sigma.apply(s.element)
+                lz = w.length(z)
+                if lz < lx:
+                    shorter.append((y, s.index))
+                elif lz == lx and z not in members:
+                    members.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return members, min(shorter, key=lambda d: (d[0].key(), d[1]), default=None)
 
 
 def v_alcove_oracle(d, sigma, x, v, window: int = 40) -> bool:

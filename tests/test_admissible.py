@@ -22,7 +22,13 @@ from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import alcove_vertices, naive_in_adm, perm_oracle, subword_set
+from helpers import (
+    alcove_vertices,
+    is_right_descent,
+    naive_in_adm,
+    perm_oracle,
+    subword_set,
+)
 
 
 def test_adm_zero_is_identity():
@@ -333,7 +339,7 @@ def test_adm_parahoric_example():
     assert closed == brute
     for r in reps:
         assert not w.has_left_descent_in(r, (1,))
-        assert not w.is_right_descent(1, r)
+        assert not is_right_descent(w, 1, r)
     assert w.min_double_coset_rep(w.translation((1,)), (1,)) in reps
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -11,14 +12,16 @@ import pytest
 
 import adlv
 from adlv.admissible import adm, in_adm
-from adlv.affine_weyl import AffineRoot, AffineWeylElement
+from adlv.affine_weyl import AffineRoot, AffineWeylElement, AffineWeylGroup
 from adlv.errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from adlv.linalg import dot, vec_mat
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
+from adlv.verify import VerifyScales, run_verify
 
 from helpers import (
     ball_length_counts_oracle,
+    is_right_descent,
     length_oracle,
     preimage_affine_root,
     s_permutation_by_conjugation,
@@ -280,12 +283,37 @@ def test_descents_match_length_oracle():
                 left = length_oracle(w, s.element * x) < lx
                 right = length_oracle(w, x * s.element) < lx
                 assert w.is_left_descent(s.index, x.lam, x.u_idx) == left
-                assert w.is_right_descent(s.index, x) == right
-            assert w.left_descent(x) == next(
-                (s.index for s in w.simple_affine
-                 if length_oracle(w, s.element * x) < lx),
-                None,
-            )
+                assert is_right_descent(w, s.index, x) == right
+
+
+def test_simple_steps_match_products_and_length_oracle():
+    # left_step and right_step against the products s_i x and x s_i, and
+    # each fell bit against lengths counted by separating hyperplanes.
+    pairs = 0
+    for p in catalog():
+        w = p.datum.weyl
+        for x in w.ball(4, [o.element for o in w.omega_elements()]):
+            lx = length_oracle(w, x)
+            for s in w.simple_affine:
+                for step, product in (
+                    (w.left_step, s.element * x),
+                    (w.right_step, x * s.element),
+                ):
+                    lam, u, fell = step(s.index, x.lam, x.u_idx)
+                    assert AffineWeylElement(w, lam, u) == product
+                    assert fell == (length_oracle(w, product) < lx)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_right_step_table_is_bounded_after_quick_verify():
+    # One entry per (finite part, affine simple) at most, on every group
+    # the sweep built, Levi groups included.
+    run_verify(VerifyScales.quick())
+    groups = [g for g in gc.get_objects() if isinstance(g, AffineWeylGroup)]
+    assert any(g._right_steps for g in groups)
+    for g in groups:
+        assert len(g._right_steps) <= g.w0_order() * len(g.simple_affine)
 
 
 def test_bruhat_length_work_is_constant(monkeypatch):

@@ -335,6 +335,8 @@ def test_exit_schema_errors():
          "/q: residue cardinality 6 is not a prime power"),
         (("pic-cert", "--group", "A1_sc", "--mu", "1", "--sigma", "split:6"),
          "/q: residue cardinality 6 is not a prime power"),
+        (("bgmu", "--group", "A1_sc", "--mu", "1", "--sigma", f"split:{2**64}"),
+         "/q: residue cardinality must be below 2^64"),
         (("adm", "--group",
           '{"rank": 1, "simple_roots": [[true]], "simple_coroots": [[1]]}',
           "--mu", "1"), "/simple_roots/0/0: expected integer"),

@@ -1,14 +1,20 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from adlv.errors import BudgetExceeded, SchemaError
-from adlv.frobenius import FrobeniusDatum
+from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import conjugation_orbit, tag_by_fractions, twisted_power
+from helpers import (
+    conjugation_orbit,
+    plateau_by_products,
+    tag_by_fractions,
+    twisted_power,
+)
 
 
 def split(name, q=2):
@@ -48,6 +54,65 @@ def test_sigma_length_preserving_and_involutive_step():
     s0 = w.simple(0)
     for x in ball[:40]:
         assert sig.conj_step(0, sig.conj_step(0, x)) == x
+
+
+def test_residue_cardinality_by_exact_roots():
+    # Large primes are accepted without trial division.
+    for q in (10**18 + 3, 2**61 - 1):
+        t0 = time.perf_counter()
+        assert prime_of_residue_cardinality(q) == q
+        assert time.perf_counter() - t0 < 0.01
+    assert prime_of_residue_cardinality((2**31 - 1) ** 2) == 2**31 - 1
+    assert prime_of_residue_cardinality(2**10) == 2
+    assert prime_of_residue_cardinality(3**40) == 3
+    for q, message in (
+        (1, "must be at least 2"),
+        (6, "6 is not a prime power"),
+        ((2**31 - 1) * (2**31 + 11), "is not a prime power"),
+        (2**64, r"must be below 2\^64"),
+    ):
+        with pytest.raises(SchemaError, match=message):
+            prime_of_residue_cardinality(q)
+
+
+def test_residue_cardinality_matches_trial_division():
+    def by_trial_division(q):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        while q % p == 0:
+            q //= p
+        return p if q == 1 else None
+
+    for q in range(2, 3000):
+        try:
+            got = prime_of_residue_cardinality(q)
+        except SchemaError:
+            got = None
+        assert got == by_trial_division(q), q
+
+
+def test_conj_step_matches_products():
+    for p in catalog():
+        w = p.datum.weyl
+        xs = w.ball(3, [o.element for o in w.omega_elements()])
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(p.datum, p.sigmas[sig_name])
+            for x in xs:
+                for s in w.simple_affine:
+                    assert sig.conj_step(s.index, x) == (
+                        s.element * x * sig.apply(s.element)
+                    ), (p.name, sig_name, x, s.index)
+
+
+def test_plateau_matches_product_reference():
+    # Members and canonical descent against plateaus closed with the
+    # products s x sigma(s) and full lengths.
+    for name, sig_name in (("A2_sc", "flip"), ("D4_sc", "triality")):
+        p = preset(name)
+        w = p.datum.weyl
+        sig = FrobeniusDatum(p.datum, p.sigmas[sig_name])
+        for x in w.ball(3, [o.element for o in w.omega_elements()]):
+            info = sig.plateau(x)
+            assert (set(info.members), info.descent) == plateau_by_products(sig, x)
 
 
 def test_triality_has_order_three():
