@@ -134,13 +134,13 @@ def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:
     def step(lam):
         return (tuple(mat_vec(m, lam)) for m in d.simple_reflections)
 
-    return sorted(closure([tuple(int(x) for x in mu)], step))
+    return sorted(closure([d.cocharacter(mu)], step))
 
 
 def tau_mu(d: RootDatum, mu: Sequence[int]) -> OmegaElt:
     """The length-zero element in the same W_a-coset as t^mu."""
     w = d.weyl
-    return w.omega_elt(w.omega_of(w.translation(mu)))
+    return w.omega_elt(w.omega_of(w.translation(d.cocharacter(mu))))
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def maximal_translations(d: RootDatum, mu: Sequence[int]) -> tuple[AffineWeylEle
 
 def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> AdmissibleSet:
     """Enumerate Adm({mu}) by closing the maximal translations under covers."""
-    return _adm(d.weyl, tuple(int(x) for x in mu), budget)
+    return _adm(d.weyl, d.cocharacter(mu), budget)
 
 
 @MEMO(len)
@@ -220,7 +220,7 @@ def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
     True
     """
     w = d.weyl
-    data = _membership_data(w, tuple(int(c) for c in mu))
+    data = _membership_data(w, d.cocharacter(mu))
     if w.kappa(x) != data.kappa or w.length(x) > data.max_length:
         return False
     chamber = _chamber_maximum(d, data, x)
@@ -391,7 +391,6 @@ def verify_straight_class_containment(
 
 def verify_s_tau_membership(
     d: RootDatum,
-    sigma: FrobeniusDatum,
     mu: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
@@ -399,6 +398,7 @@ def verify_s_tau_membership(
 
     Requires a connected affine diagram and noncentral mu.
     """
+    mu = d.cocharacter(mu)
     if len(d.components) != 1:
         raise HypothesisViolated("affine Dynkin diagram is not connected")
     if d.is_central(mu):

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from .linalg import (
     Mat,
-    Vec,
     dot,
     identity_matrix,
     mat_mul,
@@ -103,12 +102,6 @@ class AffineWeylElement:
 
     def is_identity(self) -> bool:
         return self.u_idx == self.group.w0_identity and all(x == 0 for x in self.lam)
-
-    def apply(self, point: Sequence) -> Vec:
-        """Affine action on the apartment: x -> lambda + u(x)."""
-        return tuple(
-            a + b for a, b in zip(self.lam, mat_vec(self.mat, point))
-        )
 
     def key(self) -> tuple:
         """Canonical sort key; deterministic across runs."""
@@ -245,8 +238,8 @@ class AffineWeylGroup:
         # The index of the simple reflection in each wall of the base alcove.
         self.simple_by_root = {s.root: s.index for s in simples}
         # Per affine simple s_i = t^{-k a^vee} s_a: a, k, the index j of the
-        # positive root +-a, flip = 1 when a = -theta is negative (see
-        # is_left_descent), a^vee and the W0 index of s_a (see left_step).
+        # positive root +-a, flip = 1 when a = -theta is negative, a^vee
+        # and the W0 index of s_a (see left_step).
         pos_index = {r: j for j, r in enumerate(d.positive_roots)}
         descent_data = []
         for s in simples:
@@ -295,26 +288,18 @@ class AffineWeylGroup:
     def length(self, x: AffineWeylElement) -> int:
         return self.length_of(x.lam, x.u_idx)
 
-    def is_left_descent(self, i: int, lam: IntVec, u_idx: int) -> bool:
-        """l(s_i x) < l(x) for x = (lam, u), from the sign of one affine root.
-
-        s_i x < x iff the wall of s_i separates the base alcove from its
-        image under x, i.e. iff the affine root (a, k) of s_i composed with
-        x is negative.  That root has gradient a . u, negative exactly
-        where the length offset of u at +-a is 1 (0 for a = -theta), and
-        level k + <a, lam>; a root is negative when its level is below 1
-        (negative gradient) or below 0 (positive gradient).
-        """
-        a, k, j, flip, *_ = self._descent_data[i]
-        return k + dot(a, lam) < self.w0_offsets[u_idx][j] ^ flip
-
     def left_step(self, i: int, lam: IntVec, u_idx: int) -> tuple[IntVec, int, bool]:
         """(lam', u', fell) with s_i x = (lam', u') for x = (lam, u), and
         fell = l(s_i x) < l(x).
 
         With s_i = t^{-k a^vee} s_a and c = k + <a, lam>, s_i x is
-        (lam - c a^vee, s_a u), and c is the level that is_left_descent
-        compares; one pairing gives both, with no product or length.
+        (lam - c a^vee, s_a u).  s_i x < x iff the wall of s_i separates
+        the base alcove from its image under x, i.e. iff the affine root
+        (a, k) of s_i composed with x is negative.  That root has gradient
+        a . u, negative exactly where the length offset of u at +-a is 1
+        (0 for a = -theta), and level c; a root is negative when its level
+        is below 1 (negative gradient) or below 0 (positive gradient).  One
+        pairing gives both, with no product or length.
         """
         a, k, j, flip, av, s_idx = self._descent_data[i]
         c = k + dot(a, lam)
@@ -596,7 +581,7 @@ class AffineWeylGroup:
         return principal_minors_positive(sub)
 
     def has_left_descent_in(self, x: AffineWeylElement, k_set: Sequence[int]) -> bool:
-        return any(self.is_left_descent(i, x.lam, x.u_idx) for i in k_set)
+        return any(self.left_step(i, x.lam, x.u_idx)[2] for i in k_set)
 
     def min_double_coset_rep(self, x: AffineWeylElement, k_set: Sequence[int]) -> AffineWeylElement:
         """The minimal element of W_K x W_K, by peeling descents: left

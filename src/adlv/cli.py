@@ -115,9 +115,7 @@ def _live_sigma(datum, matrix, q: int) -> FrobeniusDatum:
 def _require_mu(spec: JobSpec, datum) -> tuple[int, ...]:
     if spec.mu is None:
         raise SchemaError("/mu: missing")
-    if len(spec.mu) != datum.rank:
-        raise SchemaError(f"/mu: expected {datum.rank} integers")
-    return spec.mu
+    return datum.cocharacter(spec.mu)
 
 
 def _group_json(g: FinAbGroup) -> dict:
@@ -339,7 +337,7 @@ def _targeted_verify(spec: JobSpec) -> dict:
     sigma = _resolve_sigma(spec, datum, pre, shared=False)
     mu = _require_mu(spec, datum)
     containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
-    wall = verify_s_tau_membership(datum, sigma, mu, budget=spec.budget)
+    wall = verify_s_tau_membership(datum, mu, budget=spec.budget)
     checks = [
         {"name": "straight_class_containment", "pass": containment["pass"], "runs": [containment]},
         {"name": "wall_times_tau", "pass": wall["pass"], "runs": [wall]},

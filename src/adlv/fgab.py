@@ -219,15 +219,6 @@ class FinAbGroup:
         free = sum(1 for x in self._diag if x == 0)
         return tuple(torsion) + (0,) * free
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        n = 1
-        for x in self._diag:
-            if x == 0:
-                return None
-            n *= x
-        return n
-
     # -- elements ----------------------------------------------------------
 
     def project(self, x: Sequence[int]) -> Vec:

@@ -11,15 +11,23 @@ lattice, its Weyl elements are directly comparable with ambient ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
+from operator import add
 from typing import Callable, Sequence
 
 from .admissible import in_adm
-from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement, closure
+from .affine_weyl import (
+    DEFAULT_BUDGET,
+    AffineRoot,
+    AffineWeylElement,
+    AffineWeylGroup,
+    closure,
+)
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
-from .linalg import dot, mat_mul, mat_vec, principal_minors_positive
+from .linalg import dot, mat_mul, mat_vec
 from .newton_bg import b_g_mu, straight_classes
 from .root_datum import RootDatum
 
@@ -80,7 +88,7 @@ def is_v_alcove(
     [a . u < 0], and the least positive level of a is k = [a < 0]; so (2)
     is  [a < 0] + <a, lam> >= [a . u < 0]  for each a.  Writing a = +-b
     for a positive root b, [a . u < 0] is the length offset of u at b,
-    flipped for a = -b (see AffineWeylGroup.is_left_descent).
+    flipped for a = -b (see AffineWeylGroup.left_step).
     """
     v = tuple(v)
     if mat_vec(x.mat, mat_vec(sigma.matrix, v)) != v:
@@ -116,7 +124,7 @@ def is_fundamental(
     return all(tau(beta) in walls for beta in walls)
 
 
-# -- tau orbits on the Levi walls ------------------------------------------------------
+# -- tau orbits on the affine simple indices -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -128,76 +136,53 @@ class TauOrbit:
     summing_pairs: tuple[tuple[int, int], ...]
 
 
-def tau_orbits(
-    d: RootDatum,
-    walls: Sequence[AffineRoot],
-    tau: Callable[[AffineRoot], AffineRoot],
-) -> list[TauOrbit]:
-    """Orbits of tau on the wall set, with finiteness and longest elements."""
-    w = d.weyl
-    wall_list = list(walls)
-    wall_set = set(wall_list)
-    seen: set[AffineRoot] = set()
+def tau_orbits(group: AffineWeylGroup, perm: Sequence[int]) -> list[TauOrbit]:
+    """Orbits J of a permutation of the affine simple indices of `group`,
+    each traversed as i, perm[i], perm^2[i], ... from its least index,
+    with whether W_J is finite and, if so, its longest element and type.
+
+    w0_J is reached by a descent walk: from the identity, step by the
+    first j in J that is not a left descent, until every j in J is one.
+    Each step raises the length by one inside the finite W_J, and w0_J is
+    its only element with all of J as left descents.  The walk takes
+    l(w0_J) steps, the number of positive roots of the finite root system
+    of J's gradients, so at most |Phi^+|.
+    """
+    seen: set[int] = set()
     out = []
-    for beta in wall_list:
-        if beta in seen:
+    for start in range(len(perm)):
+        if start in seen:
             continue
-        orbit = [beta]
-        seen.add(beta)
-        cur = tau(beta)
-        while cur != beta:
-            if cur not in wall_set:
-                raise ValueError("tau does not permute the walls")
-            orbit.append(cur)
-            seen.add(cur)
-            cur = tau(cur)
-        n = len(orbit)
-        cart = tuple(
-            tuple(dot(orbit[j].gradient, d.coroot(orbit[i].gradient)) for j in range(n))
-            for i in range(n)
+        orbit = [start]
+        while perm[orbit[-1]] != start:
+            orbit.append(perm[orbit[-1]])
+        seen.update(orbit)
+        roots = tuple(group.simple_affine[i].root for i in orbit)
+        pairs = tuple(
+            (i, j)
+            for i, j in combinations(range(len(roots)), 2)
+            if tuple(map(add, roots[i].gradient, roots[j].gradient)) in group.datum.root_set
         )
-        for i in range(n):
-            for j in range(n):
-                if i != j and cart[i][j] > 0:
-                    raise ValueError("walls with positive pairing; not an alcove set")
-        finite = principal_minors_positive(cart)
+        finite = group.parabolic_is_finite(orbit)
         longest = None
         if finite:
-            gens = [w.reflection(r) for r in orbit]
-            dist = {w.identity(): 0}
-            frontier = [w.identity()]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in gens:
-                        z = g * y
-                        if z not in dist:
-                            dist[z] = dist[y] + 1
-                            nxt.append(z)
-                frontier = nxt
-            top = max(dist.values())
-            longest_elts = [y for y, dd in dist.items() if dd == top]
-            assert len(longest_elts) == 1, "finite Coxeter group has a unique top"
-            longest = longest_elts[0]
-            assert (longest * longest).is_identity(), "w0_J must be an involution"
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                grad_sum = tuple(
-                    a + b for a, b in zip(orbit[i].gradient, orbit[j].gradient)
-                )
-                if grad_sum in d.root_set:
-                    pairs.append((i, j))
-        orbit_type = None
-        if finite:
-            orbit_type = "B" if pairs else "A"
+            lam, u = group.identity().lam, group.w0_identity
+            for _ in range(len(group.datum.positive_roots)):
+                for j in orbit:
+                    lam_j, u_j, fell = group.left_step(j, lam, u)
+                    if not fell:
+                        lam, u = lam_j, u_j
+                        break
+                else:
+                    break
+            longest = AffineWeylElement(group, lam, u)
         out.append(
             TauOrbit(
-                roots=tuple(orbit),
+                roots=roots,
                 finite=finite,
                 longest=longest,
-                orbit_type=orbit_type,
-                summing_pairs=tuple(pairs),
+                orbit_type=("B" if pairs else "A") if finite else None,
+                summing_pairs=pairs,
             )
         )
     return out
@@ -231,7 +216,12 @@ def jb_shadow(d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement) -> JbSh
     assert is_fundamental(d, sigma, x, v), "straight element must be fundamental"
     tau = twist_map(d, sigma, x)
     sub_w = levi.weyl
-    orbits = tau_orbits(d, [s.root for s in sub_w.simple_affine], tau)
+    # x is fundamental, so tau permutes the Levi's walls.
+    perm = [sub_w.simple_by_root[tau(s.root)] for s in sub_w.simple_affine]
+    orbits = [
+        replace(o, longest=sub_element(d, o.longest)) if o.finite else o
+        for o in tau_orbits(sub_w, perm)
+    ]
     # tau acts on the length-zero part of the Levi through u_w . sigma.
     f_mat = mat_mul(x.mat, sigma.matrix)
     fixed, gens = levi.pi1.fixed_subgroup(f_mat)
@@ -258,18 +248,15 @@ def essentially_noncentral(
 ) -> bool:
     """True iff mu pairs nontrivially with each sigma-orbit of Dynkin
     components; False for a torus."""
-    if not d.components:
+    k = len(d.components)
+    if not k:
         return False
-    if sigma is None or sigma.residually_split:
-        comp_perm = tuple(range(len(d.components)))
-    else:
-        comp_perm = []
-        for comp in d.components:
-            image = sigma.on_affine_root(AffineRoot(d.simple_roots[comp[0]], 0))
-            comp_perm.append(d.component_of_root(image.gradient))
+    # Affine simple c is the wall of component c, so sigma permutes the
+    # components as it permutes the first k affine simples.
+    comp_perm = range(k) if sigma is None else sigma.s_permutation[:k]
     orbits = {
         frozenset(closure([start], lambda c: (comp_perm[c],)))
-        for start in range(len(d.components))
+        for start in range(k)
     }
     return all(
         any(d.component_of_root(a) in orbit and dot(a, mu) != 0 for a in d.positive_roots)

@@ -31,14 +31,14 @@ QVec = tuple[Fraction, ...]
 
 def mu_natural(sigma: FrobeniusDatum, mu: Sequence[int]) -> tuple[int, ...]:
     """Image of the class of mu in the sigma-coinvariants of pi_1."""
-    return sigma.pi1_coinvariants.project(tuple(int(x) for x in mu))
+    return sigma.pi1_coinvariants.project(sigma.datum.cocharacter(mu))
 
 
 def mu_diamond(sigma: FrobeniusDatum, mu: Sequence[int]) -> QVec:
     """Average of the dominant representative over the sigma action,
     summed in integers and divided by the order of sigma once."""
     d = sigma.datum
-    cur = d.dominant_word(mu)[0]
+    cur = d.dominant_word(d.cocharacter(mu))[0]
     acc = [0] * d.rank
     for _ in range(sigma.order):
         acc = [a + c for a, c in zip(acc, cur)]
@@ -66,7 +66,7 @@ def straight_classes(
     """The straight elements of Adm({mu}) grouped by (Newton point,
     Kottwitz) tag, smallest Newton point first, each group sorted by
     (length, canonical key)."""
-    return _straight_classes(d.weyl, sigma, tuple(int(x) for x in mu), budget)
+    return _straight_classes(d.weyl, sigma, d.cocharacter(mu), budget)
 
 
 @MEMO(lambda classes: sum(len(members) for _tag, members in classes))
@@ -90,7 +90,7 @@ def b_g_mu(
 ) -> tuple[BGMuElement, ...]:
     """B(G, {mu}) ordered smallest Newton point first.  A tuple, since
     repeated calls share one memoized result."""
-    return _b_g_mu(d.weyl, sigma, tuple(int(x) for x in mu), budget)
+    return _b_g_mu(d.weyl, sigma, d.cocharacter(mu), budget)
 
 
 @MEMO(len)
@@ -170,7 +170,7 @@ def obstruction_class(
     """
     d = sigma.datum
     pi1 = d.pi1
-    diff = vec_sub(tuple(int(x) for x in mu), tag_rep.lam)
+    diff = vec_sub(d.cocharacter(mu), tag_rep.lam)
     c = pi1.solve_crossed(sigma.matrix, diff)
     # Substitute back: (1 - sigma) c must equal diff in pi_1.
     back = vec_sub(c, mat_vec(sigma.matrix, c))

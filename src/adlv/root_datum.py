@@ -250,6 +250,14 @@ class RootDatum:
         """Pairs to zero with every root."""
         return all(dot(a, v) == 0 for a in self.simple_roots)
 
+    def cocharacter(self, mu: Sequence[int]) -> IntVec:
+        """mu as a tuple of `rank` integers, the one check a cocharacter
+        passes on its way into the package; SchemaError otherwise."""
+        mu = tuple(mu)
+        if len(mu) != self.rank or not all(type(c) is int for c in mu):
+            raise SchemaError(f"/mu: expected {self.rank} integers")
+        return mu
+
     def dominant_word(self, v: Sequence[int]) -> tuple[list[int], list[int]]:
         """The dominant vector of the W0-orbit of the integer vector v, and
         the simple reflections i_1, ..., i_k that took v there, in the

@@ -22,7 +22,7 @@ from .admissible import (
 )
 from .affine_weyl import DEFAULT_BUDGET, closure
 from .frobenius import FrobeniusDatum
-from .levi import is_fundamental, levi_of, sub_element, tau_orbits, twist_map
+from .levi import is_fundamental, levi_of, sub_element, tau_orbits
 from .linalg import identity_matrix, mat_mul, mat_vec
 from .newton_bg import b_g_mu
 from .picard import PicardLattice, PicClass, class_certificates, is_ample
@@ -152,11 +152,10 @@ def check_wall_times_tau(scales: VerifyScales) -> dict:
     for p in catalog():
         if len(p.datum.components) != 1:
             continue
-        sigma = FrobeniusDatum(p.datum)
         for label, mu in p.mu_grid:
             if p.datum.is_central(mu):
                 continue
-            rep = verify_s_tau_membership(p.datum, sigma, mu, budget=scales.budget)
+            rep = verify_s_tau_membership(p.datum, mu, budget=scales.budget)
             ok = ok and rep["pass"]
             runs.append(
                 {
@@ -327,9 +326,8 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
         for sig_name, sigma in _sigmas(p):
             for om in w.omega_elements():
                 tau_elt = om.element
-                tau = twist_map(d, sigma, tau_elt)
-                walls = [s.root for s in w.simple_affine]
-                orbits = tau_orbits(d, walls, tau)
+                # Ad(tau) . sigma on the affine simple indices.
+                orbits = tau_orbits(w, [om.s_permutation[j] for j in sigma.s_permutation])
                 gens = [o.longest for o in orbits if o.finite]
                 pad = cap + max((w.length(g) for g in gens), default=0)
 
@@ -341,7 +339,7 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
                 fixed = {
                     x
                     for x in w.coset_ball(cap, budget=scales.budget)
-                    if tau_elt * sigma.apply(x) * tau_elt.inverse() == x
+                    if tau_elt * sigma.apply(x) == x * tau_elt
                 }
                 ok_here = generated == fixed
                 ok = ok and ok_here

@@ -11,9 +11,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
-from adlv.linalg import dot, identity_matrix, mat_mul, mat_vec, solve_fraction, vec_mat
+from adlv.linalg import (
+    dot,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    principal_minors_positive,
+    solve_fraction,
+    vec_mat,
+)
 from adlv.picard import PicClass
 
 
@@ -36,7 +45,18 @@ def preimage_affine_root(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoo
 def is_right_descent(w, i: int, x: AffineWeylElement) -> bool:
     """l(x s_i) < l(x), as the left descent s_i of x^{-1}."""
     y = x.inverse()
-    return w.is_left_descent(i, y.lam, y.u_idx)
+    return w.left_step(i, y.lam, y.u_idx)[2]
+
+
+def apply_affine(x: AffineWeylElement, point):
+    """The affine action of x = t^lam u on the apartment: p -> lam + u(p)."""
+    return tuple(a + b for a, b in zip(x.lam, mat_vec(x.mat, point)))
+
+
+def group_order(g):
+    """The order of a finitely generated abelian group, None when infinite."""
+    factors = g.invariant_factors
+    return None if 0 in factors else prod(factors)
 
 
 def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]:
@@ -48,6 +68,64 @@ def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]
         conj = omega * s.element * inv
         perm.append(next(t.index for t in w.simple_affine if t.element == conj))
     return tuple(perm)
+
+
+def tau_orbits_by_walls(d, walls, tau) -> list[dict]:
+    """The orbits of the affine-root map tau on the wall list, each with
+    its fields as levi.tau_orbits reports them, found by following the
+    walls through tau, testing the Cartan block of each orbit by its
+    leading principal minors, and enumerating W_J inside d.weyl to take
+    its element of greatest length."""
+    w = d.weyl
+    seen = set()
+    out = []
+    for beta in walls:
+        if beta in seen:
+            continue
+        orbit = [beta]
+        cur = tau(beta)
+        while cur != beta:
+            assert cur in walls, "tau does not permute the walls"
+            orbit.append(cur)
+            cur = tau(cur)
+        seen.update(orbit)
+        n = len(orbit)
+        cart = tuple(
+            tuple(dot(orbit[j].gradient, d.coroot(orbit[i].gradient)) for j in range(n))
+            for i in range(n)
+        )
+        finite = principal_minors_positive(cart)
+        longest = None
+        if finite:
+            gens = [w.reflection(r) for r in orbit]
+            dist = {w.identity(): 0}
+            frontier = [w.identity()]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    for g in gens:
+                        z = g * y
+                        if z not in dist:
+                            dist[z] = dist[y] + 1
+                            nxt.append(z)
+                frontier = nxt
+            top = max(dist.values())
+            (longest,) = [y for y, k in dist.items() if k == top]
+        pairs = tuple(
+            (i, j)
+            for i, j in combinations(range(n), 2)
+            if tuple(a + b for a, b in zip(orbit[i].gradient, orbit[j].gradient)) in d.root_set
+        )
+        out.append(
+            {
+                "roots": tuple(orbit),
+                "finite": finite,
+                "orbit_type": ("B" if pairs else "A") if finite else None,
+                "summing_pairs": pairs,
+                "longest": longest,
+            }
+        )
+    return out
 
 
 def reflection_action(pic, i: int):
@@ -204,7 +282,7 @@ def perm_oracle(d, mu, x, vertices=None) -> bool:
         return False
     mu_dom, _ = d.dominant_rep(mu)
     for v in vertices if vertices is not None else alcove_vertices(d):
-        moved, _ = d.dominant_rep(tuple(a - b for a, b in zip(x.apply(v), v)))
+        moved, _ = d.dominant_rep(tuple(a - b for a, b in zip(apply_affine(x, v), v)))
         if not d.dominance_leq(moved, mu_dom):
             return False
     return True

@@ -1,10 +1,11 @@
 import gc
 import warnings
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from adlv import admissible
+from adlv import admissible, cli
 from adlv.admissible import (
     MEMO,
     adm,
@@ -17,8 +18,9 @@ from adlv.admissible import (
     verify_straight_class_containment,
 )
 from adlv.affine_weyl import AffineWeylGroup
-from adlv.errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
+from adlv.errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic, SchemaError
 from adlv.frobenius import FrobeniusDatum
+from adlv.newton_bg import b_g_mu, mu_diamond, mu_natural, obstruction_class, straight_classes
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
@@ -360,14 +362,53 @@ def test_lemma_containment_runs():
 
 def test_s_tau_verifier():
     d = preset("A1_sc").datum
-    sig = FrobeniusDatum(d)
-    rep = verify_s_tau_membership(d, sig, (1,))
+    rep = verify_s_tau_membership(d, (1,))
     assert rep["pass"] and rep["checked"] == 2
     with pytest.raises(HypothesisViolated):
-        verify_s_tau_membership(d, sig, (0,))  # central mu
+        verify_s_tau_membership(d, (0,))  # central mu
     d2 = preset("A1xA1_sc").datum
     with pytest.raises(HypothesisViolated):
-        verify_s_tau_membership(d2, FrobeniusDatum(d2), (1, 1))  # not simple
+        verify_s_tau_membership(d2, (1, 1))  # not simple
     c2 = preset("C2_sc").datum
-    rep2 = verify_s_tau_membership(c2, FrobeniusDatum(c2), (1, 0))
+    rep2 = verify_s_tau_membership(c2, (1, 0))
     assert rep2["pass"]
+
+
+# Cocharacters of the wrong rank or with entries that are not integers.
+# Unchecked, a short mu kept adm and in_adm running without end on A2, a
+# float was truncated, and a long mu gave three-entry Newton points.
+BAD_MU = [(1,), (1, 1, 1), (1.5, 1), (True, 1), (Fraction(1), 1)]
+_A2 = preset("A2_sc").datum
+_A2_SPLIT = FrobeniusDatum(_A2)
+MU_ENTRY_POINTS = {
+    "adm": lambda mu: adm(_A2, mu),
+    "in_adm": lambda mu: in_adm(_A2, mu, _A2.weyl.identity()),
+    "maximal_translations": lambda mu: maximal_translations(_A2, mu),
+    "straight_classes": lambda mu: straight_classes(_A2, _A2_SPLIT, mu),
+    "b_g_mu": lambda mu: b_g_mu(_A2, _A2_SPLIT, mu),
+    "mu_natural": lambda mu: mu_natural(_A2_SPLIT, mu),
+    "obstruction_class": lambda mu: obstruction_class(_A2_SPLIT, mu, _A2.weyl.identity()),
+    "mu_diamond": lambda mu: mu_diamond(_A2_SPLIT, mu),
+    "tau_mu": lambda mu: tau_mu(_A2, mu),
+    "verify_s_tau_membership": lambda mu: verify_s_tau_membership(_A2, mu),
+}
+
+
+@pytest.mark.parametrize("mu", BAD_MU)
+@pytest.mark.parametrize("entry", sorted(MU_ENTRY_POINTS))
+def test_mu_is_checked_at_each_entry_point(entry, mu):
+    with pytest.raises(SchemaError, match="^/mu: expected 2 integers$"):
+        MU_ENTRY_POINTS[entry](mu)
+
+
+@pytest.mark.parametrize("mu", BAD_MU)
+@pytest.mark.parametrize("command", ["adm", "straight", "bgmu", "pi0", "pic-cert", "verify"])
+def test_mu_is_checked_by_every_cli_command(command, mu):
+    report, code = cli.run(cli.JobSpec(command=command, group="A2_sc", mu=mu))
+    assert code == cli.EXIT_USAGE
+    assert report["error"] == "/mu: expected 2 integers"
+
+
+def test_cocharacter_returns_an_integer_tuple():
+    assert _A2.cocharacter([1, -2]) == (1, -2)
+    assert adm(_A2, [1, 1]) is adm(_A2, (1, 1))

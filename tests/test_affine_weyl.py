@@ -282,7 +282,7 @@ def test_descents_match_length_oracle():
             for s in w.simple_affine:
                 left = length_oracle(w, s.element * x) < lx
                 right = length_oracle(w, x * s.element) < lx
-                assert w.is_left_descent(s.index, x.lam, x.u_idx) == left
+                assert w.left_step(s.index, x.lam, x.u_idx)[2] == left
                 assert is_right_descent(w, s.index, x) == right
 
 

@@ -25,7 +25,7 @@ from adlv.presets import catalog, preset
 from adlv.root_datum import from_cartan_matrix
 from adlv.verify import VerifyScales, check_levi_embedding_facts
 
-from helpers import v_alcove_oracle
+from helpers import group_order, tau_orbits_by_walls, v_alcove_oracle
 
 
 def walls(levi):
@@ -160,7 +160,7 @@ def test_straight_iff_fundamental_small():
 def test_tau_orbits_identity():
     d = preset("C2_sc").datum
     sig = FrobeniusDatum(d)
-    orbits = tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity()))
+    orbits = tau_orbits(d.weyl, sig.s_permutation)
     assert len(orbits) == 3
     for o in orbits:
         assert len(o.roots) == 1
@@ -174,8 +174,8 @@ def test_tau_orbit_infinite_bond_excluded():
     d = preset("GL2").datum
     w = d.weyl
     sig = FrobeniusDatum(d)
-    free = w.omega_elements()[1].element
-    orbits = tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, free))
+    free = w.omega_elements()[1]
+    orbits = tau_orbits(w, [free.s_permutation[j] for j in sig.s_permutation])
     assert len(orbits) == 1
     assert len(orbits[0].roots) == 2
     assert not orbits[0].finite
@@ -187,9 +187,7 @@ def test_tau_orbit_types_a_and_b():
     p = preset("A1xA1_sc")
     d = p.datum
     sig = FrobeniusDatum(d, p.sigmas["swap"])
-    orbits = tau_orbits(
-        d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity())
-    )
+    orbits = tau_orbits(d.weyl, sig.s_permutation)
     finite_sizes = sorted(len(o.roots) for o in orbits)
     assert finite_sizes == [2, 2]
     for o in orbits:
@@ -203,9 +201,7 @@ def test_tau_orbit_types_a_and_b():
     p2 = preset("A2_sc")
     d2 = p2.datum
     sig2 = FrobeniusDatum(d2, p2.sigmas["flip"])
-    orbits2 = tau_orbits(
-        d2, walls(levi_of(d2, (0, 0))), twist_map(d2, sig2, d2.weyl.identity())
-    )
+    orbits2 = tau_orbits(d2.weyl, sig2.s_permutation)
     by_size = {len(o.roots): o for o in orbits2}
     assert by_size[1].orbit_type == "A"
     pair = by_size[2]
@@ -215,28 +211,54 @@ def test_tau_orbit_types_a_and_b():
     assert d2.weyl.length(pair.longest) == 3
 
 
-def test_w0j_is_longest_by_enumeration():
-    p = preset("A2_sc")
+def _twists(p):
+    """(sigma, Omega element, the index permutation of Ad(tau) . sigma)
+    for every sigma of the preset and every designated Omega element."""
     d = p.datum
-    sig = FrobeniusDatum(d, p.sigmas["flip"])
-    for o in tau_orbits(d, walls(levi_of(d, (0, 0))), twist_map(d, sig, d.weyl.identity())):
-        if not o.finite:
-            continue
-        gens = [d.weyl.reflection(r) for r in o.roots]
-        group = {d.weyl.identity()}
-        frontier = [d.weyl.identity()]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = g * y
-                    if z not in group:
-                        group.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        assert o.longest in group
-        top = max(d.weyl.length(z) for z in group)
-        assert d.weyl.length(o.longest) == top
+    for sig_name in sorted(p.sigmas):
+        sig = FrobeniusDatum(d, p.sigmas[sig_name])
+        for om in d.weyl.omega_elements():
+            yield sig, om, [om.s_permutation[j] for j in sig.s_permutation]
+
+
+def test_w0j_is_longest_by_enumeration():
+    for p in catalog():
+        d = p.datum
+        w = d.weyl
+        for _sig, _om, perm in _twists(p):
+            for o in tau_orbits(w, perm):
+                if not o.finite:
+                    continue
+                gens = [w.reflection(r) for r in o.roots]
+                group = closure([w.identity()], lambda y: [g * y for g in gens])
+                assert o.longest in group
+                top = max(w.length(z) for z in group)
+                assert [z for z in group if w.length(z) == top] == [o.longest], p.name
+
+
+def test_tau_orbits_match_wall_following_oracle():
+    # The index permutation against following the walls through
+    # Ad(tau) . sigma, the Cartan block's minors and an enumeration of W_J.
+    for p in catalog():
+        d = p.datum
+        w = d.weyl
+        for sig, om, perm in _twists(p):
+            got = [vars(o) for o in tau_orbits(w, perm)]
+            assert got == tau_orbits_by_walls(d, walls(d), twist_map(d, sig, om.element))
+
+
+def test_jb_shadow_orbits_match_wall_following_oracle():
+    # At every straight element of every catalog Adm(mu) and sigma, the
+    # orbits on the Levi's own indices, embedded in the ambient group.
+    for p in catalog():
+        d = p.datum
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(d, p.sigmas[sig_name])
+            for _label, mu in p.mu_grid:
+                for x in sig.straight_elements_in(adm(d, mu).elements):
+                    jb = jb_shadow(d, sig, x)
+                    want = tau_orbits_by_walls(d, walls(jb.levi), twist_map(d, sig, x))
+                    assert [vars(o) for o in jb.orbits] == want, (p.name, sig_name, x)
 
 
 def test_jb_shadow_examples():
@@ -247,7 +269,7 @@ def test_jb_shadow_examples():
     jb = jb_shadow(d, sig, w.identity())
     assert jb.levi is d
     assert sorted(len(o.roots) for o in jb.orbits) == [1, 1]
-    assert jb.omega_fixed_group.order() == 1
+    assert group_order(jb.omega_fixed_group) == 1
     assert jb.iwahori_fixed_part
     # torus case: no orbits, fixed Omega = lattice
     t = w.translation((1,))
@@ -295,7 +317,7 @@ def test_pi0_predict_basic_and_nonbasic():
     bg = b_g_mu(d, sig, (1,))
     basic = pi0_predict(d, sig, (1,), bg[0].tag)
     assert basic.case == "basic"
-    assert basic.group.order() == 1
+    assert group_order(basic.group) == 1
     assert not basic.upper_bound_only
 
     nonbasic = pi0_predict(d, sig, (1,), bg[1].tag)

@@ -28,6 +28,8 @@ from adlv.linalg import (
     solve_fraction,
 )
 
+from helpers import group_order
+
 
 def test_doctests():
     failures, _ = doctest.testmod(fgab_module)
@@ -94,8 +96,9 @@ def test_finabgroup_shapes():
     assert FinAbGroup.free(2).invariant_factors == (0, 0)
     g = FinAbGroup.from_columns(2, [(2, 0), (0, 4)])
     assert g.invariant_factors == (2, 4)
-    assert g.order() == 8
-    assert FinAbGroup.free(1).order() is None
+    assert group_order(g) == 8
+    assert group_order(FinAbGroup.free(1)) is None
+    assert group_order(FinAbGroup.from_columns(1, [(1,)])) == 1
 
 
 def test_projection_and_lift():
