@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
+from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic, SchemaError
 from .linalg import (
     Mat,
     dot,
@@ -32,7 +32,7 @@ from .linalg import (
     principal_minors_positive,
     vec_mat,
 )
-from .root_datum import RootDatum, reflection_matrix
+from .root_datum import MAX_W0_ORDER, RootDatum, reflection_matrix
 
 IntVec = tuple[int, ...]
 
@@ -176,6 +176,11 @@ class AffineWeylGroup:
                 for gi, gmat in enumerate(gens):
                     prod = mat_mul(gmat, m)
                     if prod not in index:
+                        if len(order) == MAX_W0_ORDER:
+                            raise SchemaError(
+                                f"/simple_roots: the finite Weyl group exceeds"
+                                f" the maximum order {MAX_W0_ORDER}"
+                            )
                         index[prod] = len(order)
                         order.append(prod)
                         words.append((gi,) + words[idx])

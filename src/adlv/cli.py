@@ -72,10 +72,8 @@ def _resolve_group(spec: JobSpec):
     return preset(spec.group).datum, preset(spec.group)
 
 
-def _resolve_sigma(spec: JobSpec, datum, pre, shared: bool = True) -> FrobeniusDatum:
-    """The sigma of the spec: the live one of its value (see _live_sigma)
-    if `shared`, else a new one, whose caches end with the query."""
-    make = _live_sigma if shared else FrobeniusDatum
+def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
+    """The sigma of the spec: the live one of its value (see _live_sigma)."""
     raw = spec.sigma
     if raw.strip().startswith("{"):
         try:
@@ -93,12 +91,13 @@ def _resolve_sigma(spec: JobSpec, datum, pre, shared: bool = True) -> FrobeniusD
     if pre is None:
         if name != "split":
             raise SchemaError("/sigma: explicit data only support 'split' or JSON")
-        return make(datum, None, q)
-    return make(datum, pre.sigma_matrix(name), q)
+        return _live_sigma(datum, None, q)
+    return _live_sigma(datum, pre.sigma_matrix(name), q)
 
 
 # The live sigma of each (datum object, matrix, q), so that queries share
-# one sigma and its Newton data and Smith forms.  A sigma holds its
+# one sigma and its Newton data and Smith forms.  No query reduces to
+# minimal length, so a live sigma keeps no plateaus.  A sigma holds its
 # datum, so id(datum) is not reused while its entry lives.
 _LIVE_SIGMAS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -333,8 +332,7 @@ def _targeted_verify(spec: JobSpec) -> dict:
     from .admissible import verify_s_tau_membership, verify_straight_class_containment
 
     datum, pre = _resolve_group(spec)
-    # Its own sigma: the plateaus it caches are not kept past the query.
-    sigma = _resolve_sigma(spec, datum, pre, shared=False)
+    sigma = _resolve_sigma(spec, datum, pre)
     mu = _require_mu(spec, datum)
     containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
     wall = verify_s_tau_membership(datum, mu, budget=spec.budget)

@@ -104,28 +104,46 @@ class FrobeniusDatum:
         if det not in (1, -1):
             raise SchemaError(f"/lattice_matrix: determinant {det} is not +-1")
         self.matrix_inv = mat_inv_unimodular(self.matrix)
-        self._validate()
+        self.s_permutation: tuple[int, ...] = self._validate()
         self.residually_split = self.matrix == identity_matrix(datum.rank)
+        # sigma(s_i) = s_{pi(i)}, so sigma(u) is u's reduced word with
+        # each letter relabelled by pi.
+        w = datum.weyl
+        letters = [
+            w.simple_affine[j].element.u_idx for j in self.s_permutation[w.n_components:]
+        ]
+        images = []
+        for word in w.w0_words:
+            u = w.w0_identity
+            for i in word:
+                u = w.w0_mul[u][letters[i]]
+            images.append(u)
+        self._u_image: tuple[int, ...] = tuple(images)
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
-        self._u_perm: dict[int, int] = {}
+        # Plateaus met by reduce_to_minimal, filed under every member.
         self._plateau_cache: dict[AffineWeylElement, "Plateau"] = {}
 
-    def _validate(self) -> None:
-        d = self.datum
-        # The transpose-inverse action must permute the roots and be
-        # compatible with coroots; together with fixing the base alcove
-        # this makes sigma an automorphism of (W, S).
-        for a in d.root_set:
-            image = vec_mat(a, self.matrix_inv)
-            if image not in d.root_set:
-                raise SchemaError(f"/lattice_matrix: image of root {a} is not a root")
-            if d.coroot_table[image] != tuple(mat_vec(self.matrix, d.coroot_table[a])):
+    def _validate(self) -> tuple[int, ...]:
+        """The permutation pi of the base alcove's walls by sigma.
+
+        Levels are kept, so pi permutes the simple roots, and the check
+        M alpha_i^vee = alpha_{pi(i)}^vee gives M s_i M^-1 = s_{pi(i)}:
+        M normalises W0, permutes the roots W0 {alpha_i} and carries
+        each coroot to that of the image root, so sigma is an
+        automorphism of (W, S).
+        """
+        w = self.datum.weyl
+        perm = []
+        for s in w.simple_affine:
+            j = w.simple_by_root.get(self.on_affine_root(s.root))
+            if j is None:
+                raise SchemaError("/lattice_matrix: automorphism does not fix the base alcove")
+            if mat_vec(self.matrix, s.coroot) != w.simple_affine[j].coroot:
                 raise SchemaError(
-                    f"/lattice_matrix: coroot of {a} transforms inconsistently"
+                    f"/lattice_matrix: coroot of {s.root.gradient} transforms inconsistently"
                 )
-        walls = d.weyl.simple_by_root
-        if any(self.on_affine_root(s.root) not in walls for s in d.weyl.simple_affine):
-            raise SchemaError("/lattice_matrix: automorphism does not fix the base alcove")
+            perm.append(j)
+        return tuple(perm)
 
     @cached_property
     def order(self) -> int:
@@ -134,29 +152,14 @@ class FrobeniusDatum:
         except ValueError as exc:
             raise PeriodOverflow(str(exc)) from exc
 
-    @cached_property
-    def s_permutation(self) -> tuple[int, ...]:
-        w = self.datum.weyl
-        return tuple(w.simple_by_root[self.on_affine_root(s.root)] for s in w.simple_affine)
-
     def on_affine_root(self, root: AffineRoot) -> AffineRoot:
         return AffineRoot(vec_mat(root.gradient, self.matrix_inv), root.level)
-
-    def _perm_of(self, u_idx: int) -> int:
-        hit = self._u_perm.get(u_idx)
-        if hit is not None:
-            return hit
-        w = self.datum.weyl
-        m = mat_mul(mat_mul(self.matrix, w.w0_list[u_idx]), self.matrix_inv)
-        idx = w.w0_index[m]
-        self._u_perm[u_idx] = idx
-        return idx
 
     def apply(self, x: AffineWeylElement) -> AffineWeylElement:
         w = self.datum.weyl
         if x.group is not w and x.group.datum != self.datum:
             raise DatumMismatch("element and Frobenius live over different data")
-        return AffineWeylElement(w, tuple(mat_vec(self.matrix, x.lam)), self._perm_of(x.u_idx))
+        return AffineWeylElement(w, mat_vec(self.matrix, x.lam), self._u_image[x.u_idx])
 
     # -- Newton and Kottwitz ---------------------------------------------------
 
@@ -255,14 +258,8 @@ class FrobeniusDatum:
 
         The step records each (member, simple index) whose conjugate is
         shorter; the canonical descent is the least of those records.
-        Cached for every member; raises BudgetExceeded past the budget,
-        whether or not the plateau is cached.
+        Raises BudgetExceeded past the budget.
         """
-        hit = self._plateau_cache.get(x)
-        if hit is not None:
-            if len(hit.members) > budget:
-                raise BudgetExceeded(f"plateau exceeds node budget {budget}")
-            return hit
         indices = range(len(self.datum.weyl.simple_affine))
         descents = []
 
@@ -279,10 +276,7 @@ class FrobeniusDatum:
         except BudgetExceeded:
             raise BudgetExceeded(f"plateau exceeds node budget {budget}") from None
         descent = min(descents, key=lambda d: (d[0].key(), d[1]), default=None)
-        info = Plateau(frozenset(members), descent)
-        for m in members:
-            self._plateau_cache[m] = info
-        return info
+        return Plateau(frozenset(members), descent)
 
     def reduce_to_minimal(
         self, x: AffineWeylElement, budget: int = DEFAULT_BUDGET
@@ -292,11 +286,19 @@ class FrobeniusDatum:
 
         Descent choices are canonical (least plateau member, lowest
         simple index), so the walk is deterministic; an element that is
-        already minimal comes back unchanged.
+        already minimal comes back unchanged.  Each plateau is kept for
+        later walks, and one larger than the budget raises as if built.
         """
+        cache = self._plateau_cache
         cur = x
         while True:
-            info = self.plateau(cur, budget)
+            info = cache.get(cur)
+            if info is None:
+                info = self.plateau(cur, budget)
+                for m in info.members:
+                    cache[m] = info
+            elif len(info.members) > budget:
+                raise BudgetExceeded(f"plateau exceeds node budget {budget}")
             if info.descent is None:
                 return cur
             y, i = info.descent
@@ -324,9 +326,6 @@ class FrobeniusDatum:
         )
 
     # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"lattice_matrix": [list(r) for r in self.matrix], "q": self.q}
 
     @classmethod
     def from_json(cls, datum: RootDatum, obj: dict) -> "FrobeniusDatum":

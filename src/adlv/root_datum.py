@@ -33,10 +33,16 @@ from .linalg import (
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 
-# Largest rank an inline root datum may have; the presets go up to 4.
-# The group build allocates rank x rank matrices, so this bounds the
-# memory a small JSON input can ask for.
+# Bounds on what an inline root datum may ask for; the presets go up to
+# rank 4, 4 simple roots and |W0| = 192.  MAX_RANK bounds the lattice.
+# The Cartan check takes 2^n determinants for n simple roots, and the
+# group build tabulates |W0| x |W0| products, so these two bound the
+# time and memory a small JSON input can cost.  Every finite Weyl group
+# on n simple roots has |W0| >= 2^n, so MAX_SIMPLE_ROOTS loses nothing
+# that MAX_W0_ORDER would allow.
 MAX_RANK = 64
+MAX_SIMPLE_ROOTS = 12
+MAX_W0_ORDER = 5040
 
 
 def reflection_matrix(rank: int, root: Sequence[int], coroot: Sequence[int]) -> Mat:
@@ -423,4 +429,8 @@ def build_root_datum(spec) -> RootDatum:
             for j, x in enumerate(v):
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise SchemaError(f"/{key}/{i}/{j}: expected integer")
+    if len(roots) > MAX_SIMPLE_ROOTS:
+        raise SchemaError(
+            f"/simple_roots: {len(roots)} exceeds the maximum of {MAX_SIMPLE_ROOTS} simple roots"
+        )
     return RootDatum(rank, roots, coroots, name=str(spec.get("name", "")))

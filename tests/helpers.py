@@ -17,6 +17,8 @@ from adlv.affine_weyl import AffineRoot, AffineWeylElement
 from adlv.linalg import (
     dot,
     identity_matrix,
+    mat_det,
+    mat_inv_unimodular,
     mat_mul,
     mat_vec,
     principal_minors_positive,
@@ -68,6 +70,31 @@ def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]
         conj = omega * s.element * inv
         perm.append(next(t.index for t in w.simple_affine if t.element == conj))
     return tuple(perm)
+
+
+def sigma_to_json(sigma) -> dict:
+    """The inline JSON of a Frobenius datum, as `--sigma` reads it."""
+    return {"lattice_matrix": [list(r) for r in sigma.matrix], "q": sigma.q}
+
+
+def wall_permutation_by_roots(d, matrix) -> tuple[int, ...] | None:
+    """The permutation of the base alcove's walls by the lattice
+    automorphism `matrix`, or None when it is no Frobenius: found by
+    checking that the transpose-inverse maps every root to a root and
+    every coroot to the coroot of the image, and then that it maps each
+    wall to a wall."""
+    if mat_det(matrix) not in (1, -1):
+        return None
+    inv = mat_inv_unimodular(matrix)
+    for a in d.root_set:
+        image = vec_mat(a, inv)
+        if image not in d.root_set or d.coroot_table[image] != mat_vec(matrix, d.coroot_table[a]):
+            return None
+    w = d.weyl
+    images = [AffineRoot(vec_mat(s.root.gradient, inv), s.root.level) for s in w.simple_affine]
+    if any(r not in w.simple_by_root for r in images):
+        return None
+    return tuple(w.simple_by_root[r] for r in images)
 
 
 def tau_orbits_by_walls(d, walls, tau) -> list[dict]:

@@ -5,6 +5,7 @@ import random
 import weakref
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -26,6 +27,7 @@ from adlv.cli import (
 from adlv.affine_weyl import AffineWeylGroup
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
+from adlv.root_datum import MAX_SIMPLE_ROOTS, MAX_W0_ORDER, build_root_datum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,6 +204,20 @@ def test_catalog_traffic_computes_each_memo_entry_once(memo_runs):
     for spec in specs:
         run(spec)
     assert memo_runs == first
+    # Targeted verify runs on the live sigmas too; no query reduces, so
+    # they keep no plateaus, and each holds at most one Newton datum
+    # per element of W0.  (A1xA1_sc has a disconnected affine diagram,
+    # and two non-split cases report containment violations.)
+    for p in catalog():
+        for sig in sorted(p.sigmas):
+            for _label, mu in p.mu_grid:
+                spec = JobSpec(command="verify", group=p.name, sigma=sig, mu=mu)
+                assert run(spec)[1] in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_COUNTEREXAMPLE)
+    live = list(cli._LIVE_SIGMAS.values())
+    assert live
+    for sigma in live:
+        assert sigma._plateau_cache == {}
+        assert len(sigma._newton_cache) <= sigma.datum.weyl.w0_order()
 
 
 def test_queries_share_one_live_sigma(monkeypatch):
@@ -210,7 +226,7 @@ def test_queries_share_one_live_sigma(monkeypatch):
 
     def counting_validate(self):
         validated.append(self)
-        validate(self)
+        return validate(self)
 
     monkeypatch.setattr(FrobeniusDatum, "_validate", counting_validate)
     spec = JobSpec(command="bgmu", group="A2_sc", sigma="flip:3", mu=(1, 1))
@@ -257,8 +273,9 @@ def test_inline_data_do_not_outlive_their_queries(monkeypatch):
 
 
 def test_targeted_verify_keeps_no_plateaus(monkeypatch):
-    # A targeted verify caches plateaus on its sigma; that sigma is its
-    # own, not the live one other queries share.
+    # A targeted verify runs on the live sigma other queries share, and
+    # leaves no plateaus on it: only reduction to minimal length keeps
+    # them, and no query reduces.
     spec = JobSpec(command="verify", group="C2_sc", mu=(1, 0))
     datum, pre = cli._resolve_group(spec)
     live = cli._resolve_sigma(spec, datum, pre)
@@ -352,6 +369,47 @@ def test_exit_schema_errors():
         result = invoke(*args)
         assert result.exit_code == EXIT_USAGE, (args, result.output)
         assert json.loads(result.output)["error"].startswith(pointer), args
+
+
+def inline_datum(cartan):
+    """Inline JSON of the simply connected datum of a Cartan matrix
+    A[i][j] = <alpha_j, alpha_i^vee>: the simple coroots are the basis."""
+    n = len(cartan)
+    return json.dumps(
+        {
+            "rank": n,
+            "simple_roots": [[cartan[i][j] for i in range(n)] for j in range(n)],
+            "simple_coroots": [[int(i == j) for j in range(n)] for i in range(n)],
+        }
+    )
+
+
+def test_inline_data_past_the_caps_exit_1():
+    # Inline A7 has |W0| = 40,320: its product table would take about
+    # 13 GB, so the group build stops at MAX_W0_ORDER instead.  Inline
+    # 13 x A1 would take 2^13 minors, so it stops at MAX_SIMPLE_ROOTS.
+    a7 = [[2 if i == j else -(abs(i - j) == 1) for j in range(7)] for i in range(7)]
+    a1_13 = [[2 * (i == j) for j in range(13)] for i in range(13)]
+    for cartan, message in (
+        (a7, f"exceeds the maximum order {MAX_W0_ORDER}"),
+        (a1_13, f"13 exceeds the maximum of {MAX_SIMPLE_ROOTS} simple roots"),
+    ):
+        mu = ",".join(["1"] + ["0"] * (len(cartan) - 1))
+        start = time.perf_counter()
+        result = invoke("adm", "--group", inline_datum(cartan), "--mu", mu)
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == EXIT_USAGE
+        assert message in json.loads(result.output)["error"]
+
+
+def test_every_preset_builds_under_the_caps():
+    for p in catalog():
+        d = p.datum
+        assert d.n_simple <= MAX_SIMPLE_ROOTS and d.weyl.w0_order() <= MAX_W0_ORDER
+        inline = build_root_datum(json.loads(inline_datum(d.cartan)))
+        assert inline.cartan == d.cartan, p.name
+        assert inline.weyl.w0_order() == d.weyl.w0_order(), p.name
+    assert max(p.datum.weyl.w0_order() for p in catalog()) == 192
 
 
 def test_exit_budget_exceeded():

@@ -55,3 +55,28 @@ def test_every_definition_is_read_outside_itself():
             if not any(name == node.name and line not in inside for name, line in refs[path]):
                 unread.append(f"{path.name}:{qual}")
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+# Method names defined on more than one package class, each with the
+# package readers of each definition.  A name read on one class counts
+# as read on all, so a new shared name must be reviewed here.
+SHARED_METHOD_NAMES = {
+    # AffineWeylGroup.from_json: bench/workloads.py (w.from_json);
+    # FrobeniusDatum.from_json: cli._resolve_sigma.
+    "from_json",
+    # AffineWeylElement.length: levi.py (s.element.length);
+    # AffineWeylGroup.length: frobenius.is_straight, verify, admissible.
+    "length",
+}
+
+
+def test_shared_method_names_are_reviewed():
+    owners = {}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for qual, _node in definitions(ast.Module(body=node.body, type_ignores=[])):
+                    if "." not in qual:
+                        owners.setdefault(qual, set()).add(f"{path.name}:{node.name}")
+    shared = {name for name, classes in owners.items() if len(classes) > 1}
+    assert shared == SHARED_METHOD_NAMES, {name: owners[name] for name in shared}

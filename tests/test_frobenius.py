@@ -1,19 +1,23 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from adlv.errors import BudgetExceeded, SchemaError
 from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality
+from adlv.linalg import mat_inv_unimodular, mat_mul, mat_vec
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
 from helpers import (
     conjugation_orbit,
     plateau_by_products,
+    sigma_to_json,
     tag_by_fractions,
     twisted_power,
+    wall_permutation_by_roots,
 )
 
 
@@ -31,6 +35,56 @@ def test_sigma_validation():
     flip = FrobeniusDatum(d, preset("A2_sc").sigmas["flip"])
     assert not flip.residually_split
     assert flip.order == 2
+
+
+def sweep_matrices(n):
+    """Every {-1, 0, 1} matrix of size n <= 3; for n = 4, every signed
+    permutation matrix and 3,000 seeded random {-1, 0, 1} matrices."""
+    if n <= 3:
+        entries = product((-1, 0, 1), repeat=n * n)
+    else:
+        rng = random.Random(4)
+        signed = (
+            [sgn[r] * (c == perm[r]) for r in range(n) for c in range(n)]
+            for perm in permutations(range(n))
+            for sgn in product((-1, 1), repeat=n)
+        )
+        randoms = ([rng.choice((-1, 0, 1)) for _ in range(n * n)] for _ in range(3000))
+        entries = list(signed) + list(randoms)
+    return {tuple(tuple(e[r * n:(r + 1) * n]) for r in range(n)) for e in entries}
+
+
+def test_wall_check_matches_root_and_coroot_oracle():
+    # sigma is checked on the walls alone; the oracle checks every root
+    # and coroot, then the walls.  Both must accept the same matrices
+    # and find the same wall permutation.
+    accepted = swept = 0
+    for p in catalog():
+        d = p.datum
+        for m in sorted(sweep_matrices(d.rank)):
+            try:
+                got = FrobeniusDatum(d, m).s_permutation
+            except SchemaError:
+                got = None
+            assert got == wall_permutation_by_roots(d, m), (p.name, m)
+            accepted += got is not None
+            swept += 1
+    assert (swept, accepted) == (26943, 22)
+
+
+def test_apply_matches_matrix_conjugation():
+    # sigma(t^lam u) = t^{M lam} M u M^-1, against sigma(u) read off
+    # relabelled reduced words.
+    for p in catalog():
+        d = p.datum
+        w = d.weyl
+        lam = tuple(range(1, d.rank + 1))
+        for sig_name, m in sorted(p.sigmas.items()):
+            sig = FrobeniusDatum(d, m)
+            inv = mat_inv_unimodular(sig.matrix)
+            for u in w.w0_list:
+                image = w.from_matrix(mat_vec(sig.matrix, lam), mat_mul(mat_mul(sig.matrix, u), inv))
+                assert sig.apply(w.from_matrix(lam, u)) == image, (p.name, sig_name, u)
 
 
 def test_sigma_on_simples_flip():
@@ -308,10 +362,12 @@ def test_plateau_budget():
     x = w.simple(0) * w.simple(1)
     with pytest.raises(BudgetExceeded):
         sig.plateau(x, budget=1)
-    # A cached plateau obeys the budget too.
+    # A plateau kept by an earlier reduction obeys the budget too.
+    sig.reduce_to_minimal(x)
+    assert sig._plateau_cache[x].members == sig.plateau(x).members
     assert len(sig.plateau(x).members) == 2
     with pytest.raises(BudgetExceeded):
-        sig.plateau(x, budget=1)
+        sig.reduce_to_minimal(x, budget=1)
 
 
 def test_tags_group_translations():
@@ -326,7 +382,7 @@ def test_tags_group_translations():
 def test_sigma_json_roundtrip():
     p = preset("A2_sc")
     sig = FrobeniusDatum(p.datum, p.sigmas["flip"], q=5)
-    blob = sig.to_json()
+    blob = sigma_to_json(sig)
     sig2 = FrobeniusDatum.from_json(p.datum, blob)
     assert sig2.matrix == sig.matrix and sig2.q == 5
     with pytest.raises(SchemaError):
