@@ -33,22 +33,17 @@ The enumeration and the naive all-maxima scan cross-check `in_adm` on
 every catalog ball in the test suite.
 
 The sets, the membership data, and the straight classes and B(G, {mu})
-of `newton_bg` share one least-recently-used memo, MEMO, bounded by the
-number of Weyl group elements its values hold: DEFAULT_BUDGET, the most
-one admissible set may hold.  Entries are stored on their group with a
-use stamp, and the memo weakly maps each group to the weight it holds,
-so a datum that is no longer referenced takes its entries and their
-weight with it.
+of `newton_bg` are kept on their group by `memo`, least recently used
+first, up to `affine_weyl.CACHE_BOUND` Weyl group elements per group.
 """
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, NamedTuple, Sequence
 
+from . import affine_weyl
 from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, OmegaElt, closure
 from .errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic
 from .frobenius import FrobeniusDatum
@@ -58,75 +53,46 @@ from .root_datum import RootDatum
 IntVec = tuple[int, ...]
 
 
-class ElementMemo:
-    """A least-recently-used memo bounded by weight, the number of Weyl
-    group elements a value holds (at least 1 per entry).
+def memo(weigh: Callable[[object], int]):
+    """Memoize a body whose first argument is an AffineWeylGroup, keyed by
+    the body and its other positional arguments.
 
-    `memo(weigh)` decorates a body whose first argument is an
-    AffineWeylGroup; the body and its other positional arguments are the
-    key.  An entry lives on its group, as `group.memo_entries[key] =
-    (value, weight, stamp)`, least recently used first: a hit moves it to
-    the end with a fresh stamp from one counter.  The memo itself holds
-    only a weak map from each group to the weight of its entries, so a
-    group that nothing else references is collected with its entries.
-    Past `bound`, the entry with the smallest stamp among the oldest
-    entries of the groups is dropped; a value heavier than `bound` is
-    returned but not kept, and an error is never kept.
+    Each group keeps its own entries, `group.memo_entries[key] = (value,
+    weight)`, least recently used first, so they go with the group.  The
+    weight of a value is the number of Weyl group elements it holds (at
+    least 1); a hit moves its entry to the end.
     """
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self._weights: weakref.WeakKeyDictionary[AffineWeylGroup, int] = (
-            weakref.WeakKeyDictionary()
-        )
-        self._stamps = itertools.count()
+    def decorate(body):
+        @wraps(body)
+        def memoized(group: AffineWeylGroup, *args):
+            key = (body, args)
+            entries = group.memo_entries
+            entry = entries.pop(key, None)
+            if entry is not None:
+                entries[key] = entry
+                return entry[0]
+            value = body(group, *args)
+            _keep(entries, key, value, max(1, weigh(value)))
+            return value
 
-    @property
-    def held(self) -> int:
-        """The total weight of the entries of the live groups."""
-        return sum(self._weights.values())
+        return memoized
 
-    def __call__(self, weigh: Callable[[object], int]):
-        def decorate(body):
-            @wraps(body)
-            def memoized(group: AffineWeylGroup, *args):
-                key = (body, args)
-                entries = group.memo_entries
-                entry = entries.pop(key, None)
-                if entry is not None:
-                    value, weight, _stamp = entry
-                    entries[key] = (value, weight, next(self._stamps))
-                    return value
-                value = body(group, *args)
-                self._keep(group, key, value, max(1, weigh(value)))
-                return value
-
-            return memoized
-
-        return decorate
-
-    def _keep(self, group: AffineWeylGroup, key: tuple, value: object, weight: int) -> None:
-        if weight > self.bound:
-            return
-        group.memo_entries[key] = (value, weight, next(self._stamps))
-        weights = self._weights
-        weights[group] = weights.get(group, 0) + weight
-        while self.held > self.bound:
-            oldest = min(weights, key=lambda g: next(iter(g.memo_entries.values()))[2])
-            entries = oldest.memo_entries
-            _value, dropped, _stamp = entries.pop(next(iter(entries)))
-            if entries:
-                weights[oldest] -= dropped
-            else:
-                del weights[oldest]
-
-    def clear(self) -> None:
-        for group in list(self._weights):
-            group.memo_entries.clear()
-        self._weights.clear()
+    return decorate
 
 
-MEMO = ElementMemo(DEFAULT_BUDGET)
+def _keep(entries: dict, key: tuple, value: object, weight: int) -> None:
+    """Store a value the body returned, then drop the group's least recent
+    entries while their weights sum past CACHE_BOUND.  A value heavier
+    than the bound is not stored, and an error never reaches here."""
+    bound = affine_weyl.CACHE_BOUND
+    if weight > bound:
+        return
+    entries[key] = (value, weight)
+    held = sum(entry[1] for entry in entries.values())
+    while held > bound:
+        _value, dropped = entries.pop(next(iter(entries)))
+        held -= dropped
 
 
 def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:
@@ -178,7 +144,7 @@ def adm(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> Admiss
     return _adm(d.weyl, d.cocharacter(mu), budget)
 
 
-@MEMO(len)
+@memo(len)
 def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     """The body of adm, memoized.  Keyed by the group object, not the
     datum: equal data built apart have distinct groups, and a set's
@@ -282,7 +248,7 @@ class _Membership(NamedTuple):
     bounds: IntVec  # <omega_i, D mu_dom> per scaled fundamental weight
 
 
-@MEMO(lambda data: len(data.maxima))
+@memo(lambda data: len(data.maxima))
 def _membership_data(w: AffineWeylGroup, mu: IntVec) -> _Membership:
     """The membership data of mu, kept per group and mu."""
     d = w.datum
@@ -357,8 +323,12 @@ def verify_straight_class_containment(
     set of straight elements of that class lies in Adm({mu}).
 
     Straight elements of a class form one equal-length twisted
-    conjugation plateau, so the class is swept by plateau closure.
+    conjugation plateau, so the class is swept by plateau closure.  The
+    lemma is for a residually split sigma; any other sigma raises
+    HypothesisViolated.
     """
+    if not sigma.residually_split:
+        raise HypothesisViolated("straight class containment needs a residually split sigma")
     aset = adm(d, mu, budget=budget)
     straights = sigma.straight_elements_in(aset.elements)
     seen: set[AffineWeylElement] = set()

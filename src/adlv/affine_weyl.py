@@ -39,6 +39,11 @@ IntVec = tuple[int, ...]
 # The most elements an enumeration visits before it raises BudgetExceeded.
 DEFAULT_BUDGET = 5_000_000
 
+# The most each group's memos hold: Bruhat pairs, reduced words, and
+# the Weyl group elements of its admissible-set memo entries.  Read at
+# call time, so that a test can lower it.
+CACHE_BOUND = DEFAULT_BUDGET
+
 
 def closure(
     seeds: Iterable, step: Callable[[object], Iterable], budget: int = DEFAULT_BUDGET
@@ -150,8 +155,9 @@ class AffineWeylGroup:
         # right_step's per-(u, i) data, filled on first use; at most
         # |W0| . |S~| entries.
         self._right_steps: dict[tuple[int, int], tuple] = {}
-        # This group's entries of admissible.MEMO, key -> (value, weight,
-        # stamp), least recently used first; they go with the group.
+        # This group's entries of the admissible-set memo (admissible.memo),
+        # key -> (value, weight), least recently used first; they go with
+        # the group.
         self.memo_entries: dict[tuple, tuple] = {}
 
     # -- finite Weyl group tables -------------------------------------------
@@ -340,7 +346,8 @@ class AffineWeylGroup:
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Word (i_1..i_l) and omega with x = s_{i_1} ... s_{i_l} omega,
-        peeling the lowest left descent at each step."""
+        peeling the lowest left descent at each step.  The memo of words
+        is cleared when it holds CACHE_BOUND of them."""
         key = x.key()
         hit = self._rw_cache.get(key)
         if hit is not None:
@@ -359,6 +366,8 @@ class AffineWeylGroup:
         cur = AffineWeylElement(self, lam, u)
         assert self.length(cur) == 0
         out = (tuple(word), cur)
+        if len(self._rw_cache) >= CACHE_BOUND:
+            self._rw_cache.clear()
         self._rw_cache[key] = out
         return out
 
@@ -414,7 +423,8 @@ class AffineWeylGroup:
 
     def _bruhat(self, xl: IntVec, xu: int, yl: IntVec, yu: int) -> bool:
         """Walks the descent chain down to a known answer, then memoizes
-        every pair on the chain with it.  A loop, not recursion: the
+        every pair on the chain with it, first clearing the memo when the
+        chain would take it past CACHE_BOUND.  A loop, not recursion: the
         chain is as long as l(y).
 
         Each step takes the lowest left descent s of y and replaces y by
@@ -458,8 +468,12 @@ class AffineWeylGroup:
                 xl = tuple(l - c * v for l, v in zip(xl, av))
                 xu = w0_mul[s_idx][xu]
                 lx -= 1
+        cache = self._bruhat_cache
+        if len(cache) + len(chain) > CACHE_BOUND:
+            cache.clear()
+            del chain[CACHE_BOUND:]
         for key in chain:
-            self._bruhat_cache[key] = res
+            cache[key] = res
         return res
 
     def covers_below(self, x: AffineWeylElement) -> list[AffineWeylElement]:

@@ -56,6 +56,8 @@ class JobSpec:
             raise SchemaError("/budget: must be positive")
         if self.emit not in ("summary", "elements"):
             raise SchemaError("/emit: expected 'summary' or 'elements'")
+        if self.scale not in ("full", "quick"):
+            raise SchemaError("/scale: expected 'full' or 'quick'")
 
 
 def _resolve_group(spec: JobSpec):
@@ -81,9 +83,9 @@ def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"/sigma: bad JSON ({exc})") from exc
         return FrobeniusDatum.from_json(datum, obj)
-    name, _, qpart = raw.partition(":")
+    name, colon, qpart = raw.partition(":")
     q = 2
-    if qpart:
+    if colon:
         try:
             q = int(qpart)
         except ValueError:

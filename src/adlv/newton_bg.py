@@ -7,9 +7,9 @@ point is dominance-below the sigma-average mu-diamond.  An independent
 audit checks each kept Newton point against the twisted power of its
 representative, which does not use the Newton data (P, N).
 
-The straight classes and B(G, {mu}) are kept in the admissible sets'
-memo, `admissible.MEMO`, keyed by group, sigma, mu and budget and
-weighed by the elements they hold.
+The straight classes and B(G, {mu}) are kept on their group by the
+admissible sets' memo, `admissible.memo`, keyed by sigma, mu and budget
+and weighed by the elements they hold.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .admissible import MEMO, adm
+from .admissible import adm, memo
 from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup
 from .errors import ExtremalityViolation, NoSolution
 from .fgab import FinAbGroup
@@ -69,7 +69,7 @@ def straight_classes(
     return _straight_classes(d.weyl, sigma, d.cocharacter(mu), budget)
 
 
-@MEMO(lambda classes: sum(len(members) for _tag, members in classes))
+@memo(lambda classes: sum(len(members) for _tag, members in classes))
 def _straight_classes(
     w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
 ) -> tuple[tuple[StraightClassTag, tuple[AffineWeylElement, ...]], ...]:
@@ -93,7 +93,7 @@ def b_g_mu(
     return _b_g_mu(d.weyl, sigma, d.cocharacter(mu), budget)
 
 
-@MEMO(len)
+@memo(len)
 def _b_g_mu(
     w: AffineWeylGroup, sigma: FrobeniusDatum, mu: tuple[int, ...], budget: int
 ) -> tuple[BGMuElement, ...]:

@@ -2,19 +2,19 @@ from collections import Counter
 
 import pytest
 
-from adlv.admissible import MEMO
+from adlv import admissible
 
 
 @pytest.fixture
 def memo_runs(monkeypatch):
-    """Counts the runs of each memoized body by name: MEMO._keep is
+    """Counts the runs of each memoized body by name: admissible._keep is
     called once per body run that returns."""
     runs = Counter()
-    keep = MEMO._keep
+    keep = admissible._keep
 
-    def counting(group, key, value, weight):
+    def counting(entries, key, value, weight):
         runs[key[0].__name__] += 1
-        keep(group, key, value, weight)
+        keep(entries, key, value, weight)
 
-    monkeypatch.setattr(MEMO, "_keep", counting)
+    monkeypatch.setattr(admissible, "_keep", counting)
     return runs

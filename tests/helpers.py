@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
+from adlv import affine_weyl
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
 from adlv.linalg import (
     dot,
@@ -26,6 +27,28 @@ from adlv.linalg import (
     vec_mat,
 )
 from adlv.picard import PicClass
+from adlv.presets import catalog
+
+
+def clear_memos() -> None:
+    """Empty the admissible-set memo of every catalog group."""
+    for p in catalog():
+        p.datum.weyl.memo_entries.clear()
+
+
+def memo_weight(group) -> int:
+    """The number of Weyl group elements the group's memo entries hold."""
+    return sum(weight for _value, weight in group.memo_entries.values())
+
+
+def caches_within_bound() -> bool:
+    """Whether every cache of every catalog group holds at most
+    affine_weyl.CACHE_BOUND: Bruhat pairs, reduced words, memo weight."""
+    bound = affine_weyl.CACHE_BOUND
+    return all(
+        len(w._bruhat_cache) <= bound and len(w._rw_cache) <= bound and memo_weight(w) <= bound
+        for w in (p.datum.weyl for p in catalog())
+    )
 
 
 def is_positive_affine(d, root: AffineRoot) -> bool:

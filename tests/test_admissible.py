@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from adlv import admissible, cli
+from adlv import admissible, affine_weyl, cli
 from adlv.admissible import (
-    MEMO,
     adm,
     adm_parahoric,
     audit_downward_closed,
@@ -26,7 +25,10 @@ from adlv.root_datum import RootDatum
 
 from helpers import (
     alcove_vertices,
+    caches_within_bound,
+    clear_memos,
     is_right_descent,
+    memo_weight,
     naive_in_adm,
     perm_oracle,
     subword_set,
@@ -232,7 +234,7 @@ def test_adm_memo_bounded_and_equal_to_cold():
             cold = adm(fresh, mu)
             assert all(x.group is fresh.weyl for x in cold.elements)
             assert again == cold
-    assert MEMO.held <= MEMO.bound
+    assert caches_within_bound()
 
 
 def test_memo_evicts_least_recent_by_weight(monkeypatch, memo_runs):
@@ -244,12 +246,11 @@ def test_memo_evicts_least_recent_by_weight(monkeypatch, memo_runs):
     cold = {mu: adm(fresh, mu) for mu in ((0, 0), (1, 0), (1, 1), (2, 0))}
     bound = len(cold[(1, 0)]) + len(cold[(1, 1)])
     assert len(cold[(2, 0)]) > bound
-    monkeypatch.setattr(MEMO, "bound", bound)
-    MEMO.clear()
+    monkeypatch.setattr(affine_weyl, "CACHE_BOUND", bound)
+    clear_memos()
 
     def held_mus():
         # The entries of d's group, least recently used first.
-        assert list(MEMO._weights) == [w]
         return [args[0] for body, args in w.memo_entries if body is admissible._adm.__wrapped__]
 
     first = adm(d, (1, 0))
@@ -266,59 +267,61 @@ def test_memo_evicts_least_recent_by_weight(monkeypatch, memo_runs):
     assert adm(d, (0, 0)) == cold[(0, 0)]
     assert held_mus() == [(1, 0), (0, 0)]
     assert len(w.memo_entries) == 2
-    assert MEMO.held == len(cold[(1, 0)]) + 1 <= MEMO.bound
+    assert memo_weight(w) == len(cold[(1, 0)]) + 1 <= bound
     for mu, aset in cold.items():
         assert adm(d, mu) == aset
-        assert MEMO.held <= MEMO.bound
+        assert memo_weight(w) <= bound
     for _ in range(2):
         with pytest.raises(BudgetExceeded):
             adm(d, (1, 1), budget=3)
     assert all(args[-1] != 3 for _body, args in w.memo_entries)
 
 
-def test_memo_entries_go_with_their_group():
+def test_memo_entries_go_with_their_group(monkeypatch):
     # Entries live on their group: a datum nothing references is
-    # collected with its entries, and their weight leaves the total.
+    # collected with its entries, and the bound is per group, so its
+    # entries never evict those of another group.
     d = preset("C2_sc").datum
-    MEMO.clear()
+    bound = len(adm(d, (2, 0))) + len(maximal_translations(d, (1, 1)))
+    monkeypatch.setattr(affine_weyl, "CACHE_BOUND", bound)
+    clear_memos()
     adm(d, (1, 0))
-    kept = MEMO.held
+    kept = memo_weight(d.weyl)
     fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
     group = weakref.ref(fresh.weyl)
     adm(fresh, (2, 0))
     in_adm(fresh, (1, 1), fresh.weyl.translation((1, 1)))
-    assert MEMO.held > kept
+    assert memo_weight(fresh.weyl) == bound < memo_weight(fresh.weyl) + kept
+    assert memo_weight(d.weyl) == kept
     del fresh
     gc.collect()
     assert group() is None
-    assert MEMO.held == kept and list(MEMO._weights) == [d.weyl]
+    assert memo_weight(d.weyl) == kept
+    assert [p.datum for p in catalog() if p.datum.weyl.memo_entries] == [d]
     assert len(d.weyl.memo_entries) == 1
 
 
-def test_memo_evicts_least_recent_across_groups(monkeypatch):
-    # The bound is summed over groups: under a bound of two sets, the
-    # entry used least recently goes first, whichever group holds it.
+def test_one_groups_memo_never_evicts_anothers(monkeypatch):
+    # Under a bound of one C2_sc set, a group that fills its memo drops
+    # only its own least recent entries, whatever another group holds.
     a2, c2 = preset("A2_sc").datum, preset("C2_sc").datum
-    monkeypatch.setattr(MEMO, "bound", len(adm(a2, (1, 1))) + len(adm(c2, (1, 1))))
+    bound = len(adm(c2, (1, 1)))
+    monkeypatch.setattr(affine_weyl, "CACHE_BOUND", bound)
 
     def held_mus(d):
         return [args[0] for _body, args in d.weyl.memo_entries]
 
-    MEMO.clear()
-    adm(a2, (1, 1))
-    adm(c2, (1, 1))
-    assert MEMO.held == MEMO.bound
-    adm(c2, (0, 0))
-    assert held_mus(a2) == [] and held_mus(c2) == [(1, 1), (0, 0)]
-    assert list(MEMO._weights) == [c2.weyl]
-    # A hit renews its entry: the C2 set is now the least recent.
-    MEMO.clear()
-    first = adm(a2, (1, 1))
-    adm(c2, (1, 1))
-    assert adm(a2, (1, 1)) is first
-    adm(c2, (0, 0))
-    assert held_mus(a2) == [(1, 1)] and held_mus(c2) == [(0, 0)]
-    assert MEMO.held == len(first) + 1
+    for held, mu, filler in ((c2, (1, 1), a2), (a2, (2, 1), c2)):
+        clear_memos()
+        kept = adm(held, mu)
+        filled = 0
+        for other in ((1, 0), (0, 1), (1, 1), (0, 0)):
+            filled += len(adm(filler, other))
+            assert held_mus(held) == [mu] and memo_weight(held.weyl) == len(kept)
+            assert memo_weight(filler.weyl) <= bound
+        assert filled > bound
+        assert held_mus(filler)[-1] == (0, 0) and len(held_mus(filler)) < 4
+        assert adm(held, mu) is kept
 
 
 def test_adm_parahoric_trivial_k():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import adlv
+from adlv import affine_weyl
 from adlv.admissible import adm, in_adm
 from adlv.affine_weyl import AffineRoot, AffineWeylElement, AffineWeylGroup
 from adlv.errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
@@ -131,7 +132,7 @@ def test_bruhat_examples():
     assert not wad.bruhat_leq(wad.identity(), tau)  # different Omega cosets
 
 
-def test_bruhat_long_chain_without_recursion():
+def test_bruhat_long_chain_without_recursion(monkeypatch):
     # The descent chain from t^1000 down to e has length 2000, deeper than
     # the interpreter's recursion limit.
     d = from_cartan_matrix(((2,),), name="A1_fresh")
@@ -142,6 +143,15 @@ def test_bruhat_long_chain_without_recursion():
     assert len(w._bruhat_cache) == 2000
     assert w.bruhat_leq(w.translation((2,)), w.translation((1000,)))
     assert not w.bruhat_leq(w.translation((-1000,)), w.translation((1000,)))
+    # Under a smaller bound the memo keeps the first CACHE_BOUND pairs of
+    # the chain, and the answers stay the same.
+    monkeypatch.setattr(affine_weyl, "CACHE_BOUND", 500)
+    w = from_cartan_matrix(((2,),), name="A1_bounded").weyl
+    assert w.bruhat_leq(w.identity(), w.translation((1000,)))
+    assert len(w._bruhat_cache) == 500
+    assert w.bruhat_leq(w.translation((2,)), w.translation((1000,)))
+    assert not w.bruhat_leq(w.translation((-1000,)), w.translation((1000,)))
+    assert len(w._bruhat_cache) <= 500
 
 
 def test_bruhat_against_subword_oracle():

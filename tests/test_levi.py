@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from adlv.admissible import MEMO, adm
+from adlv.admissible import adm
 from adlv.affine_weyl import closure
 from adlv.errors import NotStraight, TagNotInBGMu
 from adlv.frobenius import FrobeniusDatum
@@ -25,7 +25,7 @@ from adlv.presets import catalog, preset
 from adlv.root_datum import from_cartan_matrix
 from adlv.verify import VerifyScales, check_levi_embedding_facts
 
-from helpers import group_order, tau_orbits_by_walls, v_alcove_oracle
+from helpers import clear_memos, group_order, tau_orbits_by_walls, v_alcove_oracle
 
 
 def walls(levi):
@@ -423,7 +423,7 @@ def test_interval_closure_matches_bruhat_recursion():
 def test_levi_sets_stay_out_of_the_memo(memo_runs):
     # The check reads each Levi admissible set once: only the grid sets
     # are memoized, and no proper Levi sub-datum's group holds an entry.
-    MEMO.clear()
+    clear_memos()
     check_levi_embedding_facts(VerifyScales.quick())
     assert memo_runs["_adm"] == sum(len(p.mu_grid) for p in catalog())
     for p in catalog():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.admissible import MEMO, adm
+from adlv.admissible import adm
 from adlv.errors import BudgetExceeded, NoSolution
 from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import mat_vec, vec_sub
@@ -15,6 +15,8 @@ from adlv.newton_bg import (
 )
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
+
+from helpers import caches_within_bound
 
 
 def test_mu_diamond_split_is_dominant_rep():
@@ -161,7 +163,7 @@ def test_bgmu_memo_hits_and_equals_cold():
                 assert all(
                     x.group is fresh.weyl for _tag, xs in cold_classes for x in xs
                 )
-    assert MEMO.held <= MEMO.bound
+    assert caches_within_bound()
 
 
 def test_bgmu_budget_raises_after_success():
