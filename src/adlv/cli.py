@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-import weakref
 from dataclasses import dataclass, field, replace
 
 import click
@@ -25,11 +24,12 @@ from .errors import (
     UnknownPreset,
 )
 from .fgab import FinAbGroup
-from .frobenius import FrobeniusDatum, StraightClassTag
+from .frobenius import FrobeniusDatum, StraightClassTag, prime_of_residue_cardinality, sigma_of
 from .levi import pi0_predict
 from .newton_bg import b_g_mu, straight_classes
 from .picard import descent_certificate
 from .presets import catalog, preset
+from .root_datum import build_root_datum
 from .verify import SCHEMA_VERSION, VerifyScales, frac_str, run_verify
 
 EXIT_OK = 0
@@ -52,8 +52,12 @@ class JobSpec:
     scale: str = "full"
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise SchemaError("/budget: must be positive")
+        if type(self.budget) is not int or self.budget <= 0:
+            raise SchemaError("/budget: expected a positive integer")
+        if not isinstance(self.sigma, str):
+            raise SchemaError("/sigma: expected a string")
+        if not all(type(i) is int for i in self.level):
+            raise SchemaError("/level: expected integers")
         if self.emit not in ("summary", "elements"):
             raise SchemaError("/emit: expected 'summary' or 'elements'")
         if self.scale not in ("full", "quick"):
@@ -61,21 +65,22 @@ class JobSpec:
 
 
 def _resolve_group(spec: JobSpec):
-    if spec.group is None:
+    """(datum, preset or None) of a preset name, inline JSON or a dict."""
+    group = spec.group
+    if group is None:
         raise SchemaError("/group: missing")
-    if isinstance(spec.group, str) and spec.group.strip().startswith("{"):
+    if isinstance(group, str) and group.strip().startswith("{"):
         try:
-            obj = json.loads(spec.group)
+            group = json.loads(group)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"/group: bad JSON ({exc})") from exc
-        from .root_datum import build_root_datum
+    if isinstance(group, str):
+        return preset(group).datum, preset(group)
+    return build_root_datum(group), None
 
-        return build_root_datum(obj), None
-    return preset(spec.group).datum, preset(spec.group)
 
-
-def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
-    """The sigma of the spec: the live one of its value (see _live_sigma)."""
+def _resolve_sigma(spec: JobSpec, datum, pre) -> tuple[FrobeniusDatum, int]:
+    """(sigma, q) of the spec, checked in order: the sigma name, q, the matrix."""
     raw = spec.sigma
     if raw.strip().startswith("{"):
         try:
@@ -90,27 +95,11 @@ def _resolve_sigma(spec: JobSpec, datum, pre) -> FrobeniusDatum:
             q = int(qpart)
         except ValueError:
             raise SchemaError("/sigma: q suffix must be an integer") from None
-    if pre is None:
-        if name != "split":
-            raise SchemaError("/sigma: explicit data only support 'split' or JSON")
-        return _live_sigma(datum, None, q)
-    return _live_sigma(datum, pre.sigma_matrix(name), q)
-
-
-# The live sigma of each (datum object, matrix, q), so that queries share
-# one sigma and its Newton data and Smith forms.  No query reduces to
-# minimal length, so a live sigma keeps no plateaus.  A sigma holds its
-# datum, so id(datum) is not reused while its entry lives.
-_LIVE_SIGMAS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _live_sigma(datum, matrix, q: int) -> FrobeniusDatum:
-    key = (id(datum), matrix, q)
-    sigma = _LIVE_SIGMAS.get(key)
-    if sigma is None:
-        sigma = FrobeniusDatum(datum, matrix, q=q)
-        _LIVE_SIGMAS[key] = sigma
-    return sigma
+    if pre is None and name != "split":
+        raise SchemaError("/sigma: explicit data only support 'split' or JSON")
+    matrix = None if pre is None else pre.sigma_matrix(name)
+    prime_of_residue_cardinality(q)
+    return sigma_of(datum, matrix), q
 
 
 def _require_mu(spec: JobSpec, datum) -> tuple[int, ...]:
@@ -246,7 +235,7 @@ def _dispatch(spec: JobSpec) -> dict:
             out["elements"] = [w.to_json(x) for x in aset.sorted_elements]
         return out
 
-    sigma = _resolve_sigma(spec, datum, pre)
+    sigma, q = _resolve_sigma(spec, datum, pre)
 
     if spec.command == "straight":
         mu = _require_mu(spec, datum)
@@ -314,12 +303,12 @@ def _dispatch(spec: JobSpec) -> dict:
         mu = _require_mu(spec, datum)
         elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
         chosen = _select_tag(spec, elements)
-        cert = descent_certificate(sigma, chosen.representative, chosen.representative)
+        cert = descent_certificate(sigma, q, chosen.representative, chosen.representative)
         return {
             **base,
             "mu": list(mu),
             "b": _tag_json(chosen.tag),
-            "q": sigma.q,
+            "q": q,
             "operator": [[frac_str(v) for v in row] for row in cert.operator],
             "certificate": [frac_str(v) for v in cert.pic_class.values()],
             "difference": [frac_str(v) for v in cert.difference],
@@ -334,7 +323,7 @@ def _targeted_verify(spec: JobSpec) -> dict:
     from .admissible import verify_s_tau_membership, verify_straight_class_containment
 
     datum, pre = _resolve_group(spec)
-    sigma = _resolve_sigma(spec, datum, pre)
+    sigma, _q = _resolve_sigma(spec, datum, pre)
     mu = _require_mu(spec, datum)
     containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
     wall = verify_s_tau_membership(datum, mu, budget=spec.budget)

@@ -1,9 +1,9 @@
 """Frobenius actions on the extended affine Weyl group.
 
-A Frobenius datum is a lattice automorphism fixing the base alcove plus
-the residue cardinality q.  On top of it: the twisted conjugation graph
-w -> s w sigma(s), Newton points, the Kottwitz projection, straightness,
-and reduction to minimal length elements.
+A Frobenius datum is a lattice automorphism fixing the base alcove, one
+per datum and matrix by `sigma_of`.  On top of it: the twisted conjugation
+graph w -> s w sigma(s), Newton points, the Kottwitz projection,
+straightness, and reduction to minimal length elements.
 """
 
 from __future__ import annotations
@@ -88,18 +88,25 @@ def prime_of_residue_cardinality(q: int) -> int:
     return root
 
 
-class FrobeniusDatum:
-    """Length-preserving automorphism of (W, S) given by a lattice matrix."""
+def sigma_of(datum: RootDatum, matrix: Mat | None = None) -> "FrobeniusDatum":
+    """The one Frobenius of the datum and lattice matrix (the identity if
+    None), kept in `datum._sigma_cache` so that its Newton data and Smith
+    forms are computed once.  A matrix that fails validation raises and is
+    not kept; the valid ones are automorphisms of the based root datum."""
+    key = tuple(tuple(map(int, row)) for row in matrix or identity_matrix(datum.rank))
+    sigma = datum._sigma_cache.get(key)
+    if sigma is None:
+        sigma = datum._sigma_cache[key] = FrobeniusDatum(datum, key)
+    return sigma
 
-    def __init__(self, datum: RootDatum, matrix: Mat | None = None, q: int = 2):
+
+class FrobeniusDatum:
+    """Length-preserving automorphism of (W, S) given by a lattice matrix,
+    a tuple of int tuples.  Package code takes one through `sigma_of`."""
+
+    def __init__(self, datum: RootDatum, matrix: Mat | None = None):
         self.datum = datum
-        self.matrix: Mat = (
-            tuple(tuple(int(x) for x in row) for row in matrix)
-            if matrix is not None
-            else identity_matrix(datum.rank)
-        )
-        self.q = q
-        self.p = prime_of_residue_cardinality(q)
+        self.matrix: Mat = matrix or identity_matrix(datum.rank)
         det = mat_det(self.matrix)
         if det not in (1, -1):
             raise SchemaError(f"/lattice_matrix: determinant {det} is not +-1")
@@ -120,8 +127,6 @@ class FrobeniusDatum:
             images.append(u)
         self._u_image: tuple[int, ...] = tuple(images)
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
-        # Plateaus met by reduce_to_minimal, filed under every member.
-        self._plateau_cache: dict[AffineWeylElement, "Plateau"] = {}
 
     def _validate(self) -> tuple[int, ...]:
         """The permutation pi of the base alcove's walls by sigma.
@@ -215,7 +220,7 @@ class FrobeniusDatum:
 
         >>> from adlv.presets import preset
         >>> d = preset("A1_ad").datum
-        >>> sigma = FrobeniusDatum(d)
+        >>> sigma = sigma_of(d)
         >>> sigma.tag_of(d.weyl.omega_elements()[1].element)
         Tag(nu=0, k=(1,))
         >>> sigma.tag_of(d.weyl.translation((-3,)))
@@ -279,24 +284,24 @@ class FrobeniusDatum:
         return Plateau(frozenset(members), descent)
 
     def reduce_to_minimal(
-        self, x: AffineWeylElement, budget: int = DEFAULT_BUDGET
+        self, x: AffineWeylElement, plateaus: dict, budget: int = DEFAULT_BUDGET
     ) -> AffineWeylElement:
         """Walk w -> s w sigma(s) without ever increasing length until no
         further decrease is possible anywhere on the final plateau.
 
         Descent choices are canonical (least plateau member, lowest
         simple index), so the walk is deterministic; an element that is
-        already minimal comes back unchanged.  Each plateau is kept for
-        later walks, and one larger than the budget raises as if built.
+        already minimal comes back unchanged.  Each plateau met is filed
+        under every member in the caller's `plateaus` dict, for later
+        walks on this sigma; one larger than the budget raises as if built.
         """
-        cache = self._plateau_cache
         cur = x
         while True:
-            info = cache.get(cur)
+            info = plateaus.get(cur)
             if info is None:
                 info = self.plateau(cur, budget)
                 for m in info.members:
-                    cache[m] = info
+                    plateaus[m] = info
             elif len(info.members) > budget:
                 raise BudgetExceeded(f"plateau exceeds node budget {budget}")
             if info.descent is None:
@@ -327,8 +332,9 @@ class FrobeniusDatum:
 
     # -- serialization -------------------------------------------------------------
 
-    @classmethod
-    def from_json(cls, datum: RootDatum, obj: dict) -> "FrobeniusDatum":
+    @staticmethod
+    def from_json(datum: RootDatum, obj: dict) -> tuple["FrobeniusDatum", int]:
+        """(sigma, q); checks the shape and q's type, then q, then the matrix."""
         if not isinstance(obj, dict):
             raise SchemaError("/: sigma spec must be an object")
         mat = obj.get("lattice_matrix")
@@ -345,21 +351,22 @@ class FrobeniusDatum:
         q = obj.get("q", 2)
         if isinstance(q, bool) or not isinstance(q, int):
             raise SchemaError("/q: expected integer")
-        return cls(datum, tuple(tuple(r) for r in mat), q)
+        prime_of_residue_cardinality(q)
+        return sigma_of(datum, mat), q
 
-    # Equal data, matrices and q give equal values, so that memos keyed
-    # by sigma hit for a sigma rebuilt per query.
+    # Equal data and matrices give equal values, so that memos keyed by
+    # sigma hit for a sigma built apart, over a datum built apart too.
     def __eq__(self, other):
         return isinstance(other, FrobeniusDatum) and (
-            (self.datum, self.matrix, self.q) == (other.datum, other.matrix, other.q)
+            (self.datum, self.matrix) == (other.datum, other.matrix)
         )
 
     def __hash__(self):
-        return hash((self.datum, self.matrix, self.q))
+        return hash((self.datum, self.matrix))
 
     def __repr__(self):
         kind = "split" if self.residually_split else f"order {self.order}"
-        return f"Frobenius({self.datum.name or 'datum'}, {kind}, q={self.q})"
+        return f"Frobenius({self.datum.name or 'datum'}, {kind})"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
-from .frobenius import FrobeniusDatum
+from .frobenius import FrobeniusDatum, prime_of_residue_cardinality
 from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_bareiss
 
 
@@ -140,13 +140,13 @@ class DescentCertificate:
 
 
 def _twisted_action(
-    pic: PicardLattice, sigma: FrobeniusDatum, x: AffineWeylElement
+    pic: PicardLattice, sigma: FrobeniusDatum, q: int, x: AffineWeylElement
 ) -> Mat:
     """The operator of x . sigma: q times x's action with its columns
     permuted by sigma's diagram permutation."""
     perm = sigma.s_permutation
     return tuple(
-        tuple(sigma.q * row[perm[c]] for c in range(pic.n))
+        tuple(q * row[perm[c]] for c in range(pic.n))
         for row in pic.element_action(x)
     )
 
@@ -179,7 +179,7 @@ def _certify(twisted: Mat, inverse: Mat, p: int) -> DescentCertificate | None:
 
 
 def descent_certificate(
-    sigma: FrobeniusDatum, w: AffineWeylElement, x: AffineWeylElement
+    sigma: FrobeniusDatum, q: int, w: AffineWeylElement, x: AffineWeylElement
 ) -> DescentCertificate:
     """A Picard class whose twist difference is dominant regular.
 
@@ -187,14 +187,15 @@ def descent_certificate(
     (M - 1) L = (1, ..., 1) by one fraction-free elimination.  Raises
     SingularOperator unless det(M - 1) != 0, also when the singular
     system happens to be consistent.  Then scales L by a positive integer
-    so every denominator is a power of the residue characteristic.
+    so every denominator is a power of p, for q = p^e (else SchemaError).
     """
+    p = prime_of_residue_cardinality(q)
     if not sigma.is_straight(w):
         raise NotStraight("descent certificate is defined at straight elements")
     pic = PicardLattice(sigma.datum.weyl)
-    twisted = _twisted_action(pic, sigma, x)
+    twisted = _twisted_action(pic, sigma, q, x)
     inverse = pic.element_action(w.inverse())
-    cert = _certify(twisted, inverse, sigma.p)
+    cert = _certify(twisted, inverse, p)
     if cert is None:
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
@@ -204,28 +205,29 @@ def descent_certificate(
 
 
 def class_certificates(
-    sigma: FrobeniusDatum, members: Sequence[AffineWeylElement]
+    sigma: FrobeniusDatum, q: int, members: Sequence[AffineWeylElement]
 ) -> Iterator[tuple[AffineWeylElement, AffineWeylElement, DescentCertificate | None]]:
     """(w, x, certificate) for every ordered pair of the straight class
     `members`, w outer and x inner, at the all-ones target.
 
     Each member's straightness, its twisted action and the action of its
-    inverse are computed once, not once per pair.  Raises NotStraight
-    before any certificate if a member is not straight; the certificate
-    is None where det(M - 1) = 0.
+    inverse are computed once, not once per pair.  Before any certificate,
+    raises SchemaError unless q is a prime power and NotStraight unless
+    every member is straight; the certificate is None where det(M - 1) = 0.
 
     >>> from adlv.presets import preset
     >>> d = preset("A1_sc").datum
     >>> t = d.weyl.translation((1,))
     >>> [(c.operator, c.pic_class.nums) for _w, _x, c in
-    ...  class_certificates(FrobeniusDatum(d, q=2), [t])]
+    ...  class_certificates(FrobeniusDatum(d), 2, [t])]
     [(((2, 0), (0, 2)), (1, 1))]
     """
+    p = prime_of_residue_cardinality(q)
     if not all(sigma.is_straight(m) for m in members):
         raise NotStraight("descent certificate is defined at straight elements")
     pic = PicardLattice(sigma.datum.weyl)
-    twisted = [_twisted_action(pic, sigma, m) for m in members]
+    twisted = [_twisted_action(pic, sigma, q, m) for m in members]
     inverses = [pic.element_action(m.inverse()) for m in members]
     for w, inverse in zip(members, inverses):
         for x, tw in zip(members, twisted):
-            yield w, x, _certify(tw, inverse, sigma.p)
+            yield w, x, _certify(tw, inverse, p)

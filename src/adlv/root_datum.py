@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, SchemaError
 from .fgab import FinAbGroup
@@ -123,6 +123,8 @@ class RootDatum:
         # positive roots, so directions with the same Levi share its Weyl
         # group and memos.
         self._levi_cache: dict = {}
+        # Filled by frobenius.sigma_of: one Frobenius per valid matrix.
+        self._sigma_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -259,7 +261,7 @@ class RootDatum:
     def cocharacter(self, mu: Sequence[int]) -> IntVec:
         """mu as a tuple of `rank` integers, the one check a cocharacter
         passes on its way into the package; SchemaError otherwise."""
-        mu = tuple(mu)
+        mu = tuple(mu) if isinstance(mu, Iterable) else ()
         if len(mu) != self.rank or not all(type(c) is int for c in mu):
             raise SchemaError(f"/mu: expected {self.rank} integers")
         return mu

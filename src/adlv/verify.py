@@ -21,7 +21,7 @@ from .admissible import (
     verify_straight_class_containment,
 )
 from .affine_weyl import DEFAULT_BUDGET, closure
-from .frobenius import FrobeniusDatum
+from .frobenius import FrobeniusDatum, sigma_of
 from .levi import is_fundamental, levi_of, sub_element, tau_orbits
 from .linalg import identity_matrix, mat_mul, mat_vec
 from .newton_bg import b_g_mu
@@ -64,11 +64,8 @@ def frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _sigmas(p: Preset, q: int = 2) -> list[tuple[str, FrobeniusDatum]]:
-    return [
-        (name, FrobeniusDatum(p.datum, p.sigmas[name], q=q))
-        for name in sorted(p.sigmas)
-    ]
+def _sigmas(p: Preset) -> list[tuple[str, FrobeniusDatum]]:
+    return [(name, sigma_of(p.datum, p.sigmas[name])) for name in sorted(p.sigmas)]
 
 
 def _designated_omegas(d) -> list:
@@ -86,7 +83,7 @@ def check_sl2_pipeline(scales: VerifyScales) -> dict:
     p = preset("A1_sc")
     d = p.datum
     w = d.weyl
-    sigma = FrobeniusDatum(d)
+    sigma = sigma_of(d)
     aset = adm(d, (1,), budget=scales.budget)
     straights = sigma.straight_elements_in(aset.elements)
     bg = b_g_mu(d, sigma, (1,), budget=scales.budget)
@@ -127,7 +124,7 @@ def check_straight_class_containment(scales: VerifyScales) -> dict:
     runs = []
     ok = True
     for p in catalog():
-        sigma = FrobeniusDatum(p.datum)
+        sigma = sigma_of(p.datum)
         for label, mu in p.mu_grid:
             rep = verify_straight_class_containment(
                 p.datum, sigma, mu, budget=scales.budget
@@ -202,11 +199,12 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
                 comp_min.append(min(map(w.length, comp)))
             bad = []
             checked = 0
+            plateaus: dict = {}
             for x in elements:
                 if w.length(x) > scales.reduction_length:
                     continue
                 checked += 1
-                m = sigma.reduce_to_minimal(x, scales.budget)
+                m = sigma.reduce_to_minimal(x, plateaus, scales.budget)
                 cid = comp_id[x]
                 if comp_id.get(m) != cid or w.length(m) != comp_min[cid]:
                     bad.append(w.to_json(x))
@@ -402,10 +400,12 @@ def check_picard_suite(scales: VerifyScales) -> dict:
         cert_count = 0
         cert_failures = []
         ball = w.ball(scales.picard_length, _designated_omegas(d), budget=scales.budget)
+        # Straight classes do not depend on q: one decomposition per sigma.
+        classes = [(sigma, sigma.straight_class_tags(ball)) for _name, sigma in _sigmas(p)]
         for q in scales.picard_qs:
-            for _sig_name, sigma in _sigmas(p, q=q):
-                for _tag, members in sigma.straight_class_tags(ball):
-                    for wx, xx, cert in class_certificates(sigma, members):
+            for sigma, tagged in classes:
+                for _tag, members in tagged:
+                    for wx, xx, cert in class_certificates(sigma, q, members):
                         cert_count += 1
                         if cert is None:
                             singular += 1
@@ -475,7 +475,7 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
     for p in catalog():
         d = p.datum
         w = d.weyl
-        sigma = FrobeniusDatum(d)
+        sigma = sigma_of(d)
         # The order sweep depends only on the Levi, which directions with
         # the same vanishing roots share; it runs once per Levi.
         order_by_sub: dict = {}

@@ -95,9 +95,9 @@ def s_permutation_by_conjugation(w, omega: AffineWeylElement) -> tuple[int, ...]
     return tuple(perm)
 
 
-def sigma_to_json(sigma) -> dict:
-    """The inline JSON of a Frobenius datum, as `--sigma` reads it."""
-    return {"lattice_matrix": [list(r) for r in sigma.matrix], "q": sigma.q}
+def sigma_to_json(sigma, q: int) -> dict:
+    """The inline JSON of a Frobenius datum and q, as `--sigma` reads it."""
+    return {"lattice_matrix": [list(r) for r in sigma.matrix], "q": q}
 
 
 def wall_permutation_by_roots(d, matrix) -> tuple[int, ...] | None:

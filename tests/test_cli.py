@@ -215,18 +215,17 @@ def test_catalog_traffic_computes_each_memo_entry_once(memo_runs):
     for spec in specs:
         run(spec)
     assert memo_runs == first
-    # Targeted verify runs on the live sigmas too; no query reduces, so
-    # they keep no plateaus, and each holds at most one Newton datum
-    # per element of W0.  (A1xA1_sc has a disconnected affine diagram.)
+    # Targeted verify runs on the datum's sigmas too, and each holds at
+    # most one Newton datum per element of W0.  (A1xA1_sc has a
+    # disconnected affine diagram.)
     for p in catalog():
         for sig in sorted(p.sigmas):
             for _label, mu in p.mu_grid:
                 spec = JobSpec(command="verify", group=p.name, sigma=sig, mu=mu)
                 assert run(spec)[1] in (EXIT_OK, EXIT_HYPOTHESIS)
-    live = list(cli._LIVE_SIGMAS.values())
-    assert live
+    live = [sigma for p in catalog() for sigma in p.datum._sigma_cache.values()]
+    assert len(live) == sum(len(p.sigmas) for p in catalog())
     for sigma in live:
-        assert sigma._plateau_cache == {}
         assert len(sigma._newton_cache) <= sigma.datum.weyl.w0_order()
 
 
@@ -263,17 +262,23 @@ def test_queries_share_one_live_sigma(monkeypatch):
     monkeypatch.setattr(FrobeniusDatum, "_validate", counting_validate)
     spec = JobSpec(command="bgmu", group="A2_sc", sigma="flip:3", mu=(1, 1))
     datum, pre = cli._resolve_group(spec)
-    sigma = cli._resolve_sigma(spec, datum, pre)
+    datum._sigma_cache.clear()
+    sigma, q = cli._resolve_sigma(spec, datum, pre)
+    assert q == 3 and datum._sigma_cache == {pre.sigmas["flip"]: sigma}
     assert run(spec)[1] == EXIT_OK
-    assert cli._resolve_sigma(spec, datum, pre) is sigma
-    assert validated == [sigma]
-    # Another q is another sigma; one that fails validation is not kept.
+    assert cli._resolve_sigma(spec, datum, pre) == (sigma, 3)
+    # Another q is the same sigma.
     other = JobSpec(command="bgmu", group="A2_sc", sigma="flip:5", mu=(1, 1))
-    assert cli._resolve_sigma(other, datum, pre) is not sigma
-    live = len(cli._LIVE_SIGMAS)
+    assert cli._resolve_sigma(other, datum, pre)[0] is sigma
+    assert validated == [sigma]
+    # A bad q and a matrix that fails validation add nothing.
     bad = JobSpec(command="bgmu", group="A2_sc", sigma="flip:1", mu=(1, 1))
     assert run(bad)[1] == EXIT_USAGE
-    assert len(cli._LIVE_SIGMAS) == live
+    inline = JobSpec(
+        command="bgmu", group="A2_sc", sigma='{"lattice_matrix": [[1, 1], [0, 1]]}', mu=(1, 1)
+    )
+    assert run(inline)[1] == EXIT_USAGE
+    assert list(datum._sigma_cache.values()) == [sigma]
 
 
 def test_inline_data_do_not_outlive_their_queries(monkeypatch):
@@ -305,16 +310,14 @@ def test_inline_data_do_not_outlive_their_queries(monkeypatch):
 
 
 def test_targeted_verify_keeps_no_plateaus(monkeypatch):
-    # A targeted verify runs on the live sigma other queries share, and
-    # leaves no plateaus on it: only reduction to minimal length keeps
-    # them, and no query reduces.
+    # A targeted verify runs on the sigma other queries share.  A sigma
+    # holds no plateaus: reduction files them in a dict its caller owns.
     spec = JobSpec(command="verify", group="C2_sc", mu=(1, 0))
     datum, pre = cli._resolve_group(spec)
-    live = cli._resolve_sigma(spec, datum, pre)
+    live, _q = cli._resolve_sigma(spec, datum, pre)
     assert run(spec)[1] == EXIT_OK
     assert run(JobSpec(command="bgmu", group="C2_sc", mu=(1, 0)))[1] == EXIT_OK
-    assert cli._resolve_sigma(spec, datum, pre) is live
-    assert live._plateau_cache == {}
+    assert cli._resolve_sigma(spec, datum, pre)[0] is live
 
 
 def test_adm_parahoric_flag():
@@ -471,6 +474,50 @@ def test_catalog_verify_honours_budget():
 def test_unknown_scale_is_rejected():
     with pytest.raises(SchemaError, match="^/scale: expected 'full' or 'quick'$"):
         JobSpec(command="verify", scale="bogus")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("budget", True, "/budget: expected a positive integer"),
+        ("budget", 2.5, "/budget: expected a positive integer"),
+        ("budget", 0, "/budget: expected a positive integer"),
+        ("sigma", None, "/sigma"),
+        ("level", (1.0,), "/level"),
+        ("level", (True,), "/level"),
+    ],
+)
+def test_mistyped_job_fields_are_schema_errors(field, value, message):
+    with pytest.raises(SchemaError, match="^" + message):
+        JobSpec(command="adm", group="A1_sc", mu=(1,), **{field: value})
+
+
+def test_dict_group_and_scalar_mu():
+    # A dict group is the datum of its JSON string; a mu that is no
+    # sequence is bad input, in the CLI and in the library.
+    obj = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]], "name": "gl2x"}
+    for command in ("adm", "bgmu"):
+        report = run(JobSpec(command=command, group=obj, mu=(1, 0)))
+        assert report[1] == EXIT_OK
+        assert report == run(JobSpec(command=command, group=json.dumps(obj), mu=(1, 0)))
+    report, code = run(JobSpec(command="adm", group="A1_sc", mu=5))
+    assert (code, report["error"]) == (EXIT_USAGE, "/mu: expected 1 integers")
+    with pytest.raises(SchemaError, match="^/mu: expected 1 integers$"):
+        adm(preset("A1_sc").datum, 5)
+
+
+def test_q_reuses_the_memo_entries_of_its_sigma(memo_runs):
+    # q is read by pic-cert alone, so another q runs no memo body.
+    clear_memos()
+    assert run(JobSpec(command="bgmu", group="A1_sc", mu=(1,)))[1] == EXIT_OK
+    first = memo_runs.copy()
+    assert first["_b_g_mu"] == 1
+    assert run(JobSpec(command="bgmu", group="A1_sc", sigma="split:3", mu=(1,)))[1] == EXIT_OK
+    report, code = run(
+        JobSpec(command="pic-cert", group="A1_sc", sigma="split:3", mu=(1,), b="maximal")
+    )
+    assert code == EXIT_OK and report["q"] == 3
+    assert memo_runs == first
 
 
 def test_exit_hypothesis_violated():

@@ -5,13 +5,16 @@ from itertools import permutations, product
 
 import pytest
 
+from adlv.affine_weyl import DEFAULT_BUDGET
 from adlv.errors import BudgetExceeded, SchemaError
-from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality
+from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality, sigma_of
 from adlv.linalg import mat_inv_unimodular, mat_mul, mat_vec
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
+from adlv.verify import VerifyScales, check_min_length_reduction, run_verify
 
 from helpers import (
+    clear_memos,
     conjugation_orbit,
     plateau_by_products,
     sigma_to_json,
@@ -21,9 +24,9 @@ from helpers import (
 )
 
 
-def split(name, q=2):
+def split(name):
     p = preset(name)
-    return p.datum, FrobeniusDatum(p.datum, q=q)
+    return p.datum, FrobeniusDatum(p.datum)
 
 
 def test_sigma_validation():
@@ -31,7 +34,7 @@ def test_sigma_validation():
     with pytest.raises(SchemaError):
         FrobeniusDatum(d, ((1, 1), (0, 1)))  # not a root permutation
     with pytest.raises(SchemaError):
-        FrobeniusDatum(d, q=1)
+        prime_of_residue_cardinality(1)
     flip = FrobeniusDatum(d, preset("A2_sc").sigmas["flip"])
     assert not flip.residually_split
     assert flip.order == 2
@@ -294,12 +297,12 @@ def test_reduce_examples():
     w = d.weyl
     # s0 s1 s0 = t^{2 alpha^vee} s_alpha reduces to length 1
     x = w.simple(0) * w.simple(1) * w.simple(0)
-    m = sig.reduce_to_minimal(x)
+    m = sig.reduce_to_minimal(x, {})
     assert w.length(m) == 1
     assert m in conjugation_orbit(sig, x)
     # already-minimal elements come back unchanged
     t = w.translation((1,))
-    assert sig.reduce_to_minimal(t) == t
+    assert sig.reduce_to_minimal(t, {}) == t
 
 
 def test_reduce_against_orbit_oracle():
@@ -308,8 +311,9 @@ def test_reduce_against_orbit_oracle():
         for sig_name in sorted(p.sigmas):
             sig = FrobeniusDatum(p.datum, p.sigmas[sig_name])
             w = p.datum.weyl
+            plateaus = {}
             for x in w.ball(5, [o.element for o in w.omega_elements()]):
-                m = sig.reduce_to_minimal(x)
+                m = sig.reduce_to_minimal(x, plateaus)
                 orbit = conjugation_orbit(sig, x)
                 assert m in orbit
                 assert w.length(m) == min(w.length(y) for y in orbit)
@@ -363,11 +367,12 @@ def test_plateau_budget():
     with pytest.raises(BudgetExceeded):
         sig.plateau(x, budget=1)
     # A plateau kept by an earlier reduction obeys the budget too.
-    sig.reduce_to_minimal(x)
-    assert sig._plateau_cache[x].members == sig.plateau(x).members
+    plateaus = {}
+    sig.reduce_to_minimal(x, plateaus)
+    assert plateaus[x].members == sig.plateau(x).members
     assert len(sig.plateau(x).members) == 2
     with pytest.raises(BudgetExceeded):
-        sig.reduce_to_minimal(x, budget=1)
+        sig.reduce_to_minimal(x, plateaus, budget=1)
 
 
 def test_tags_group_translations():
@@ -381,10 +386,11 @@ def test_tags_group_translations():
 
 def test_sigma_json_roundtrip():
     p = preset("A2_sc")
-    sig = FrobeniusDatum(p.datum, p.sigmas["flip"], q=5)
-    blob = sigma_to_json(sig)
-    sig2 = FrobeniusDatum.from_json(p.datum, blob)
-    assert sig2.matrix == sig.matrix and sig2.q == 5
+    sig = FrobeniusDatum(p.datum, p.sigmas["flip"])
+    sig2, q = FrobeniusDatum.from_json(p.datum, sigma_to_json(sig, 5))
+    assert sig2 is sigma_of(p.datum, p.sigmas["flip"]) and sig2 == sig and q == 5
+    with pytest.raises(SchemaError, match="^/q: residue cardinality 6 is not a prime power$"):
+        FrobeniusDatum.from_json(p.datum, sigma_to_json(sig, 6))
     with pytest.raises(SchemaError):
         FrobeniusDatum.from_json(p.datum, {"lattice_matrix": [[1, 0]]})
     with pytest.raises(SchemaError):
@@ -397,11 +403,82 @@ def test_sigma_value_equality():
     flip = FrobeniusDatum(d, p.sigmas["flip"])
     again = FrobeniusDatum(d, p.sigmas["flip"])
     assert flip == again and hash(flip) == hash(again)
-    assert FrobeniusDatum(d, q=3) == FrobeniusDatum(d, q=3)
+    assert FrobeniusDatum(d) == FrobeniusDatum(d)
     # An equal datum built apart gives an equal sigma.
     fresh = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name)
     assert FrobeniusDatum(fresh, p.sigmas["flip"]) == flip
     assert flip != FrobeniusDatum(d)
-    assert FrobeniusDatum(d, q=2) != FrobeniusDatum(d, q=3)
-    assert flip != FrobeniusDatum(d, p.sigmas["flip"], q=3)
     assert FrobeniusDatum(preset("A1_sc").datum) != FrobeniusDatum(preset("A1_ad").datum)
+
+
+def test_sigma_of_keeps_one_sigma_per_matrix():
+    p = preset("A2_sc")
+    d = p.datum
+    flip = sigma_of(d, p.sigmas["flip"])
+    assert sigma_of(d, [list(row) for row in p.sigmas["flip"]]) is flip
+    assert sigma_of(d) is sigma_of(d, p.sigmas["split"]) is not flip
+    assert d._sigma_cache[p.sigmas["flip"]] is flip
+    held = dict(d._sigma_cache)
+    with pytest.raises(SchemaError):
+        sigma_of(d, ((1, 1), (0, 1)))
+    assert d._sigma_cache == held
+
+
+def test_quick_verify_builds_one_sigma_per_preset_matrix(monkeypatch):
+    # One sigma per (preset, matrix) serves every check, so each Newton
+    # datum is computed once per (datum, matrix, u); a second sweep builds
+    # nothing.
+    clear_memos()
+    for p in catalog():
+        p.datum._sigma_cache.clear()
+    built, computed = [], []
+    init, newton_data = FrobeniusDatum.__init__, FrobeniusDatum._newton_data
+
+    def counting_init(self, datum, matrix=None):
+        built.append((datum.name, matrix))
+        init(self, datum, matrix)
+
+    def counting_newton_data(self, u_idx):
+        if u_idx not in self._newton_cache:
+            computed.append((self.datum.name, self.matrix, u_idx))
+        return newton_data(self, u_idx)
+
+    monkeypatch.setattr(FrobeniusDatum, "__init__", counting_init)
+    monkeypatch.setattr(FrobeniusDatum, "_newton_data", counting_newton_data)
+    report = run_verify(VerifyScales.quick())
+    assert sorted(built) == sorted(
+        (p.name, p.sigmas[name]) for p in catalog() for name in p.sigmas
+    )
+    assert len(built) == 14
+    assert len(computed) == len(set(computed)) == 488
+    assert run_verify(VerifyScales.quick()) == report
+    assert (len(built), len(computed)) == (14, 488)
+
+
+def test_min_length_reduction_builds_each_plateau_once(monkeypatch):
+    # The check keeps one plateau dict per (preset, sigma), so a plateau
+    # met by several walks is built once.
+    kept, built = {}, []
+    reduce, plateau = FrobeniusDatum.reduce_to_minimal, FrobeniusDatum.plateau
+
+    def recording_reduce(self, x, plateaus, budget=DEFAULT_BUDGET):
+        kept[id(plateaus)] = (self, plateaus)
+        return reduce(self, x, plateaus, budget)
+
+    def counting_plateau(self, x, budget=DEFAULT_BUDGET):
+        info = plateau(self, x, budget)
+        built.append((self, info.members))
+        return info
+
+    monkeypatch.setattr(FrobeniusDatum, "reduce_to_minimal", recording_reduce)
+    monkeypatch.setattr(FrobeniusDatum, "plateau", counting_plateau)
+    report = check_min_length_reduction(VerifyScales.quick())
+    assert report["pass"]
+    assert len(built) == len(set(built))
+    held = {
+        (sigma, info.members)
+        for sigma, plateaus in kept.values()
+        for info in plateaus.values()
+    }
+    assert set(built) == held
+    assert len(kept) == len(report["runs"]) == 14

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adlv.picard as picard_module
-from adlv.errors import AdlvError, NotStraight, SingularOperator, SupportViolation
+from adlv.errors import AdlvError, NotStraight, SchemaError, SingularOperator, SupportViolation
 from adlv.frobenius import FrobeniusDatum, prime_of_residue_cardinality
 from adlv.linalg import identity_matrix, mat_mul
 from adlv.picard import (
@@ -17,6 +18,7 @@ from adlv.picard import (
     is_ample,
 )
 from adlv.presets import catalog, preset
+from adlv.verify import VerifyScales, check_picard_suite
 
 from helpers import pic_class_from_fractions, reflection_action, s_permutation_by_conjugation
 
@@ -87,10 +89,10 @@ def test_word_and_sigma_actions():
         e = p.datum.weyl.identity()
         n = len(e.group.simple_affine)
         for name in sorted(p.sigmas):
-            sig = FrobeniusDatum(p.datum, p.sigmas[name], q=3)
+            sig = FrobeniusDatum(p.datum, p.sigmas[name])
             perm = permutation_action(n, sig.s_permutation)
             want = tuple(tuple(3 * v for v in row) for row in perm)
-            assert descent_certificate(sig, e, e).operator == want, (p.name, name)
+            assert descent_certificate(sig, 3, e, e).operator == want, (p.name, name)
     w = preset("A1_sc").datum.weyl
     pic = PicardLattice(w)
     # word of t^{alpha^vee} = s0 s1 equals the direct matrix product
@@ -147,14 +149,14 @@ def test_certificates_by_the_element_x_sigma_w_inverse():
         pic = PicardLattice(w)
         omegas = [o.element for o in w.omega_elements()]
         for name in sorted(p.sigmas):
-            sigma = FrobeniusDatum(p.datum, p.sigmas[name], q=2)
+            sigma = FrobeniusDatum(p.datum, p.sigmas[name])
             p_sigma = permutation_action(pic.n, sigma.s_permutation)
             for _tag, members in sigma.straight_class_tags(w.ball(4, omegas)):
-                for wx, xx, cert in class_certificates(sigma, members):
+                for wx, xx, cert in class_certificates(sigma, 2, members):
                     assert cert is not None, (p.name, name, wx, xx)
                     y = xx * sigma.apply(wx.inverse())
                     op = tuple(
-                        tuple(sigma.q * v for v in row)
+                        tuple(2 * v for v in row)
                         for row in mat_mul(matrix_action(pic, y), p_sigma)
                     )
                     assert op == cert.operator, (p.name, name, wx, xx)
@@ -183,12 +185,12 @@ def test_descent_certificate_split_examples():
     d = p.datum
     w = d.weyl
     t = w.translation((1,))
-    cert2 = descent_certificate(FrobeniusDatum(d, q=2), t, t)
+    cert2 = descent_certificate(FrobeniusDatum(d), 2, t, t)
     assert isinstance(cert2, DescentCertificate)
     assert cert2.operator == ((2, 0), (0, 2))
     assert cert2.pic_class.values() == (Fraction(1), Fraction(1))
     assert cert2.difference == (Fraction(1), Fraction(1))
-    cert3 = descent_certificate(FrobeniusDatum(d, q=3), t, t)
+    cert3 = descent_certificate(FrobeniusDatum(d), 3, t, t)
     assert cert3.pic_class.values() == (Fraction(1), Fraction(1))
     assert cert3.difference == (Fraction(2), Fraction(2))
 
@@ -199,9 +201,9 @@ def test_descent_certificate_rotation_case():
     p = preset("A1_ad")
     d = p.datum
     w = d.weyl
-    sig = FrobeniusDatum(d, q=2)
+    sig = FrobeniusDatum(d)
     tau = w.from_finite_word((1,), (0,))
-    cert = descent_certificate(sig, tau, tau)
+    cert = descent_certificate(sig, 2, tau, tau)
     assert all(v > 0 for v in cert.difference)
     vals = sorted(x for row in cert.operator for x in row)
     assert vals == [0, 0, 2, 2]  # 2 . permutation
@@ -209,9 +211,20 @@ def test_descent_certificate_rotation_case():
 
 def test_descent_certificate_rejects_non_straight():
     w = preset("A1_sc").datum.weyl
-    sig = FrobeniusDatum(w.datum, q=2)
+    sig = FrobeniusDatum(w.datum)
     with pytest.raises(NotStraight):
-        descent_certificate(sig, w.simple(0), w.simple(0))
+        descent_certificate(sig, 2, w.simple(0), w.simple(0))
+
+
+def test_certificate_routines_check_q():
+    # q is an argument of the Picard layer, checked at each public routine.
+    w = preset("A1_sc").datum.weyl
+    t = w.translation((1,))
+    for q, message in ((6, "is not a prime power"), (1, "must be at least 2")):
+        with pytest.raises(SchemaError, match=message):
+            descent_certificate(FrobeniusDatum(w.datum), q, t, t)
+        with pytest.raises(SchemaError, match=message):
+            next(class_certificates(FrobeniusDatum(w.datum), q, [t]))
 
 
 def test_descent_certificate_rejects_zero_determinant(monkeypatch):
@@ -223,7 +236,7 @@ def test_descent_certificate_rejects_zero_determinant(monkeypatch):
         picard_module, "solve_bareiss", lambda a, rhs: ((0,) * len(rhs), 0)
     )
     with pytest.raises(SingularOperator):
-        descent_certificate(FrobeniusDatum(d, q=2), t, t)
+        descent_certificate(FrobeniusDatum(d), 2, t, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -242,9 +255,9 @@ def test_pic_class_integer_path_matches_fractions(prime, nums, p_power, det):
     assert cls == want
 
 
-def _certificate_or_none(sigma, w, x):
+def _certificate_or_none(sigma, q, w, x):
     try:
-        return descent_certificate(sigma, w, x)
+        return descent_certificate(sigma, q, w, x)
     except SingularOperator:
         return None
 
@@ -256,11 +269,11 @@ def test_class_certificates_match_descent_certificate_all_presets():
         omegas = [o.element for o in w.omega_elements()]
         for q in (2, 3):
             for name in sorted(p.sigmas):
-                sigma = FrobeniusDatum(p.datum, p.sigmas[name], q=q)
+                sigma = FrobeniusDatum(p.datum, p.sigmas[name])
                 for _tag, members in sigma.straight_class_tags(w.ball(4, omegas)):
-                    got = list(class_certificates(sigma, members))
+                    got = list(class_certificates(sigma, q, members))
                     want = [
-                        (wx, xx, _certificate_or_none(sigma, wx, xx))
+                        (wx, xx, _certificate_or_none(sigma, q, wx, xx))
                         for wx in members
                         for xx in members
                     ]
@@ -270,9 +283,9 @@ def test_class_certificates_match_descent_certificate_all_presets():
 def test_class_certificates_reject_a_non_straight_member():
     d = preset("A1_sc").datum
     w = d.weyl
-    sigma = FrobeniusDatum(d, q=2)
+    sigma = FrobeniusDatum(d)
     with pytest.raises(NotStraight):
-        next(class_certificates(sigma, [w.translation((1,)), w.simple(0)]))
+        next(class_certificates(sigma, 2, [w.translation((1,)), w.simple(0)]))
 
 
 def test_class_certificates_yield_none_at_zero_determinant(monkeypatch):
@@ -282,7 +295,7 @@ def test_class_certificates_yield_none_at_zero_determinant(monkeypatch):
     monkeypatch.setattr(
         picard_module, "solve_bareiss", lambda a, rhs: ((0,) * len(rhs), 0)
     )
-    got = list(class_certificates(FrobeniusDatum(d, q=2), members))
+    got = list(class_certificates(FrobeniusDatum(d), 2, members))
     assert [c for _w, _x, c in got] == [None] * 4
 
 
@@ -291,9 +304,30 @@ def test_descent_certificate_mixed_tag_pairs():
     p = preset("A1_sc")
     d = p.datum
     w = d.weyl
-    sig = FrobeniusDatum(d, q=5)
+    sig = FrobeniusDatum(d)
     t_plus, t_minus = w.translation((1,)), w.translation((-1,))
     assert sig.tag_of(t_plus) == sig.tag_of(t_minus)
-    cert = descent_certificate(sig, t_plus, t_minus)
+    cert = descent_certificate(sig, 5, t_plus, t_minus)
     assert all(v > 0 for v in cert.difference)
     assert all(e == 0 or n % 5 != 0 for n, e in zip(cert.pic_class.nums, cert.pic_class.exps))
+
+
+def test_picard_suite_decomposes_once_per_sigma(monkeypatch):
+    # Straight classes do not depend on q: the suite decomposes the ball
+    # once per (preset, sigma) and certifies each class for every q.
+    calls = []
+    tags = FrobeniusDatum.straight_class_tags
+
+    def counting_tags(self, elements):
+        calls.append(self)
+        return tags(self, elements)
+
+    monkeypatch.setattr(FrobeniusDatum, "straight_class_tags", counting_tags)
+    one = check_picard_suite(VerifyScales.quick())
+    calls.clear()
+    three = check_picard_suite(replace(VerifyScales.quick(), picard_qs=(2, 3, 5)))
+    assert len(calls) == len(set(calls)) == 14
+    assert three["pass"] and three["counterexample_candidates"] == 0
+    assert [r["certificates"] for r in three["runs"]] == [
+        3 * r["certificates"] for r in one["runs"]
+    ]
