@@ -101,10 +101,6 @@ class AffineWeylElement:
         lam = tuple(-x for x in mat_vec(g.w0_list[inv_idx], self.lam))
         return AffineWeylElement(g, lam, inv_idx)
 
-    @property
-    def length(self) -> int:
-        return self.group.length_of(self.lam, self.u_idx)
-
     def is_identity(self) -> bool:
         return self.u_idx == self.group.w0_identity and all(x == 0 for x in self.lam)
 

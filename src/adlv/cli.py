@@ -56,8 +56,12 @@ class JobSpec:
             raise SchemaError("/budget: expected a positive integer")
         if not isinstance(self.sigma, str):
             raise SchemaError("/sigma: expected a string")
-        if not all(type(i) is int for i in self.level):
+        if not isinstance(self.level, (tuple, list)) or any(
+            type(i) is not int for i in self.level
+        ):
             raise SchemaError("/level: expected integers")
+        if self.b is not None and not isinstance(self.b, str):
+            raise SchemaError("/b: expected 'basic', 'maximal', or an index")
         if self.emit not in ("summary", "elements"):
             raise SchemaError("/emit: expected 'summary' or 'elements'")
         if self.scale not in ("full", "quick"):

@@ -355,7 +355,7 @@ def pi0_predict(
         )
     # By canonical key, which orders strata of equal length without
     # building a reduced word.
-    strata.sort(key=lambda s: (s.element.length, s.element.key()))
+    strata.sort(key=lambda s: (w.length(s.element), s.element.key()))
     return Pi0Prediction(
         case="nonbasic-residually-split",
         group=None,

@@ -380,6 +380,18 @@ def plateau_by_products(sigma, x) -> tuple[set, tuple | None]:
     return members, min(shorter, key=lambda d: (d[0].key(), d[1]), default=None)
 
 
+def fixed_subgroup_by_products(w, gens, cap: int) -> set:
+    """Products of `gens` of length at most cap: the closure of the
+    identity under left and right products by the generators inside a
+    ball padded by the longest generator, cut back to cap."""
+    pad = cap + max((w.length(g) for g in gens), default=0)
+
+    def step(y):
+        return [z for g in gens for z in (g * y, y * g) if w.length(z) <= pad]
+
+    return {z for z in affine_weyl.closure([w.identity()], step) if w.length(z) <= cap}
+
+
 def v_alcove_oracle(d, sigma, x, v, window: int = 40) -> bool:
     """Same inequalities as is_v_alcove but with a brutally large window
     and no per-root bound reasoning."""

@@ -5,10 +5,14 @@ verify suites; they run once per session and are shared across tests.
 Stated runtime bounds are asserted where the criteria carry them.
 """
 
+import hashlib
 import json
 import time
 
+import pytest
+
 from adlv.verify import (
+    ALL_CHECKS,
     VerifyScales,
     check_fixed_point_generators,
     check_min_length_reduction,
@@ -23,6 +27,19 @@ from adlv.verify import (
 )
 
 SCALES = VerifyScales()
+# sha256 of json.dumps(report, sort_keys=True) for each full-scale check:
+# any change to a report, counts and witnesses included, fails here.
+FULL_REPORT_DIGESTS = {
+    "sl2_pipeline": "7a52f8792d29001a4d5c85f4d86dfdf78526474ab49f83d90cf91a841ef1499f",
+    "straight_class_containment": "3c40818d946f82707e3c03e645887301f29ef571e448a04855815888e0b70e48",
+    "wall_times_tau": "e914406849dd297fce7b525978826c2f9d548ccd1cc2e0301b1b25709c161bc3",
+    "min_length_reduction": "c3760dfe4bdcf28b7e803fb0d2ee49d3451478a70011ddc7c54c64caf59e4fcf",
+    "tag_injectivity": "d529e99a37bf152dc4461d5cf186ec8f74d164a2402b8b8a62f852a2ff759e01",
+    "straight_iff_fundamental": "4c986e545966dbc9894a74a688f7e5edbf4dff1846b2b7e239232fe956cd8e26",
+    "fixed_point_generators": "7f1326bf5780d84e170938c8e83419264231608f0100a8753f1dc62e4c41fca5",
+    "picard_suite": "c1b0ab25588d04bd2afe47847b530ef57d9a9aefb73f68ec5752906cddd636af",
+    "levi_embedding_facts": "1da91f9b27d1e215a162428b2a7471f525e3f0dc7238edf64cdd9739f87d63da",
+}
 _timings: dict[str, float] = {}
 _results: dict[str, dict] = {}
 
@@ -130,3 +147,12 @@ def test_criterion_10_determinism():
     ok = ok and json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
     _report(10, "verify reports are byte-identical across runs", ok)
     assert ok
+
+
+@pytest.mark.parametrize("fn", ALL_CHECKS, ids=lambda fn: fn.__name__)
+def test_full_scale_report_digest(fn):
+    # Reuses the session's sweeps: the criteria above have run each check.
+    name = fn.__name__.removeprefix("check_")
+    rep, _secs = _run(name, fn)
+    blob = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FULL_REPORT_DIGESTS[name]

@@ -485,6 +485,10 @@ def test_unknown_scale_is_rejected():
         ("sigma", None, "/sigma"),
         ("level", (1.0,), "/level"),
         ("level", (True,), "/level"),
+        ("level", 5, "/level: expected integers"),
+        ("b", [1], "/b: expected 'basic', 'maximal', or an index"),
+        ("b", 1.5, "/b: expected 'basic', 'maximal', or an index"),
+        ("b", True, "/b: expected 'basic', 'maximal', or an index"),
     ],
 )
 def test_mistyped_job_fields_are_schema_errors(field, value, message):

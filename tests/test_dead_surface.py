@@ -64,9 +64,6 @@ SHARED_METHOD_NAMES = {
     # AffineWeylGroup.from_json: bench/workloads.py (w.from_json);
     # FrobeniusDatum.from_json: cli._resolve_sigma.
     "from_json",
-    # AffineWeylElement.length: levi.py (s.element.length);
-    # AffineWeylGroup.length: frobenius.is_straight, verify, admissible.
-    "length",
 }
 
 

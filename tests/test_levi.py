@@ -1,9 +1,12 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from adlv import verify
 from adlv.admissible import adm
 from adlv.affine_weyl import closure
 from adlv.errors import NotStraight, TagNotInBGMu
@@ -23,9 +26,15 @@ from adlv.linalg import dot
 from adlv.newton_bg import b_g_mu
 from adlv.presets import catalog, preset
 from adlv.root_datum import from_cartan_matrix
-from adlv.verify import VerifyScales, check_levi_embedding_facts
+from adlv.verify import VerifyScales, check_fixed_point_generators, check_levi_embedding_facts
 
-from helpers import clear_memos, group_order, tau_orbits_by_walls, v_alcove_oracle
+from helpers import (
+    clear_memos,
+    fixed_subgroup_by_products,
+    group_order,
+    tau_orbits_by_walls,
+    v_alcove_oracle,
+)
 
 
 def walls(levi):
@@ -236,6 +245,49 @@ def test_w0j_is_longest_by_enumeration():
                 assert [z for z in group if w.length(z) == top] == [o.longest], p.name
 
 
+@pytest.fixture(scope="module")
+def quick_fixed_report():
+    return check_fixed_point_generators(VerifyScales.quick())
+
+
+def test_fixed_point_generators_match_two_sided_closure(quick_fixed_report):
+    # Run by run, the generated count against the padded closure of the
+    # same generators under products on both sides.
+    cap = VerifyScales.quick().fixed_point_length
+    runs = iter(quick_fixed_report["runs"])
+    for p in catalog():
+        w = p.datum.weyl
+        for _sig, _om, perm in _twists(p):
+            gens = [o.longest for o in tau_orbits(w, perm) if o.finite]
+            run = next(runs)
+            assert run["preset"] == p.name
+            assert run["generated_in_ball"] == len(fixed_subgroup_by_products(w, gens, cap))
+    assert next(runs, None) is None
+    assert quick_fixed_report["pass"]
+
+
+def test_fixed_point_check_fails_on_a_moved_generator(monkeypatch):
+    # A twist that swaps two walls moves each of their reflections; given
+    # one as the generator of its orbit, the check fails on that twist.
+    def one_wall(group, perm):
+        return [
+            replace(o, longest=group.reflection(o.roots[0]))
+            if o.finite and len(o.roots) == 2
+            else o
+            for o in tau_orbits(group, perm)
+        ]
+
+    monkeypatch.setattr(verify, "tau_orbits", one_wall)
+    report = check_fixed_point_generators(VerifyScales.quick())
+    want = [
+        all(len(o.roots) != 2 for o in tau_orbits(p.datum.weyl, perm) if o.finite)
+        for p in catalog()
+        for _sig, _om, perm in _twists(p)
+    ]
+    assert [run["pass"] for run in report["runs"]] == want
+    assert not all(want)
+
+
 def test_tau_orbits_match_wall_following_oracle():
     # The index permutation against following the walls through
     # Ad(tau) . sigma, the Cartan block's minors and an enumeration of W_J.
@@ -443,37 +495,74 @@ def test_levi_order_pairs_quick_total(quick_levi_report):
     assert quick_levi_report["pass"]
 
 
-def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
-    # Reference sweep: every primitive direction on its own, all pairs,
-    # the Levi order by the descent recursion.
+def _order_sweep_by_all_pairs(p, embed) -> list:
+    """(mu label, related pairs, failing cover pairs as JSON, any failing pair)
+    per grid cocharacter of the quick Levi order sweep, done by all
+    pairs: every primitive direction on its own, the Levi order by the
+    descent recursion, each related pair compared through `embed`.  A
+    failing pair is a cover when the lengths differ by one."""
     scales = VerifyScales.quick()
+    d = p.datum
+    sigma = FrobeniusDatum(d)
+    out = []
+    for label, mu in p.mu_grid:
+        checked = 0
+        covers = []
+        any_bad = False
+        seen = set()
+        for x in sigma.straight_elements_in(adm(d, mu).elements):
+            nu = sigma.newton_direction(x)
+            g = gcd(*nu) or 1
+            direction = tuple(c // g for c in nu)
+            if direction in seen:
+                continue
+            seen.add(direction)
+            sw = levi_of(d, nu).weyl
+            ball = sw.coset_ball(scales.levi_ball_length)[: scales.levi_pair_cap]
+            for a in ball:
+                for b in ball:
+                    if not sw.bruhat_leq(a, b):
+                        continue
+                    checked += 1
+                    if not d.weyl.bruhat_leq(embed(d, a), embed(d, b)):
+                        any_bad = True
+                        if sw.length(b) == sw.length(a) + 1:
+                            pair = {"x": sw.to_json(a), "y": sw.to_json(b)}
+                            covers.append(json.dumps(pair, sort_keys=True))
+        out.append((f"{label}:{list(mu)}", checked, covers, any_bad))
+    return out
+
+
+def _assert_order_runs_match_all_pairs(report, embed) -> int:
+    """Compare the order fields of the A2_sc and C2_sc runs with the
+    all-pairs sweep; return how many runs fail the order embedding."""
+    failing = 0
     for name in ("A2_sc", "C2_sc"):
-        p = preset(name)
-        d = p.datum
-        sigma = FrobeniusDatum(d)
-        got = [r for r in quick_levi_report["runs"] if r["preset"] == name]
-        assert len(got) == len(p.mu_grid)
-        for run, (label, mu) in zip(got, p.mu_grid):
-            checked = 0
-            bad = []
-            seen = set()
-            for x in sigma.straight_elements_in(adm(d, mu).elements):
-                nu = sigma.newton_direction(x)
-                g = gcd(*nu) or 1
-                direction = tuple(c // g for c in nu)
-                if direction in seen:
-                    continue
-                seen.add(direction)
-                sw = levi_of(d, nu).weyl
-                ball = sw.coset_ball(scales.levi_ball_length)[: scales.levi_pair_cap]
-                for a in ball:
-                    for b in ball:
-                        if sw.bruhat_leq(a, b):
-                            checked += 1
-                            if not d.weyl.bruhat_leq(
-                                sub_element(d, a), sub_element(d, b)
-                            ):
-                                bad.append({"x": sw.to_json(a), "y": sw.to_json(b)})
-            assert run["mu"] == f"{label}:{list(mu)}"
+        got = [r for r in report["runs"] if r["preset"] == name]
+        want = _order_sweep_by_all_pairs(preset(name), embed)
+        assert len(got) == len(want)
+        for run, (mu, checked, covers, any_bad) in zip(got, want):
+            assert run["mu"] == mu
             assert run["order_pairs_checked"] == checked
-            assert run["order_violations"] == bad
+            assert bool(run["order_violations"]) == any_bad
+            # Reported pairs are exactly the failing covers.
+            reported = [json.dumps(pair, sort_keys=True) for pair in run["order_violations"]]
+            assert sorted(reported) == sorted(covers)
+            failing += any_bad
+    return failing
+
+
+def test_levi_order_sweep_matches_all_pairs(quick_levi_report):
+    assert _assert_order_runs_match_all_pairs(quick_levi_report, sub_element) == 0
+
+
+def test_levi_order_check_fails_with_all_pairs_on_a_broken_embedding(monkeypatch):
+    # x -> x . s_0 on the embedded element does not keep the order; the
+    # cover check and the all-pairs sweep fail on the same runs.
+    def broken(d, x):
+        return sub_element(d, x) * d.weyl.simple(0)
+
+    monkeypatch.setattr(verify, "sub_element", broken)
+    report = check_levi_embedding_facts(VerifyScales.quick())
+    assert not report["pass"]
+    assert _assert_order_runs_match_all_pairs(report, broken) > 0
