@@ -60,7 +60,10 @@ class JobSpec:
             type(i) is not int for i in self.level
         ):
             raise SchemaError("/level: expected integers")
-        if self.b is not None and not isinstance(self.b, str):
+        if self.b is not None and not (
+            self.b in ("basic", "max", "maximal")
+            or isinstance(self.b, str) and self.b.isascii() and self.b.isdigit()
+        ):
             raise SchemaError("/b: expected 'basic', 'maximal', or an index")
         if self.emit not in ("summary", "elements"):
             raise SchemaError("/emit: expected 'summary' or 'elements'")
@@ -132,10 +135,7 @@ def _select_tag(spec: JobSpec, elements):
         return next(e for e in elements if e.is_minimal)
     if spec.b in ("max", "maximal"):
         return next(e for e in elements if e.is_maximal)
-    try:
-        idx = int(spec.b)
-    except ValueError:
-        raise SchemaError("/b: expected 'basic', 'maximal', or an index") from None
+    idx = int(spec.b)
     if not 0 <= idx < len(elements):
         raise SchemaError(f"/b: index {idx} out of range 0..{len(elements) - 1}")
     return elements[idx]

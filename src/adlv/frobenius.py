@@ -206,13 +206,20 @@ class FrobeniusDatum:
         return self.datum.pi1.fixed_subgroup(self.matrix)
 
     def is_straight(self, x: AffineWeylElement) -> bool:
-        """Exact test of l(x) = <nu_bar, 2 rho>."""
+        """Exact test of l(x) = <nu_bar, 2 rho>.
+
+        One pass over the positive roots a gives both sides, scaled by
+        N: <N nu, 2 rho> sums |<a, P lam>|, and l(x) sums
+        |<a, lam> - off_a(u)| as AffineWeylGroup.length_of does.
+        """
         p, n = self._newton_data(x.u_idx)
         num = mat_vec(p, x.lam)
-        total = 0
-        for a in self.datum.positive_roots:
-            total += abs(dot(a, num))
-        return total == n * self.datum.weyl.length(x)
+        lam = x.lam
+        newton = length = 0
+        for a, off in zip(self.datum.positive_roots, self.datum.weyl.w0_offsets[x.u_idx]):
+            newton += abs(dot(a, num))
+            length += abs(dot(a, lam) - off)
+        return newton == n * length
 
     def tag_of(self, x: AffineWeylElement) -> "StraightClassTag":
         """(Newton point, Kottwitz) tag of x: the dominant representative

@@ -82,6 +82,22 @@ def mat_det(a: Mat):
     return sign * m[-1][-1] if m else 1
 
 
+def _back_substitute(m: list[list], col: int) -> list[int]:
+    """y with a y = last * rhs, for rows m of [a | ...] eliminated by
+    _bareiss with a nonzero last pivot `last`, and rhs their column `col`.
+    Each division is exact (Cramer's rule)."""
+    n = len(m)
+    last = m[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = last * row[col]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return y
+
+
 def solve_bareiss(a: Mat, rhs: Sequence[int]) -> tuple[Vec, int]:
     """Integers y and d = det(a) with a y = d rhs, for square integer a.
 
@@ -97,27 +113,23 @@ def solve_bareiss(a: Mat, rhs: Sequence[int]) -> tuple[Vec, int]:
     if sign == 0:
         return (0,) * n, 0
     last = m[n - 1][n - 1] if n else 1
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        acc = last * row[n]
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        y[i] = acc // row[i]
-    return tuple(sign * v for v in y), sign * last
+    return tuple(sign * v for v in _back_substitute(m, n)), sign * last
 
 
 def mat_inv_unimodular(a: Mat) -> Mat:
     """Inverse of an integer matrix with determinant d = +-1.
 
-    Column j is d y_j for the solve_bareiss solution a y_j = d e_j.
+    One Bareiss elimination of [a | 1] carries every unit column; column
+    j of the inverse is d y_j for the solution a y_j = d e_j read off it.
     """
-    d = mat_det(a)
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = _bareiss(m)
+    d = sign * m[n - 1][n - 1] if n else 1
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det={d})")
-    n = len(a)
-    cols = [solve_bareiss(a, [int(i == j) for i in range(n)])[0] for j in range(n)]
-    return tuple(tuple(d * col[i] for col in cols) for i in range(n))
+    cols = [_back_substitute(m, n + j) for j in range(n)]
+    return tuple(tuple(sign * d * col[i] for col in cols) for i in range(n))
 
 
 def solve_fraction(a: Mat, rhs: Sequence) -> Vec | None:

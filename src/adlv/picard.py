@@ -6,13 +6,18 @@ characteristic only, enforced structurally).  Simple reflections act
 through the affine Cartan matrix, length-zero elements permute the
 basis, and Frobenius acts as its diagram permutation scaled by q.
 
-The descent certificate solves (M - 1) L = (1, ..., 1) for the operator M of
-x . sigma . w^{-1}; invertibility is the no-eigenvalue-one property and
-a singular operator is reported as a counterexample candidate.  The
-operator and the solve stay in integers: simple reflections are applied
-as column updates, the actions a straight class needs are built once per
-member by class_certificates, and the system is solved by one
-fraction-free elimination.
+The descent certificate of a pair (w, x) is the class L with
+(M - 1) L = (1, ..., 1) for the operator M = T_x A_w^{-1} of
+x . sigma . w^{-1}, where A_w is w's action and T_x the action of
+x . sigma; invertibility of M - 1 is the no-eigenvalue-one property and
+a singular operator is reported as a counterexample candidate.  Since
+M - 1 = (T_x - A_w) A_w^{-1}, the certificate is L = A_w z for the
+solution z of (T_x - A_w) z = (1, ..., 1), and M itself is formed only
+when it is read; the difference (M - 1) L is scale . (1, ..., 1) and is
+kept as integers.  Everything stays in integers: simple reflections are
+applied as column updates, class_certificates builds one action per
+member, and each pair costs one subtraction and one fraction-free
+elimination.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
 from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
 from .frobenius import FrobeniusDatum, prime_of_residue_cardinality
-from .linalg import Mat, identity_matrix, mat_mul, mat_vec, solve_bareiss
+from .linalg import Mat, identity_matrix, mat_inv_unimodular, mat_mul, mat_vec, solve_bareiss
 
 
 def _split_p_power(n: int, p: int) -> tuple[int, int]:
@@ -133,49 +139,57 @@ def is_ample(cls: PicClass, k_set: Sequence[int] = ()) -> bool:
 
 @dataclass(frozen=True)
 class DescentCertificate:
-    operator: Mat  # x . sigma . w^{-1} on the Picard lattice
+    """The class L of a pair (w, x), with the two actions that define
+    the operator M = twisted . action^{-1} of x . sigma . w^{-1}.
+
+    difference is (M - 1) L, which is scale . (1, ..., 1) by
+    construction, as integers; operator forms M when it is read.
+    """
+
+    twisted: Mat  # T_x, the action of x . sigma
+    action: Mat  # A_w, the action of w
     pic_class: PicClass
-    difference: tuple[Fraction, ...]  # (M - 1) applied to the class
+    difference: tuple[int, ...]  # (M - 1) applied to the class
     invertible: bool = True
 
+    @property
+    def operator(self) -> Mat:
+        """M = T_x A_w^{-1}, formed on each read."""
+        return mat_mul(self.twisted, mat_inv_unimodular(self.action))
 
-def _twisted_action(
-    pic: PicardLattice, sigma: FrobeniusDatum, q: int, x: AffineWeylElement
-) -> Mat:
-    """The operator of x . sigma: q times x's action with its columns
-    permuted by sigma's diagram permutation."""
+
+def _twist(sigma: FrobeniusDatum, q: int, action: Mat) -> Mat:
+    """The operator of x . sigma from x's action: q times that action
+    with its columns permuted by sigma's diagram permutation."""
     perm = sigma.s_permutation
-    return tuple(
-        tuple(q * row[perm[c]] for c in range(pic.n))
-        for row in pic.element_action(x)
-    )
+    return tuple(tuple(q * row[c] for c in perm) for row in action)
 
 
-def _certify(twisted: Mat, inverse: Mat, p: int) -> DescentCertificate | None:
-    """The certificate for the operator M = twisted . inverse at the
-    all-ones target, or None when det(M - 1) = 0.
+def _certify(twisted: Mat, action: Mat, p: int) -> DescentCertificate | None:
+    """The certificate for M = twisted . action^{-1} at the all-ones
+    target, or None when det(M - 1) = 0.
 
-    Solves (M - 1) y = d * (1, ..., 1) with d = det(M - 1), checked in
-    integers, so L = y / d; then scales L by the least positive integer
-    that leaves only powers of p, the residue characteristic, in its
-    denominators.
+    M - 1 = (twisted - action) action^{-1}, and action is unimodular, so
+    det(M - 1) = +-det(twisted - action) and M is never formed: solves
+    (twisted - action) z = d * (1, ..., 1) with d = det(twisted - action),
+    checked in integers, so L = action . z / d; then scales L by the least
+    positive integer that leaves only powers of p, the residue
+    characteristic, in its denominators.
     """
-    op = mat_mul(twisted, inverse)
-    m_minus_one = tuple(
-        tuple(v - (r == c) for c, v in enumerate(row))
-        for r, row in enumerate(op)
+    n = len(action)
+    gap = tuple(
+        tuple(map(sub, t_row, a_row)) for t_row, a_row in zip(twisted, action)
     )
-    y, d = solve_bareiss(m_minus_one, (1,) * len(op))
-    if d == 0 or mat_vec(m_minus_one, y) != (d,) * len(op):
+    z, d = solve_bareiss(gap, (1,) * n)
+    if d == 0 or mat_vec(gap, z) != (d,) * n:
         return None
+    y = mat_vec(action, z)
     scale = 1
     for v in y:
         _e, rest = _split_p_power(abs(d) // gcd(v, d), p)
         scale = lcm(scale, rest)
     cls = PicClass.from_ratios(p, [(v * scale, d) for v in y])
-    diff = (Fraction(scale),) * len(op)
-    assert all(dv > 0 for dv in diff), "difference must be dominant regular"
-    return DescentCertificate(operator=op, pic_class=cls, difference=diff)
+    return DescentCertificate(twisted, action, cls, (scale,) * n)
 
 
 def descent_certificate(
@@ -183,19 +197,19 @@ def descent_certificate(
 ) -> DescentCertificate:
     """A Picard class whose twist difference is dominant regular.
 
-    Builds the integer operator M of x sigma w^{-1} and solves
-    (M - 1) L = (1, ..., 1) by one fraction-free elimination.  Raises
-    SingularOperator unless det(M - 1) != 0, also when the singular
-    system happens to be consistent.  Then scales L by a positive integer
-    so every denominator is a power of p, for q = p^e (else SchemaError).
+    Builds the actions of x . sigma and of w, and solves
+    (M - 1) L = (1, ..., 1) for the operator M of x sigma w^{-1} as
+    _certify does, with no M formed.  Raises SingularOperator unless
+    det(M - 1) != 0, also when the singular system happens to be
+    consistent.  Then scales L by a positive integer so every
+    denominator is a power of p, for q = p^e (else SchemaError).
     """
     p = prime_of_residue_cardinality(q)
     if not sigma.is_straight(w):
         raise NotStraight("descent certificate is defined at straight elements")
     pic = PicardLattice(sigma.datum.weyl)
-    twisted = _twisted_action(pic, sigma, q, x)
-    inverse = pic.element_action(w.inverse())
-    cert = _certify(twisted, inverse, p)
+    twisted = _twist(sigma, q, pic.element_action(x))
+    cert = _certify(twisted, pic.element_action(w), p)
     if cert is None:
         raise SingularOperator(
             "operator has eigenvalue 1; counterexample candidate for the "
@@ -210,10 +224,12 @@ def class_certificates(
     """(w, x, certificate) for every ordered pair of the straight class
     `members`, w outer and x inner, at the all-ones target.
 
-    Each member's straightness, its twisted action and the action of its
-    inverse are computed once, not once per pair.  Before any certificate,
-    raises SchemaError unless q is a prime power and NotStraight unless
-    every member is straight; the certificate is None where det(M - 1) = 0.
+    Each member's straightness and its action are computed once, not
+    once per pair, and its twisted action is read off that action; each
+    pair then costs one subtraction and one solve (see _certify).
+    Before any certificate, raises SchemaError unless q is a prime power
+    and NotStraight unless every member is straight; the certificate is
+    None where det(M - 1) = 0.
 
     >>> from adlv.presets import preset
     >>> d = preset("A1_sc").datum
@@ -226,8 +242,8 @@ def class_certificates(
     if not all(sigma.is_straight(m) for m in members):
         raise NotStraight("descent certificate is defined at straight elements")
     pic = PicardLattice(sigma.datum.weyl)
-    twisted = [_twisted_action(pic, sigma, q, m) for m in members]
-    inverses = [pic.element_action(m.inverse()) for m in members]
-    for w, inverse in zip(members, inverses):
+    actions = [pic.element_action(m) for m in members]
+    twisted = [_twist(sigma, q, a) for a in actions]
+    for w, action in zip(members, actions):
         for x, tw in zip(members, twisted):
-            yield w, x, _certify(tw, inverse, p)
+            yield w, x, _certify(tw, action, p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 
 from adlv import affine_weyl
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
@@ -193,6 +193,32 @@ def pic_class_from_fractions(prime: int, values) -> PicClass:
     return PicClass.from_ratios(
         prime, ((f.numerator, f.denominator) for f in map(Fraction, values))
     )
+
+
+def certificate_by_operator(twisted, inverse, p: int):
+    """(operator, class, difference) of the descent certificate by the
+    route that forms M: M = twisted . inverse, (M - 1) L = (1, ..., 1)
+    solved in Fractions, L scaled by the least positive integer that
+    leaves only powers of p in its denominators, and the difference
+    (M - 1) L recomputed from the scaled class.  None when
+    det(M - 1) = 0."""
+    op = mat_mul(twisted, inverse)
+    n = len(op)
+    m_minus_one = tuple(
+        tuple(v - (r == c) for c, v in enumerate(row)) for r, row in enumerate(op)
+    )
+    if mat_det(m_minus_one) == 0:
+        return None
+    values = solve_fraction(m_minus_one, (1,) * n)
+    scale = 1
+    for v in values:
+        den = v.denominator
+        while den % p == 0:
+            den //= p
+        scale = scale * den // gcd(scale, den)
+    cls = pic_class_from_fractions(p, [scale * v for v in values])
+    difference = mat_vec(m_minus_one, cls.values())
+    return op, cls, difference
 
 
 def length_oracle(w, x: AffineWeylElement) -> int:

@@ -27,6 +27,8 @@ from adlv.linalg import (
     solve_bareiss,
     solve_fraction,
 )
+from adlv.picard import PicardLattice
+from adlv.presets import catalog
 
 from helpers import group_order
 
@@ -192,6 +194,32 @@ def test_solve_bareiss_agrees_with_solve_fraction(system):
     assert d == det == mat_det(a)
     assert mat_vec(a, y) == tuple(d * b for b in rhs)
     assert tuple(Fraction(v, d) for v in y) == solve_fraction(a, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_system)
+def test_unimodular_inverse_refuses_other_determinants(system):
+    a, _rhs = system
+    det = leibniz_det(a)
+    if det in (1, -1):
+        assert mat_mul(a, mat_inv_unimodular(a)) == identity_matrix(len(a))
+    else:
+        with pytest.raises(ValueError, match=rf"^matrix is not unimodular \(det={det}\)$"):
+            mat_inv_unimodular(a)
+
+
+def test_unimodular_inverse_matches_column_solves():
+    # One elimination of [a | 1] gives every column of the inverse; each
+    # must be the rational solution of a x = e_j.  The Picard actions of
+    # the catalog balls include permutations, which force pivot swaps.
+    for p in catalog():
+        w = p.datum.weyl
+        pic = PicardLattice(w)
+        for x in w.ball(2, [o.element for o in w.omega_elements()]):
+            a = pic.element_action(x)
+            n = len(a)
+            cols = [solve_fraction(a, [int(i == j) for i in range(n)]) for j in range(n)]
+            assert mat_inv_unimodular(a) == tuple(zip(*cols)), (p.name, x)
 
 
 def test_solve_bareiss_pivot_swap_gives_negative_determinant():

@@ -20,7 +20,12 @@ from adlv.picard import (
 from adlv.presets import catalog, preset
 from adlv.verify import VerifyScales, check_picard_suite
 
-from helpers import pic_class_from_fractions, reflection_action, s_permutation_by_conjugation
+from helpers import (
+    certificate_by_operator,
+    pic_class_from_fractions,
+    reflection_action,
+    s_permutation_by_conjugation,
+)
 
 
 def permutation_action(n, perm):
@@ -139,8 +144,8 @@ def test_element_action_matches_matrix_products_all_presets():
 
 
 def test_certificates_by_the_element_x_sigma_w_inverse():
-    # M = A(x) . q P_sigma . A(w^{-1}) is built per member; independently,
-    # it is q A(y) P_sigma for the one element y = x sigma(w^{-1}), since
+    # The operator M = T_x A_w^{-1}, formed when read; independently, it
+    # is q A(y) P_sigma for the one element y = x sigma(w^{-1}), since
     # P_sigma A(v) = A(sigma(v)) P_sigma.  Then (M - 1) L is the stated
     # difference, in Fractions.
     checked = 0
@@ -170,6 +175,63 @@ def test_certificates_by_the_element_x_sigma_w_inverse():
     assert checked == 733
 
 
+def test_certificates_match_the_route_that_forms_the_operator():
+    # Solving (T_x - A_w) z = 1 and setting L = A_w z solves (M - 1) L = 1
+    # for M = T_x A_w^{-1}.  The route that forms M from the full
+    # reflection matrices and solves in Fractions must give the same
+    # None-ness, class, difference and operator, pair by pair.
+    checked = 0
+    for p in catalog():
+        w = p.datum.weyl
+        pic = PicardLattice(w)
+        omegas = [o.element for o in w.omega_elements()]
+        ball = w.ball(4, omegas)
+        for name in sorted(p.sigmas):
+            sigma = FrobeniusDatum(p.datum, p.sigmas[name])
+            p_sigma = permutation_action(pic.n, sigma.s_permutation)
+            classes = sigma.straight_class_tags(ball)
+            for q in (2, 3, 5):
+                for _tag, members in classes:
+                    twisted = {
+                        m: tuple(
+                            tuple(q * v for v in row)
+                            for row in mat_mul(matrix_action(pic, m), p_sigma)
+                        )
+                        for m in members
+                    }
+                    inverse = {m: matrix_action(pic, m.inverse()) for m in members}
+                    for wx, xx, cert in class_certificates(sigma, q, members):
+                        # q is prime here, so it is also the residue characteristic.
+                        want = certificate_by_operator(twisted[xx], inverse[wx], q)
+                        got = cert and (cert.operator, cert.pic_class, cert.difference)
+                        assert got == want, (p.name, name, q, wx, xx)
+                        checked += 1
+    assert checked == 3 * 733
+
+
+def test_class_certificates_build_one_action_per_member(monkeypatch):
+    calls = []
+    element_action = PicardLattice.element_action
+
+    def counting(self, x):
+        calls.append(x)
+        return element_action(self, x)
+
+    monkeypatch.setattr(PicardLattice, "element_action", counting)
+    p = preset("D4_sc")
+    w = p.datum.weyl
+    sizes = []
+    for name in sorted(p.sigmas):
+        sigma = FrobeniusDatum(p.datum, p.sigmas[name])
+        for _tag, members in sigma.straight_class_tags(w.ball(3)):
+            calls.clear()
+            pairs = list(class_certificates(sigma, 3, members))
+            assert len(pairs) == len(members) ** 2
+            assert calls == list(members), (name, members)
+            sizes.append(len(members))
+    assert max(sizes) > 1
+
+
 def test_is_ample():
     assert is_ample(PicClass(2, (1, 1, 1), (0, 0, 0)))
     assert not is_ample(pic_class_from_fractions(2, [Fraction(1), Fraction(0)]))
@@ -189,10 +251,11 @@ def test_descent_certificate_split_examples():
     assert isinstance(cert2, DescentCertificate)
     assert cert2.operator == ((2, 0), (0, 2))
     assert cert2.pic_class.values() == (Fraction(1), Fraction(1))
-    assert cert2.difference == (Fraction(1), Fraction(1))
+    assert cert2.difference == (1, 1)
+    assert all(type(v) is int for v in cert2.difference)
     cert3 = descent_certificate(FrobeniusDatum(d), 3, t, t)
     assert cert3.pic_class.values() == (Fraction(1), Fraction(1))
-    assert cert3.difference == (Fraction(2), Fraction(2))
+    assert cert3.difference == (2, 2)
 
 
 def test_descent_certificate_rotation_case():
