@@ -32,7 +32,7 @@ from .linalg import (
     principal_minors_positive,
     vec_mat,
 )
-from .root_datum import MAX_W0_ORDER, RootDatum, reflection_matrix
+from .root_datum import MAX_W0_ORDER, AffineRoot, RootDatum, reflection_matrix
 
 IntVec = tuple[int, ...]
 
@@ -68,13 +68,6 @@ def closure(
                         raise BudgetExceeded(f"closure exceeds node budget {budget}")
         frontier = nxt
     return seen
-
-
-class AffineRoot(NamedTuple):
-    """Affine root a + k: the function x -> <a, x> + k on the apartment."""
-
-    gradient: IntVec
-    level: int
 
 
 @dataclass(frozen=True)
@@ -221,19 +214,10 @@ class AffineWeylGroup:
 
     def _build_affine_simples(self) -> None:
         d = self.datum
-        simples: list[AffineSimple] = []
-        for theta in d.highest_roots:
-            grad = tuple(-x for x in theta)
-            coroot = tuple(-x for x in d.coroot(theta))
-            elt = self.reflection(AffineRoot(grad, 1))
-            simples.append(AffineSimple(len(simples), AffineRoot(grad, 1), coroot, elt))
-        for i in range(d.n_simple):
-            root = AffineRoot(d.simple_roots[i], 0)
-            elt = self.reflection(root)
-            simples.append(
-                AffineSimple(len(simples), root, d.simple_coroots[i], elt)
-            )
-        self.simple_affine: tuple[AffineSimple, ...] = tuple(simples)
+        simples = self.simple_affine = tuple(
+            AffineSimple(i, root, coroot, self.reflection(root))
+            for i, (root, coroot) in enumerate(d.walls)
+        )
         assert all(self.length(s.element) == 1 for s in simples), (
             "alcove walls must be length-one reflections"
         )
@@ -242,8 +226,6 @@ class AffineWeylGroup:
             tuple(dot(sj.root.gradient, si.coroot) for sj in simples)
             for si in simples
         )
-        # The index of the simple reflection in each wall of the base alcove.
-        self.simple_by_root = {s.root: s.index for s in simples}
         # Per affine simple s_i = t^{-k a^vee} s_a: a, k, the index j of the
         # positive root +-a, flip = 1 when a = -theta is negative, a^vee
         # and the W0 index of s_a (see left_step).
@@ -386,21 +368,36 @@ class AffineWeylGroup:
         """Kottwitz projection to pi_1 = lattice / coroot lattice."""
         return self.datum.pi1.project(x.lam)
 
-    def s_permutation_of(self, omega: AffineWeylElement) -> tuple[int, ...]:
-        """Permutation of the affine simple set induced by conjugation:
-        omega s omega^{-1} is the reflection in omega's image of the
-        wall of s, by act_on_affine_root."""
-        try:
-            return tuple(
-                self.simple_by_root[self.act_on_affine_root(omega, s.root)]
-                for s in self.simple_affine
-            )
-        except KeyError:
-            raise DatumMismatch("element does not normalize the base alcove") from None
+    def permute_walls(
+        self, x: AffineWeylElement, walls: Sequence | None = None, matrix_inv: Mat | None = None
+    ) -> tuple[int, ...] | None:
+        """The permutation pi with Ad(x) . sigma sending walls[i] to
+        walls[pi(i)], or None when some image is not in `walls`.
+
+        `walls` defaults to the base alcove's, `datum.walls`, and may be
+        a Levi datum's on the same lattice; sigma is the lattice
+        automorphism with inverse matrix `matrix_inv`, the identity by
+        default.  For x = (lam, u), Ad(x) . sigma sends the affine root
+        (a, k) to (g, k - <g, lam>) with g = a . M^-1 . u^-1, which
+        matches conjugation: s_{x . f} = x s_f x^{-1}.
+        """
+        walls = self.datum.walls if walls is None else walls
+        index = {root: i for i, (root, _coroot) in enumerate(walls)}
+        back = self.w0_list[self.w0_inv[x.u_idx]]
+        if matrix_inv is not None:
+            back = mat_mul(matrix_inv, back)
+        perm = []
+        for (a, k), _coroot in walls:
+            g = vec_mat(a, back)
+            j = index.get((g, k - dot(g, x.lam)))
+            if j is None:
+                return None
+            perm.append(j)
+        return tuple(perm)
 
     def omega_elt(self, x: AffineWeylElement) -> OmegaElt:
         assert self.length(x) == 0
-        return OmegaElt(x, self.s_permutation_of(x), self.kappa(x))
+        return OmegaElt(x, self.permute_walls(x), self.kappa(x))
 
     def omega_elements(self) -> list[OmegaElt]:
         """One length-zero element per torsion class of pi_1, plus one
@@ -613,19 +610,6 @@ class AffineWeylGroup:
                     break
             else:
                 return AffineWeylElement(self, lam, u)
-
-    # -- affine root actions ------------------------------------------------------------
-
-    def act_on_affine_root(self, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
-        """Conjugation action on affine roots: the function f . x^{-1}.
-
-        Matches element conjugation: s_{x . f} = x s_f x^{-1}; in
-        particular length-zero elements permute the walls of the base
-        alcove.
-        """
-        minv = self.w0_list[self.w0_inv[x.u_idx]]
-        grad = vec_mat(root.gradient, minv)
-        return AffineRoot(grad, root.level - dot(grad, x.lam))
 
     # -- serialization ---------------------------------------------------------------------
 

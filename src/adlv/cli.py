@@ -365,11 +365,9 @@ _b_opt = click.option("--b", help="class selector: basic, maximal, or index")
 _level_opt = click.option(
     "--level", default="", help="parahoric K as comma-separated simple indices"
 )
-_budget_opt = click.option(
-    "--budget", default=DEFAULT_BUDGET, show_default=True, type=int
-)
+_budget_opt = click.option("--budget", default=str(DEFAULT_BUDGET), show_default=True)
 _emit_opt = click.option(
-    "--emit", default="summary", type=click.Choice(["summary", "elements"])
+    "--emit", default="summary", show_default=True, help="summary or elements"
 )
 _out_opt = click.option("--out", default=None, help="write the JSON report here")
 
@@ -383,17 +381,39 @@ def _parse_ints(raw: str | None) -> tuple[int, ...] | None:
         raise SchemaError("/: expected comma-separated integers") from None
 
 
-@click.group(name="adlv")
+def _parse_budget(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError("/budget: expected a positive integer") from None
+
+
+class _Commands(click.Group):
+    """Click's own usage errors (an unknown command or option, an option
+    without its value, no command) end as bad input: JSON and exit 1."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **{**kwargs, "standalone_mode": False})
+        except click.ClickException as exc:
+            _emit({"schema_version": SCHEMA_VERSION, "error": exc.format_message()}, None)
+            sys.exit(EXIT_USAGE)
+        except click.Abort:  # an interrupt: as click ends it outside this mode
+            sys.exit("Aborted!")
+
+
+@click.group(name="adlv", cls=_Commands, no_args_is_help=False)
 def main():
     """Combinatorics of unions of affine Deligne-Lusztig varieties."""
 
 
-def _execute(command, out, mu=None, level=None, **fields):
+def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **fields):
     """Build the JobSpec from the parsed options, run it, write the
     report and exit with its code."""
     try:
         spec = JobSpec(
-            command=command, mu=_parse_ints(mu), level=_parse_ints(level) or (), **fields
+            command=command, mu=_parse_ints(mu), level=_parse_ints(level) or (),
+            budget=_parse_budget(budget), **fields,
         )
     except SchemaError as exc:
         report, code = _error_report(exc)
@@ -423,9 +443,7 @@ for _name in ("adm", "straight", "bgmu", "pi0", "pic-cert"):
 
 
 @main.command()
-@click.option(
-    "--scale", default="full", type=click.Choice(["full", "quick"]), show_default=True
-)
+@click.option("--scale", default="full", show_default=True, help="full or quick")
 @_group_opt
 @_sigma_opt
 @_mu_opt

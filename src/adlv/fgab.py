@@ -259,11 +259,10 @@ class FinAbGroup:
     # -- functorial constructions ------------------------------------------
 
     def _check_endo(self, f: Mat) -> None:
-        # F must map the relation lattice into itself to act on the quotient.
-        cols = len(self.relations[0]) if self.ambient_rank else 0
-        for j in range(cols):
-            col = tuple(self.relations[i][j] for i in range(self.ambient_rank))
-            if solve_int(self.relations, mat_vec(f, col)) is None:
+        # F must map the relation lattice into itself to act on the
+        # quotient: F . col projects to 0 for every relator column.
+        for col in zip(*self.relations):
+            if any(self.project(mat_vec(f, col))):
                 raise ValueError("endomorphism does not preserve relations")
 
     def coinvariants(self, f: Mat) -> "FinAbGroup":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .affine_weyl import DEFAULT_BUDGET, AffineRoot, AffineWeylElement, closure
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, closure
 from .errors import BudgetExceeded, DatumMismatch, PeriodOverflow, SchemaError
 from .fgab import FinAbGroup
 from .linalg import (
@@ -25,7 +25,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     matrix_order,
-    vec_mat,
 )
 from .root_datum import RootDatum
 
@@ -129,7 +128,8 @@ class FrobeniusDatum:
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
 
     def _validate(self) -> tuple[int, ...]:
-        """The permutation pi of the base alcove's walls by sigma.
+        """The permutation pi of the base alcove's walls by sigma, from
+        `permute_walls` at the identity.
 
         Levels are kept, so pi permutes the simple roots, and the check
         M alpha_i^vee = alpha_{pi(i)}^vee gives M s_i M^-1 = s_{pi(i)}:
@@ -138,17 +138,16 @@ class FrobeniusDatum:
         automorphism of (W, S).
         """
         w = self.datum.weyl
-        perm = []
-        for s in w.simple_affine:
-            j = w.simple_by_root.get(self.on_affine_root(s.root))
-            if j is None:
-                raise SchemaError("/lattice_matrix: automorphism does not fix the base alcove")
-            if mat_vec(self.matrix, s.coroot) != w.simple_affine[j].coroot:
+        perm = w.permute_walls(w.identity(), matrix_inv=self.matrix_inv)
+        if perm is None:
+            raise SchemaError("/lattice_matrix: automorphism does not fix the base alcove")
+        walls = self.datum.walls
+        for (root, coroot), j in zip(walls, perm):
+            if mat_vec(self.matrix, coroot) != walls[j][1]:
                 raise SchemaError(
-                    f"/lattice_matrix: coroot of {s.root.gradient} transforms inconsistently"
+                    f"/lattice_matrix: coroot of {root.gradient} transforms inconsistently"
                 )
-            perm.append(j)
-        return tuple(perm)
+        return perm
 
     @cached_property
     def order(self) -> int:
@@ -156,9 +155,6 @@ class FrobeniusDatum:
             return matrix_order(self.matrix, cap=100000)
         except ValueError as exc:
             raise PeriodOverflow(str(exc)) from exc
-
-    def on_affine_root(self, root: AffineRoot) -> AffineRoot:
-        return AffineRoot(vec_mat(root.gradient, self.matrix_inv), root.level)
 
     def apply(self, x: AffineWeylElement) -> AffineWeylElement:
         w = self.datum.weyl

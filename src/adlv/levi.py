@@ -3,10 +3,9 @@
 For a rational direction v, the Levi M_v is spanned by the roots
 vanishing on v.  Its Iwahori-Weyl group shares the full cocharacter
 lattice, and its affine simple reflections are realized as the walls of
-the alcove of M_v containing the base alcove; concretely that is the
-same finite-simples-plus-highest-root construction as for the ambient
-group, applied to the subsystem.  Since the sub-datum lives on the same
-lattice, its Weyl elements are directly comparable with ambient ones.
+the alcove of M_v containing the base alcove: the sub-datum's `walls`,
+built as for the ambient group from the subsystem.  Since the sub-datum
+lives on the same lattice, its Weyl elements compare with ambient ones.
 """
 
 from __future__ import annotations
@@ -14,22 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .admissible import in_adm
-from .affine_weyl import (
-    DEFAULT_BUDGET,
-    AffineRoot,
-    AffineWeylElement,
-    AffineWeylGroup,
-    closure,
-)
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, closure
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
 from .linalg import dot, mat_mul, mat_vec
 from .newton_bg import b_g_mu, straight_classes
-from .root_datum import RootDatum
+from .root_datum import AffineRoot, RootDatum
 
 
 def levi_of(d: RootDatum, v: Sequence) -> RootDatum:
@@ -101,27 +94,15 @@ def is_v_alcove(
     return True
 
 
-def twist_map(
-    d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement
-) -> Callable[[AffineRoot], AffineRoot]:
-    """The action of Ad(x) . sigma on affine roots."""
-    w = d.weyl
-
-    def tau(root: AffineRoot) -> AffineRoot:
-        return w.act_on_affine_root(x, sigma.on_affine_root(root))
-
-    return tau
-
-
 def is_fundamental(
     d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement, v: Sequence
 ) -> bool:
-    """(v, sigma)-alcove and Ad(x).sigma permutes the walls of M_v."""
-    if not is_v_alcove(d, sigma, x, v):
-        return False
-    tau = twist_map(d, sigma, x)
-    walls = {s.root for s in levi_of(d, v).weyl.simple_affine}
-    return all(tau(beta) in walls for beta in walls)
+    """(v, sigma)-alcove and Ad(x).sigma permutes the walls of M_v, read
+    off the Levi datum without building its Weyl group."""
+    return (
+        is_v_alcove(d, sigma, x, v)
+        and d.weyl.permute_walls(x, levi_of(d, v).walls, sigma.matrix_inv) is not None
+    )
 
 
 # -- tau orbits on the affine simple indices -------------------------------------------
@@ -213,11 +194,11 @@ def jb_shadow(d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement) -> JbSh
         raise NotStraight("J_b structure is computed at straight elements")
     v = sigma.newton_direction(x)
     levi = levi_of(d, v)
-    assert is_fundamental(d, sigma, x, v), "straight element must be fundamental"
-    tau = twist_map(d, sigma, x)
+    # x is straight, hence fundamental: Ad(x) . sigma permutes the
+    # Levi's walls, which index the Levi group's affine simples.
+    perm = d.weyl.permute_walls(x, levi.walls, sigma.matrix_inv)
+    assert perm is not None and is_v_alcove(d, sigma, x, v), "straight element must be fundamental"
     sub_w = levi.weyl
-    # x is fundamental, so tau permutes the Levi's walls.
-    perm = [sub_w.simple_by_root[tau(s.root)] for s in sub_w.simple_affine]
     orbits = [
         replace(o, longest=sub_element(d, o.longest)) if o.finite else o
         for o in tau_orbits(sub_w, perm)

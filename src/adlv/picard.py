@@ -121,7 +121,7 @@ class PicardLattice:
             terms = self._reflection_columns[i]
             cols[i] = [sum(c * cols[k][r] for k, c in terms) for r in range(n)]
         if not omega.is_identity():
-            perm = self.group.s_permutation_of(omega)
+            perm = self.group.permute_walls(omega)
             cols = [cols[perm[c]] for c in range(n)]
         return tuple(zip(*cols))
 

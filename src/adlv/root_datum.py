@@ -53,6 +53,13 @@ def reflection_matrix(rank: int, root: Sequence[int], coroot: Sequence[int]) -> 
     )
 
 
+class AffineRoot(NamedTuple):
+    """Affine root a + k: the function x -> <a, x> + k on the apartment."""
+
+    gradient: IntVec
+    level: int
+
+
 class BaseAlcove(NamedTuple):
     """Integer data of the base alcove a0: the points p with
     <alpha_i, p> > 0 for every simple root and <theta, p> < 1 for every
@@ -336,6 +343,16 @@ class RootDatum:
             tv = self.coroot(theta)
             acc = [x + y for x, y in zip(acc, tv)]
         return tuple(acc)
+
+    @cached_property
+    def walls(self) -> tuple[tuple[AffineRoot, IntVec], ...]:
+        """The walls of the base alcove with their coroots, in affine index
+        order: (-theta_c, 1) with -theta_c^vee for each component c, then
+        (alpha_i, 0) with alpha_i^vee for each simple root."""
+        return tuple(
+            (AffineRoot(tuple(-x for x in theta), 1), tuple(-x for x in self.coroot(theta)))
+            for theta in self.highest_roots
+        ) + tuple((AffineRoot(a, 0), av) for a, av in zip(self.simple_roots, self.simple_coroots))
 
     @cached_property
     def base_alcove(self) -> BaseAlcove:

@@ -62,9 +62,26 @@ def is_positive_affine(d, root: AffineRoot) -> bool:
 
 
 def preimage_affine_root(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
-    """The root that x sends to `root` under w.act_on_affine_root."""
+    """The root that x sends to `root`: the function f . x on the apartment."""
     grad = vec_mat(root.gradient, w.w0_list[x.u_idx])
     return AffineRoot(grad, root.level + dot(root.gradient, x.lam))
+
+
+def affine_root_image(w, x: AffineWeylElement, root: AffineRoot) -> AffineRoot:
+    """The root that x sends `root` to, f . x^{-1}: its preimage under
+    the group inverse of x."""
+    return preimage_affine_root(w, x.inverse(), root)
+
+
+def wall_twist_by_conjugation(d, sigma, x: AffineWeylElement, walls) -> dict:
+    """Ad(x) . sigma on a list of walls (affine roots of d's roots), as a
+    dict: each wall f goes to the wall whose reflection is the product
+    x sigma(s_f) x^{-1}, or to None when that is no wall's reflection."""
+    w = d.weyl
+    by_reflection = {w.reflection(f): f for f in walls}
+    return {
+        f: by_reflection.get(x * sigma.apply(w.reflection(f)) * x.inverse()) for f in walls
+    }
 
 
 def is_right_descent(w, i: int, x: AffineWeylElement) -> bool:
@@ -114,30 +131,31 @@ def wall_permutation_by_roots(d, matrix) -> tuple[int, ...] | None:
         if image not in d.root_set or d.coroot_table[image] != mat_vec(matrix, d.coroot_table[a]):
             return None
     w = d.weyl
+    index = {s.root: s.index for s in w.simple_affine}
     images = [AffineRoot(vec_mat(s.root.gradient, inv), s.root.level) for s in w.simple_affine]
-    if any(r not in w.simple_by_root for r in images):
+    if any(r not in index for r in images):
         return None
-    return tuple(w.simple_by_root[r] for r in images)
+    return tuple(index[r] for r in images)
 
 
-def tau_orbits_by_walls(d, walls, tau) -> list[dict]:
-    """The orbits of the affine-root map tau on the wall list, each with
-    its fields as levi.tau_orbits reports them, found by following the
-    walls through tau, testing the Cartan block of each orbit by its
-    leading principal minors, and enumerating W_J inside d.weyl to take
-    its element of greatest length."""
+def tau_orbits_by_walls(d, tau: dict) -> list[dict]:
+    """The orbits of the wall map tau (a dict over the walls, in their
+    order), each with its fields as levi.tau_orbits reports them, found
+    by following the walls through tau, testing the Cartan block of each
+    orbit by its leading principal minors, and enumerating W_J inside
+    d.weyl to take its element of greatest length."""
     w = d.weyl
     seen = set()
     out = []
-    for beta in walls:
+    for beta in tau:
         if beta in seen:
             continue
         orbit = [beta]
-        cur = tau(beta)
+        cur = tau[beta]
         while cur != beta:
-            assert cur in walls, "tau does not permute the walls"
+            assert cur in tau, "tau does not permute the walls"
             orbit.append(cur)
-            cur = tau(cur)
+            cur = tau[cur]
         seen.update(orbit)
         n = len(orbit)
         cart = tuple(
@@ -176,6 +194,38 @@ def tau_orbits_by_walls(d, walls, tau) -> list[dict]:
             }
         )
     return out
+
+
+def fraction_rank(mat) -> int:
+    """Rank of a rational matrix by Gauss-Jordan elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fixed_dimension(m) -> int:
+    """dim V^m for V = Q^n: n - rank(m - 1)."""
+    n = len(m)
+    return n - fraction_rank([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
+
+
+def chai_rank(sigma, element) -> Fraction:
+    """Chai's rank r(b) = <rho, nu_b> - def(b) / 2 of a B(G, mu) element,
+    with def(b) = dim V^sigma - dim V^{u sigma} for V = X_*(T)_Q and u
+    the finite part of the class's representative."""
+    u_sigma = mat_mul(element.representative.mat, sigma.matrix)
+    defect = fixed_dimension(sigma.matrix) - fixed_dimension(u_sigma)
+    return (dot(sigma.datum.two_rho, element.tag.nu_bar) - defect) / 2
 
 
 def reflection_action(pic, i: int):

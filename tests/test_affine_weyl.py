@@ -21,6 +21,7 @@ from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 from adlv.verify import VerifyScales, run_verify
 
 from helpers import (
+    affine_root_image,
     ball_length_counts_oracle,
     is_right_descent,
     length_oracle,
@@ -383,16 +384,15 @@ def test_omega_normalizes_walls():
 
 
 def test_s_permutation_matches_conjugation_oracle():
-    # The wall map of act_on_affine_root against forming omega s omega^{-1}.
+    # permute_walls against forming omega s omega^{-1}.
     for p in catalog():
         w = p.datum.weyl
         omegas = [o.element for o in w.omega_elements()]
         seen = set(omegas) | {w.omega_of(x) for x in w.ball(4, omegas)}
         for om in seen:
-            assert w.s_permutation_of(om) == s_permutation_by_conjugation(w, om), (p.name, om)
+            assert w.permute_walls(om) == s_permutation_by_conjugation(w, om), (p.name, om)
     w = preset("A1_sc").datum.weyl
-    with pytest.raises(DatumMismatch):
-        w.s_permutation_of(w.simple(0))
+    assert w.permute_walls(w.simple(0)) is None
 
 
 def test_kappa_homomorphism():
@@ -488,18 +488,26 @@ def test_infinite_parabolic():
 
 
 def test_affine_root_action_consistency():
+    # The image of an affine root under x, taken as its preimage under
+    # x^{-1}, inverts the preimage and matches the conjugation of
+    # reflections; permute_walls agrees with it on the base alcove's walls.
     rng = random.Random(9)
-    for name in ("A1_ad", "C2_sc"):
+    for name in ("A1_ad", "C2_sc", "GL2"):
         w = preset(name).datum.weyl
         d = w.datum
         roots = sorted(d.root_set)
-        for x in random_elements(w, rng, 15, max_len=4):
+        walls = [root for root, _coroot in d.walls]
+        omegas = [o.element for o in w.omega_elements()]
+        for x in random_elements(w, rng, 15, max_len=4) + omegas:
             for a in roots:
                 root = AffineRoot(a, rng.randint(-3, 3))
-                image = w.act_on_affine_root(x, root)
+                image = affine_root_image(w, x, root)
                 assert preimage_affine_root(w, x, image) == root
-                # conjugation of reflections matches the root action
                 assert x * w.reflection(root) * x.inverse() == w.reflection(image)
+            images = [affine_root_image(w, x, f) for f in walls]
+            want = tuple(map(walls.index, images)) if set(images) <= set(walls) else None
+            assert w.permute_walls(x) == want, (name, x)
+            assert (want is not None) == (w.length(x) == 0)
 
 
 def test_element_json_roundtrip():

@@ -477,6 +477,38 @@ def test_unknown_scale_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("adm", "--group", "A1_sc", "--mu", "1", "--emit", "bogus"),
+         "/emit: expected 'summary' or 'elements'"),
+        (("adm", "--group", "A1_sc", "--mu", "1", "--budget", "abc"),
+         "/budget: expected a positive integer"),
+        (("verify", "--scale", "bogus"), "/scale: expected 'full' or 'quick'"),
+        (("adm", "--bogus", "3"), "No such option '--bogus'"),
+        (("bogus",), "No such command 'bogus'"),
+        (("adm", "--mu"), "Option '--mu' requires an argument"),
+        ((), "Missing command"),
+    ],
+)
+def test_usage_errors_are_json_exit_1(argv, message):
+    # Input that click itself would reject ends like any other bad input:
+    # a JSON error on stdout, nothing on stderr, exit 1.
+    result = invoke(*argv)
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["schema_version"] == 1
+    assert report["error"].startswith(message)
+
+
+def test_help_exits_0():
+    for argv in (("--help",), ("adm", "--help"), ("verify", "--help")):
+        result = invoke(*argv)
+        assert result.exit_code == EXIT_OK
+        assert result.stdout.startswith("Usage:")
+
+
+@pytest.mark.parametrize(
     "field, value, message",
     [
         ("budget", True, "/budget: expected a positive integer"),

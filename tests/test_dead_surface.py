@@ -4,7 +4,8 @@ A name counts as read when the package or the benchmark scripts refer
 to it outside its own definition: as a name, as an attribute, or as a
 string that is an identifier (the benchmark patches methods by name).
 Prose does not count, and neither do tests: code that only tests call
-is surface that nothing else needs.
+is surface that nothing else needs.  The same holds for every instance
+attribute that the package sets as `self.<name> = ...`.
 """
 
 import ast
@@ -55,6 +56,49 @@ def test_every_definition_is_read_outside_itself():
             if not any(name == node.name and line not in inside for name, line in refs[path]):
                 unread.append(f"{path.name}:{qual}")
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def instance_attributes(tree):
+    """(name, line) of every attribute set as `self.<name> = ...`."""
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        )
+        for target in targets:
+            for sub in ast.walk(target):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    yield sub.attr, sub.lineno
+
+
+def reads(tree):
+    """Every attribute read (not stored) and every identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value
+
+
+def test_every_instance_attribute_is_read():
+    # Dataclass and NamedTuple fields are not `self.<name> = ...`
+    # assignments, so they are outside this check.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    read = {name for tree in trees.values() for name in reads(tree)}
+    unread = sorted(
+        f"{path.name}:{line}:{name}"
+        for path in PACKAGE
+        for name, line in instance_attributes(trees[path])
+        if name not in read
+    )
+    assert not unread, "set but never read: " + ", ".join(unread)
 
 
 # Method names defined on more than one package class, each with the

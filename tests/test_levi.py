@@ -20,12 +20,11 @@ from adlv.levi import (
     pi0_predict,
     sub_element,
     tau_orbits,
-    twist_map,
 )
 from adlv.linalg import dot
 from adlv.newton_bg import b_g_mu
 from adlv.presets import catalog, preset
-from adlv.root_datum import from_cartan_matrix
+from adlv.root_datum import RootDatum, from_cartan_matrix
 from adlv.verify import VerifyScales, check_fixed_point_generators, check_levi_embedding_facts
 
 from helpers import (
@@ -34,12 +33,13 @@ from helpers import (
     group_order,
     tau_orbits_by_walls,
     v_alcove_oracle,
+    wall_twist_by_conjugation,
 )
 
 
 def walls(levi):
-    """The affine simple roots of a Levi datum."""
-    return [s.root for s in levi.weyl.simple_affine]
+    """The walls of a Levi datum's alcove, its affine simple roots."""
+    return [root for root, _coroot in levi.walls]
 
 
 def test_levi_full_and_torus():
@@ -164,6 +164,22 @@ def test_straight_iff_fundamental_small():
             for x in d.weyl.ball(5, [o.element for o in d.weyl.omega_elements()]):
                 nu = sig.newton_direction(x)
                 assert sig.is_straight(x) == is_fundamental(d, sig, x, nu)
+
+
+def test_is_fundamental_builds_no_levi_group():
+    # is_fundamental reads each Levi datum's walls; of the data in the
+    # Levi cache, only the ambient one has a Weyl group.
+    for name, sig_name in (("C2_sc", "split"), ("A2_sc", "flip")):
+        p = preset(name)
+        d = RootDatum(p.datum.rank, p.datum.simple_roots, p.datum.simple_coroots)
+        sig = FrobeniusDatum(d, p.sigmas[sig_name])
+        fundamental = [
+            x for x in d.weyl.ball(4, [o.element for o in d.weyl.omega_elements()])
+            if is_fundamental(d, sig, x, sig.newton_direction(x))
+        ]
+        levis = [m for m in d._levi_cache.values() if m is not d]
+        assert fundamental and levis, name
+        assert [m for m in levis if "weyl" in vars(m)] == [], name
 
 
 def test_tau_orbits_identity():
@@ -296,7 +312,8 @@ def test_tau_orbits_match_wall_following_oracle():
         w = d.weyl
         for sig, om, perm in _twists(p):
             got = [vars(o) for o in tau_orbits(w, perm)]
-            assert got == tau_orbits_by_walls(d, walls(d), twist_map(d, sig, om.element))
+            twist = wall_twist_by_conjugation(d, sig, om.element, walls(d))
+            assert got == tau_orbits_by_walls(d, twist)
 
 
 def test_jb_shadow_orbits_match_wall_following_oracle():
@@ -309,7 +326,8 @@ def test_jb_shadow_orbits_match_wall_following_oracle():
             for _label, mu in p.mu_grid:
                 for x in sig.straight_elements_in(adm(d, mu).elements):
                     jb = jb_shadow(d, sig, x)
-                    want = tau_orbits_by_walls(d, walls(jb.levi), twist_map(d, sig, x))
+                    twist = wall_twist_by_conjugation(d, sig, x, walls(jb.levi))
+                    want = tau_orbits_by_walls(d, twist)
                     assert [vars(o) for o in jb.orbits] == want, (p.name, sig_name, x)
 
 

@@ -16,7 +16,7 @@ from adlv.newton_bg import (
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import caches_within_bound
+from helpers import caches_within_bound, chai_rank
 
 
 def test_mu_diamond_split_is_dominant_rep():
@@ -176,3 +176,36 @@ def test_bgmu_budget_raises_after_success():
             b_g_mu(d, sig, (1, 1), budget=3)
         with pytest.raises(BudgetExceeded):
             straight_classes(d, sig, (1, 1), budget=3)
+
+
+def test_chai_rank_function_is_unit_on_covers():
+    # Chai, "Newton polygons as lattice points", Amer. J. Math. 122
+    # (2000), in the form used by Viehmann (Amer. J. Math. 135, 2013) and
+    # Hamacher (2015); paraphrased.  Hypotheses: G is quasi-split and
+    # unramified over a non-archimedean local field, sigma its Frobenius,
+    # and B(G, mu) is ordered by the dominance order on Newton points
+    # (its classes share one Kottwitz point).  Statement: B(G, mu) is a
+    # ranked poset, with rank r(b) = <rho, nu_b> - def(b) / 2, where
+    # def(b) = rk_F G - rk_F J_b; so every cover b < b' has
+    # r(b') - r(b) = 1.  Here def(b) = dim V^sigma - dim V^{u sigma} for
+    # V = X_*(T)_Q and u the finite part of the class's representative.
+    cases = covers = 0
+    for p in catalog():
+        d = p.datum
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(d, p.sigmas[sig_name])
+            for _label, mu in p.mu_grid:
+                cases += 1
+                elements = b_g_mu(d, sig, mu)
+                rank = {e.tag: chai_rank(sig, e) for e in elements}
+
+                def below(b, c):
+                    return b is not c and d.dominance_leq(b.tag.nu_bar, c.tag.nu_bar)
+
+                for b in elements:
+                    for c in elements:
+                        if below(b, c) and not any(below(b, m) and below(m, c) for m in elements):
+                            covers += 1
+                            step = rank[c.tag] - rank[b.tag]
+                            assert step == 1, (p.name, sig_name, mu, b.tag, c.tag)
+    assert (cases, covers) == (22, 58)
