@@ -2,7 +2,7 @@
 
 Enumeration closes the maximal translations under covers, by
 `affine_weyl.closure` with step `covers_below` (the covers of x come
-from its right inversions, by the strong exchange condition), which
+from those of s x for a left descent s, by the lifting property), which
 never needs a Bruhat comparison.
 
 Membership of one element, `in_adm`, gives the answer of the Bruhat
@@ -40,7 +40,7 @@ first, up to `affine_weyl.CACHE_BOUND` Weyl group elements per group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Callable, NamedTuple, Sequence
 
 from . import affine_weyl
@@ -153,7 +153,7 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     mu_dom = tuple(d.dominant_word(mu)[0])
     maxima = maximal_translations(d, mu)
     try:
-        elements = closure(maxima, w.covers_below, budget)
+        elements = closure(maxima, partial(w.covers_below, known={}), budget)
     except BudgetExceeded:
         raise BudgetExceeded(f"admissible set exceeds node budget {budget}") from None
     return AdmissibleSet(
@@ -266,13 +266,8 @@ def _membership_data(w: AffineWeylGroup, mu: IntVec) -> _Membership:
 
 def audit_downward_closed(d: RootDatum, elements: frozenset) -> list:
     """Covers that escape the set; empty iff Bruhat-downward closed."""
-    w = d.weyl
-    bad = []
-    for x in elements:
-        for below in w.covers_below(x):
-            if below not in elements:
-                bad.append((x, below))
-    return bad
+    covers = partial(d.weyl.covers_below, known={})
+    return [(x, below) for x in elements for below in covers(x) if below not in elements]
 
 
 def adm_parahoric(

@@ -8,8 +8,10 @@ hypothesis violation, 3 budget exceeded, 4 counterexample candidate.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import click
 
@@ -346,13 +348,20 @@ def _targeted_verify(spec: JobSpec) -> dict:
     }
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(report: dict, code: int, out_path: str | None = None) -> NoReturn:
+    """Write the report to out_path, or to stdout, and exit with code.  A
+    path that cannot be written ends as bad input, reported on stdout."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            message = f"/out: cannot write {out_path}: {exc.strerror or exc}"
+            _emit({"schema_version": SCHEMA_VERSION, "error": message}, EXIT_USAGE)
     else:
         sys.stdout.write(text)
+    sys.exit(code)
 
 
 _group_opt = click.option("--group", help="preset name or inline JSON root datum")
@@ -372,13 +381,15 @@ _emit_opt = click.option(
 _out_opt = click.option("--out", default=None, help="write the JSON report here")
 
 
-def _parse_ints(raw: str | None) -> tuple[int, ...] | None:
+def _parse_ints(raw: str | None, name: str) -> tuple[int, ...] | None:
+    """ASCII decimal integers, comma-separated, for option `name`; None
+    for an empty option."""
     if raw is None or raw == "":
         return None
-    try:
-        return tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise SchemaError("/: expected comma-separated integers") from None
+    entries = raw.split(",")
+    if not all(re.fullmatch("-?[0-9]+", e) for e in entries):
+        raise SchemaError(f"/{name}: expected comma-separated integers")
+    return tuple(map(int, entries))
 
 
 def _parse_budget(raw: str) -> int:
@@ -396,8 +407,7 @@ class _Commands(click.Group):
         try:
             return super().main(*args, **{**kwargs, "standalone_mode": False})
         except click.ClickException as exc:
-            _emit({"schema_version": SCHEMA_VERSION, "error": exc.format_message()}, None)
-            sys.exit(EXIT_USAGE)
+            _emit({"schema_version": SCHEMA_VERSION, "error": exc.format_message()}, EXIT_USAGE)
         except click.Abort:  # an interrupt: as click ends it outside this mode
             sys.exit("Aborted!")
 
@@ -412,15 +422,14 @@ def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **fi
     report and exit with its code."""
     try:
         spec = JobSpec(
-            command=command, mu=_parse_ints(mu), level=_parse_ints(level) or (),
+            command=command, mu=_parse_ints(mu, "mu"), level=_parse_ints(level, "level") or (),
             budget=_parse_budget(budget), **fields,
         )
     except SchemaError as exc:
         report, code = _error_report(exc)
     else:
         report, code = run(spec)
-    _emit(report, out)
-    sys.exit(code)
+    _emit(report, code, out)
 
 
 def _query(command):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .admissible import (
@@ -444,6 +445,8 @@ def _levi_order_pairs(d, sub, scales: VerifyScales) -> tuple[int, list]:
     its covers (the subword property).  The ball is sorted by length, so
     the capped prefix holds every element shorter than its last one:
     covers are done before b, and every interval lies in the prefix.
+    Each b's covers are filed back in `known`, where covers_below finds
+    those of s b.
     The ambient order is compared only on covers.  A related pair a <= b
     is joined by a chain of covers inside the interval of b, and the
     ambient order is transitive, so the images of all related pairs are
@@ -455,9 +458,10 @@ def _levi_order_pairs(d, sub, scales: VerifyScales) -> tuple[int, list]:
     ]
     below: dict = {}
     image: dict = {}
+    known: dict = {}
     bad = []
     for b in ball_m:
-        covers = sub.weyl.covers_below(b)
+        covers = known[b] = sub.weyl.covers_below(b, known)
         below[b] = {b}.union(*(below[c] for c in covers))
         image[b] = sub_element(d, b)
         for c in covers:
@@ -495,9 +499,8 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                     t_bad.append(w.to_json(x))
                 # Each Levi set is read once here, so it is closed
                 # directly rather than kept in the admissible-set memo.
-                sub_adm = closure(
-                    maximal_translations(sub, x.lam), sub.weyl.covers_below, scales.budget
-                )
+                covers = partial(sub.weyl.covers_below, known={})
+                sub_adm = closure(maximal_translations(sub, x.lam), covers, scales.budget)
                 for y in sub_adm:
                     if sub_element(d, y) not in aset.elements:
                         sub_bad.append({"w": w.to_json(x), "y": sub.weyl.to_json(y)})

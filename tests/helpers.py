@@ -363,6 +363,18 @@ def subword_set(w, y: AffineWeylElement) -> set:
     return out
 
 
+def deletion_covers(w, x) -> set:
+    """The strong exchange condition: the single-letter deletions of one
+    reduced word that drop the length by one."""
+    word, omega = w.reduced_word(x)
+    deletions = set()
+    for j in range(len(word)):
+        cand = w.assemble(word[:j] + word[j + 1:], omega)
+        if w.length(cand) == len(word) - 1:
+            deletions.add(cand)
+    return deletions
+
+
 def naive_in_adm(d, mu, x) -> bool:
     """Membership scan over every maximal translation, no pruning."""
     from adlv.admissible import maximal_translations

@@ -27,6 +27,7 @@ from helpers import (
     alcove_vertices,
     caches_within_bound,
     clear_memos,
+    deletion_covers,
     is_right_descent,
     memo_weight,
     naive_in_adm,
@@ -89,6 +90,43 @@ def test_adm_downward_closed_and_maximal_structure():
             # tau is the unique Bruhat minimum
             for x in aset.elements:
                 assert w.bruhat_leq(aset.tau.element, x)
+
+
+def test_covers_below_matches_deletions_on_every_catalog_adm():
+    # Top down with one dict, as the closure runs, and standalone.
+    for p in catalog():
+        d = p.datum
+        w = d.weyl
+        for _label, mu in p.mu_grid:
+            elements = adm(d, mu).elements
+            known = {}
+            for x in sorted(elements, key=lambda e: (-w.length(e), e.key())):
+                expected = deletion_covers(w, x)
+                for covers in (w.covers_below(x, known), w.covers_below(x)):
+                    assert len(covers) == len(set(covers))
+                    assert set(covers) == expected, (p.name, mu, x)
+            assert known == {}
+
+
+def test_adm_closure_empties_its_cover_dict(monkeypatch):
+    # covers_below takes each entry out as it returns it, so the one dict
+    # of the closure never keeps the whole set.
+    dicts = []
+    covers_below = AffineWeylGroup.covers_below
+
+    def spying(self, x, known=None):
+        dicts.append(known)
+        return covers_below(self, x, known)
+
+    monkeypatch.setattr(AffineWeylGroup, "covers_below", spying)
+    for name, mu in (("C2_sc", (4, 0)), ("G2_sc", (2, 1)), ("A1xA1_sc", (3, 2))):
+        c = preset(name).datum
+        d = RootDatum(c.rank, c.simple_roots, c.simple_coroots, name=f"{name}_fresh")
+        dicts.clear()
+        aset = adm(d, mu)
+        assert len(dicts) == len(aset)
+        assert all(k is dicts[0] for k in dicts)
+        assert dicts[0] == {}
 
 
 def test_adm_size_invariant_under_orbit_duality():

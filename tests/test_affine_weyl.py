@@ -13,7 +13,7 @@ import pytest
 import adlv
 from adlv import affine_weyl
 from adlv.admissible import adm, in_adm
-from adlv.affine_weyl import AffineRoot, AffineWeylElement, AffineWeylGroup
+from adlv.affine_weyl import AffineRoot, AffineWeylElement, AffineWeylGroup, closure
 from adlv.errors import BudgetExceeded, DatumMismatch, InfiniteParabolic
 from adlv.linalg import dot, vec_mat
 from adlv.presets import catalog, preset
@@ -23,6 +23,7 @@ from adlv.verify import VerifyScales, run_verify
 from helpers import (
     affine_root_image,
     ball_length_counts_oracle,
+    deletion_covers,
     is_right_descent,
     length_oracle,
     preimage_affine_root,
@@ -119,6 +120,16 @@ def test_reduced_word_examples_and_roundtrip():
             word, om = wn.reduced_word(x)
             assert len(word) == wn.length(x)
             assert wn.assemble(word, om) == x
+            # assemble's left steps against element products
+            prod = om
+            for i in reversed(word):
+                prod = wn.simple(i) * prod
+            assert prod == x
+    # An omega over another datum is refused, even with an empty word.
+    w1 = preset("A1_sc").datum.weyl
+    for word in ((), (0, 1)):
+        with pytest.raises(DatumMismatch):
+            w1.assemble(word, wad.identity())
 
 
 def test_bruhat_examples():
@@ -174,19 +185,6 @@ def test_bruhat_against_subword_oracle():
                 assert w.bruhat_leq(x, y) == (x in below)
 
 
-def deletion_covers(w, x):
-    """The strong exchange condition without the inversion ranges: the
-    single-letter deletions of one reduced word that drop the length by
-    one."""
-    word, omega = w.reduced_word(x)
-    deletions = set()
-    for j in range(len(word)):
-        cand = w.assemble(word[:j] + word[j + 1:], omega)
-        if w.length(cand) == len(word) - 1:
-            deletions.add(cand)
-    return deletions
-
-
 def test_covers_are_length_one_down():
     rng = random.Random(5)
     for p in catalog():
@@ -216,15 +214,28 @@ def test_covers_are_length_one_down():
             assert levels == length_oracle(w, x)
 
 
+def _count_left_steps(monkeypatch, w) -> Counter:
+    counts = Counter()
+    left_step = w.left_step
+
+    def counting(i, lam, u_idx):
+        counts["left_step"] += 1
+        return left_step(i, lam, u_idx)
+
+    monkeypatch.setattr(w, "left_step", counting)
+    return counts
+
+
 def test_covers_below_work_is_linear(monkeypatch):
-    # The covers of t^200 cost at most l(x) length evaluations and no
-    # element products (a reduced word, its prefixes and suffixes cost
-    # about 3 l(x) products).
+    # Standalone, the covers of t^200 walk its descent chain once: at
+    # most two left steps to find each lowest descent and one per coatom
+    # of the element below, with no length and no element product (a
+    # reduced word, its prefixes and suffixes cost about 3 l(x) products).
     a1 = preset("A1_sc").datum
     w = RootDatum(a1.rank, a1.simple_roots, a1.simple_coroots, name="A1_sc").weyl
     x = w.translation((200,))
     lx = w.length(x)
-    counts = {"length_of": 0, "mul": 0}
+    counts = _count_left_steps(monkeypatch, w)
     length_of = w.length_of
     mul = AffineWeylElement.__mul__
 
@@ -239,43 +250,48 @@ def test_covers_below_work_is_linear(monkeypatch):
     monkeypatch.setattr(w, "length_of", counting_length_of)
     monkeypatch.setattr(AffineWeylElement, "__mul__", counting_mul)
     covers = w.covers_below(x)
-    assert counts["length_of"] <= lx == 400
-    assert counts["mul"] == 0
+    assert counts["left_step"] <= 4 * lx == 1600
+    assert counts["length_of"] == counts["mul"] == 0
     assert len(covers) == 2
 
 
 def test_covers_of_long_translations_match_deletions():
-    # Long level ranges, where all but the three evaluated levels are
-    # decided by convexity; the covers of the covers too.
+    # Long descent chains, with and without a dict; the covers of the
+    # covers too.
     for name, mu in (("A1_sc", (40,)), ("C2_sc", (6, 0)), ("G2_sc", (2, 1))):
         w = preset(name).datum.weyl
         x = w.translation(mu)
+        known = {}
         for y in [x] + w.covers_below(x):
-            covers = w.covers_below(y)
-            assert len(covers) == len(set(covers))
-            assert set(covers) == deletion_covers(w, y)
+            expected = deletion_covers(w, y)
+            for covers in (w.covers_below(y), w.covers_below(y, known)):
+                assert len(covers) == len(set(covers))
+                assert set(covers) == expected
 
 
-def test_covers_below_evaluates_three_levels_per_range(monkeypatch):
-    # The candidate length is convex along a level range, so a range costs
-    # at most three length evaluations however long it is.
+def test_covers_below_costs_one_left_step_per_coatom(monkeypatch):
+    # With one dict for a top-down closure, each element y of the
+    # interval is walked once: at most |S~| left steps find its lowest
+    # left descent s, then one left step per coatom of s y.  The dict
+    # ends empty.
     for name, mu in (("A1_sc", (200,)), ("C2_sc", (6, 0)), ("G2_sc", (2, 1))):
         d = preset(name).datum
         w = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name).weyl
-        per_range = Counter()
-        level_length = w._level_length
-
-        def counting(pairings, slopes, offsets, k):
-            per_range[tuple(slopes), offsets] += 1
-            return level_length(pairings, slopes, offsets, k)
-
-        monkeypatch.setattr(w, "_level_length", counting)
-        x = w.translation(mu)
-        for y in [x] + w.covers_below(x):
-            per_range.clear()
-            w.covers_below(y)
-            assert 0 < len(per_range) <= len(d.positive_roots)
-            assert max(per_range.values()) <= 3
+        n_simple = len(w.simple_affine)
+        counts = _count_left_steps(monkeypatch, w)
+        known = {}
+        interval = closure([w.translation(mu)], lambda y: w.covers_below(y, known))
+        monkeypatch.undo()
+        assert known == {}
+        bound = 0
+        for y in interval:
+            bound += n_simple
+            ly = w.length(y)
+            below = [w.simple(i) * y for i in range(n_simple)]
+            sy = next((z for z in below if w.length(z) < ly), None)
+            if sy is not None:
+                bound += len(w.covers_below(sy))
+        assert counts["left_step"] <= bound
 
 
 def test_descents_match_length_oracle():

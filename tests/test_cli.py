@@ -548,6 +548,51 @@ def test_b_reads_only_ascii_decimal_indices():
     assert invoke(*base, "01").output == one.output
 
 
+@pytest.mark.parametrize(
+    "option, raw",
+    [
+        ("--mu", "1,,2"),
+        ("--mu", "1_0"),
+        ("--mu", "+1"),
+        ("--mu", " 1"),
+        ("--mu", "1\n"),
+        ("--mu", "\u0661"),
+        ("--mu", "1.0"),
+        ("--level", "0,,1"),
+        ("--level", "1_0"),
+        ("--level", "+1"),
+        ("--level", "\u0661"),
+    ],
+)
+def test_int_lists_read_only_ascii_decimals(option, raw):
+    args = {"--mu": "1", "--level": "0", option: raw}
+    result = invoke("adm", "--group", "A1_sc", *(t for kv in args.items() for t in kv))
+    assert result.exit_code == EXIT_USAGE, raw
+    assert json.loads(result.output)["error"] == (
+        f"/{option[2:]}: expected comma-separated integers"
+    )
+
+
+def test_int_lists_keep_signed_decimals():
+    for mu in ("-1", "01", "-01"):
+        result = invoke("adm", "--group", "A1_sc", "--mu", mu, "--level", "0")
+        assert result.exit_code == EXIT_OK, mu
+        assert json.loads(result.output)["mu"] == [int(mu)]
+
+
+def test_out_path_that_cannot_be_written_is_bad_input(tmp_path):
+    ok = tmp_path / "presets.json"
+    result = invoke("presets", "--out", str(ok))
+    assert result.exit_code == EXIT_OK and result.output == ""
+    assert ok.read_text() == invoke("presets").output
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        result = invoke("presets", "--out", str(out))
+        assert result.exit_code == EXIT_USAGE
+        report = json.loads(result.output)
+        assert report["schema_version"] == 1
+        assert report["error"].startswith(f"/out: cannot write {out}: ")
+
+
 def test_dict_group_and_scalar_mu():
     # A dict group is the datum of its JSON string; a mu that is no
     # sequence is bad input, in the CLI and in the library.

@@ -29,6 +29,7 @@ from adlv.verify import VerifyScales, check_fixed_point_generators, check_levi_e
 
 from helpers import (
     clear_memos,
+    deletion_covers,
     fixed_subgroup_by_products,
     group_order,
     tau_orbits_by_walls,
@@ -488,6 +489,22 @@ def test_interval_closure_matches_bruhat_recursion():
                 assert closure([b], w.covers_below) & ball_set == {
                     a for a in ball if w.bruhat_leq(a, b)
                 }, (p.name, levi.name, b)
+
+
+def test_covers_below_matches_deletions_on_levi_balls():
+    # The Levi coset balls of the order check, in its order and with its
+    # dict, and standalone.
+    scales = VerifyScales()
+    for p in catalog():
+        for levi in _straight_levis(p):
+            w = levi.weyl
+            ball = w.coset_ball(scales.levi_ball_length)[: scales.levi_pair_cap]
+            known = {}
+            for b in ball:
+                expected = deletion_covers(w, b)
+                covers = known[b] = w.covers_below(b, known)
+                assert set(covers) == set(w.covers_below(b)) == expected
+                assert len(covers) == len(expected)
 
 
 def test_levi_sets_stay_out_of_the_memo(memo_runs):
