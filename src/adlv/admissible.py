@@ -153,6 +153,9 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     mu_dom = tuple(d.dominant_word(mu)[0])
     maxima = maximal_translations(d, mu)
     try:
+        # A chain of l(t^mu) + 1 elements from t^mu down to tau lies in Adm.
+        if dot(d.two_rho, mu_dom) >= budget:
+            raise BudgetExceeded
         elements = closure(maxima, partial(w.covers_below, known={}), budget)
     except BudgetExceeded:
         raise BudgetExceeded(f"admissible set exceeds node budget {budget}") from None

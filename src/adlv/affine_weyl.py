@@ -154,55 +154,55 @@ class AffineWeylGroup:
     # -- finite Weyl group tables -------------------------------------------
 
     def _build_finite_group(self) -> None:
+        # W0 acts simply transitively on the orbit of the regular dominant
+        # p = 2 rho^vee, the sum of the positive coroots, so u(p) keys u;
+        # s_i q = q - <alpha_i, q> alpha_i^vee.
         d = self.datum
-        gens = list(d.simple_reflections)
-        ident = identity_matrix(d.rank)
-        index: dict[Mat, int] = {ident: 0}
-        order: list[Mat] = [ident]
+        gens = list(zip(d.simple_reflections, d.simple_roots, d.simple_coroots))
+        index: dict[IntVec, int] = {d.two_rho_vee: 0}
+        order: list[Mat] = [identity_matrix(d.rank)]
         words: list[tuple[int, ...]] = [()]
         # The breadth-first search visits indices in increasing order, so
-        # left[g][k] ends up indexing gens[g] . order[k].  step[i - 1] =
-        # (g, p) records order[i] = gens[g] . order[p], with p < i.
+        # left[g][k] ends up indexing s_g . order[k].  step[i - 1] =
+        # (g, p) records order[i] = s_g . order[p], with p < i.
         left: list[list[int]] = [[] for _ in gens]
         step: list[tuple[int, int]] = []
-        frontier = [0]
+        frontier = [(0, d.two_rho_vee)]
         while frontier:
             nxt = []
-            for idx in frontier:
-                m = order[idx]
-                for gi, gmat in enumerate(gens):
-                    prod = mat_mul(gmat, m)
-                    if prod not in index:
+            for idx, q in frontier:
+                for gi, (gmat, a, av) in enumerate(gens):
+                    c = dot(a, q)
+                    image = tuple(x - c * y for x, y in zip(q, av))
+                    j = index.get(image)
+                    if j is None:
                         if len(order) == MAX_W0_ORDER:
                             raise SchemaError(
                                 f"/simple_roots: the finite Weyl group exceeds"
                                 f" the maximum order {MAX_W0_ORDER}"
                             )
-                        index[prod] = len(order)
-                        order.append(prod)
+                        j = index[image] = len(order)
+                        order.append(mat_mul(gmat, order[idx]))
                         words.append((gi,) + words[idx])
                         step.append((gi, idx))
-                        nxt.append(index[prod])
-                    left[gi].append(index[prod])
+                        nxt.append((j, image))
+                    left[gi].append(j)
             frontier = nxt
         self.w0_list: tuple[Mat, ...] = tuple(order)
-        self.w0_index: dict[Mat, int] = index
+        self.w0_index: dict[Mat, int] = {m: i for i, m in enumerate(order)}
         self.w0_words: tuple[tuple[int, ...], ...] = tuple(words)
         self.w0_identity = 0
         n = len(order)
-        # order[i] . order[k] = gens[g] . (order[p] . order[k]).
+        # order[i] . order[k] = s_g . (order[p] . order[k]).
         self.w0_mul = [list(range(n))]
         for g, p in step:
             row = left[g]
             self.w0_mul.append([row[j] for j in self.w0_mul[p]])
         self.w0_inv = [row.index(0) for row in self.w0_mul]
-        # Length offsets: entry is 0 when u^{-1}(a) stays positive, else 1.
-        pos = d.positive_roots
-        posset = d.positive_set
-        offs = []
-        for m in order:
-            offs.append(tuple(0 if vec_mat(a, m) in posset else 1 for a in pos))
-        self.w0_offsets: tuple[tuple[int, ...], ...] = tuple(offs)
+        # Length offsets: 1 when u^{-1}(a) is negative, i.e. <a, u(p)> < 0.
+        self.w0_offsets: tuple[tuple[int, ...], ...] = tuple(
+            tuple(int(dot(a, q) < 0) for a in d.positive_roots) for q in index
+        )
 
     def w0_order(self) -> int:
         return len(self.w0_list)
@@ -356,10 +356,6 @@ class AffineWeylGroup:
         for i in reversed(word):
             lam, u, _fell = self.left_step(i, lam, u)
         return AffineWeylElement(self, lam, u)
-
-    def finite_reduced_word(self, u_idx: int) -> tuple[int, ...]:
-        """Reduced word of a finite Weyl element over the simple roots."""
-        return self.w0_words[u_idx]
 
     # -- Omega ------------------------------------------------------------------
 
@@ -604,7 +600,7 @@ class AffineWeylGroup:
     def to_json(self, x: AffineWeylElement) -> dict:
         return {
             "lambda": list(x.lam),
-            "w0_word": list(self.finite_reduced_word(x.u_idx)),
+            "w0_word": list(self.w0_words[x.u_idx]),
         }
 
     def from_json(self, obj: dict) -> AffineWeylElement:

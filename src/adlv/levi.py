@@ -29,22 +29,22 @@ def levi_of(d: RootDatum, v: Sequence) -> RootDatum:
     """The root datum of M_v, cached per set of roots vanishing on v.
 
     v may have integer or Fraction entries; v, 2v and -v share one
-    entry, since M_v = M_{-v}.  The full datum is d itself.
+    entry, since M_v = M_{-v}.  When every root vanishes on v, M_v is d.
     """
     key = tuple(a for a in d.positive_roots if dot(a, v) == 0)
     hit = d._levi_cache.get(key)
     if hit is not None:
         return hit
-    pos_set = set(key)
-    simples = tuple(
-        a
-        for a in key
-        if not any(b != a and tuple(x - y for x, y in zip(a, b)) in pos_set
-                   for b in pos_set)
-    )
-    if simples == d.simple_roots:
+    if key == d.positive_roots:
         sub = d
     else:
+        pos_set = set(key)
+        simples = tuple(
+            a
+            for a in key
+            if not any(b != a and tuple(x - y for x, y in zip(a, b)) in pos_set
+                       for b in pos_set)
+        )
         sub = RootDatum(
             d.rank,
             simples,

@@ -118,6 +118,9 @@ class RootDatum:
         self.two_rho: IntVec = tuple(
             sum(a[i] for a in self.positive_roots) for i in range(rank)
         )
+        self.two_rho_vee: IntVec = tuple(
+            sum(self.coroot(a)[i] for a in self.positive_roots) for i in range(rank)
+        )
         self.simple_reflections: tuple[Mat, ...] = tuple(
             reflection_matrix(rank, self.simple_roots[i], self.simple_coroots[i])
             for i in range(self.n_simple)
@@ -195,7 +198,6 @@ class RootDatum:
         positives.sort()
         self.positive_roots: tuple[IntVec, ...] = tuple(a for _h, a in positives)
         self.root_set = frozenset(coroot)
-        self.positive_set = frozenset(self.positive_roots)
         if 2 * len(self.positive_roots) != len(coroot):
             raise NonReducedSystem("positive roots do not split the system in half")
         self._root_component: dict[IntVec, int] = {}
@@ -359,9 +361,7 @@ class RootDatum:
         """The chamber probe, vertices and fundamental weights that
         admissible.in_adm reads, solved once in integers by Cramer's rule."""
         n, rank = self.n_simple, self.rank
-        interior = tuple(
-            sum(self.coroot(a)[r] for a in self.positive_roots) for r in range(rank)
-        )
+        interior = self.two_rho_vee
         interior_den = 1 + max((dot(a, interior) for a in self.positive_roots), default=0)
 
         def in_span(basis, coeffs, scale=1):

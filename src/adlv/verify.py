@@ -447,25 +447,29 @@ def _levi_order_pairs(d, sub, scales: VerifyScales) -> tuple[int, list]:
     covers are done before b, and every interval lies in the prefix.
     Each b's covers are filed back in `known`, where covers_below finds
     those of s b.
-    The ambient order is compared only on covers.  A related pair a <= b
+    The ambient order is compared only on covers: a related pair a <= b
     is joined by a chain of covers inside the interval of b, and the
-    ambient order is transitive, so the images of all related pairs are
-    related exactly when those of all covers are.  Intervals are not
-    closed in the ambient group, where embedded Levi elements are long.
+    ambient order is transitive.  A cover c of b is b t for a reflection
+    t = s_(a,k), a in Phi_M, of W_{a,M} (Omega_M conjugates reflections
+    to reflections), an affine reflection of the ambient group too;
+    sub_element is the identity on (lam, u), so i(c) = i(b) t.  Hence
+    i(c) <= i(b) iff l(i(c)) < l(i(b)), the definition of the Bruhat
+    order (Bjorner-Brenti, Combinatorics of Coxeter Groups, Def. 2.1.1;
+    Humphreys, Reflection Groups and Coxeter Groups, Sect. 5.9).
     """
     ball_m = sub.weyl.coset_ball(scales.levi_ball_length, budget=scales.budget)[
         : scales.levi_pair_cap
     ]
     below: dict = {}
-    image: dict = {}
+    length: dict = {}
     known: dict = {}
     bad = []
     for b in ball_m:
         covers = known[b] = sub.weyl.covers_below(b, known)
         below[b] = {b}.union(*(below[c] for c in covers))
-        image[b] = sub_element(d, b)
+        length[b] = d.weyl.length(sub_element(d, b))
         for c in covers:
-            if not d.weyl.bruhat_leq(image[c], image[b]):
+            if not length[c] < length[b]:
                 bad.append({"x": sub.weyl.to_json(c), "y": sub.weyl.to_json(b)})
     return sum(map(len, below.values())), bad
 

@@ -26,6 +26,7 @@ from adlv.linalg import (
     solve_fraction,
     vec_mat,
 )
+from adlv.levi import sub_element
 from adlv.picard import PicClass
 from adlv.presets import catalog
 
@@ -54,7 +55,7 @@ def caches_within_bound() -> bool:
 def is_positive_affine(d, root: AffineRoot) -> bool:
     """(a, k) is positive on the base alcove: k >= 0 for a positive root
     a, k >= 1 for a negative one."""
-    if root.gradient in d.positive_set:
+    if root.gradient in frozenset(d.positive_roots):
         return root.level >= 0
     if root.gradient in d.root_set:
         return root.level >= 1
@@ -520,3 +521,61 @@ def dominance_grid_oracle(d, lam, lam2, max_num: int = 12, max_den: int = 4) -> 
         return False
 
     return rec(0, diff)
+
+
+def finite_group_by_matrices(d) -> dict:
+    """The finite Weyl group tables of d by breadth-first search on
+    matrices: each product of a simple reflection with a known element
+    is formed and looked up by its matrix, and the length offset of u at
+    a positive root a is read off whether a . u is a positive root."""
+    gens = list(d.simple_reflections)
+    ident = identity_matrix(d.rank)
+    index = {ident: 0}
+    order = [ident]
+    words = [()]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gi, g in enumerate(gens):
+                prod = mat_mul(g, m)
+                if prod not in index:
+                    index[prod] = len(order)
+                    order.append(prod)
+                    words.append((gi,) + words[index[m]])
+                    nxt.append(prod)
+        frontier = nxt
+    mul = [[index[mat_mul(a, b)] for b in order] for a in order]
+    positive = frozenset(d.positive_roots)
+    return {
+        "w0_list": tuple(order),
+        "w0_index": index,
+        "w0_words": tuple(words),
+        "w0_mul": mul,
+        "w0_inv": [row.index(0) for row in mul],
+        "w0_offsets": tuple(
+            tuple(0 if vec_mat(a, m) in positive else 1 for a in d.positive_roots)
+            for m in order
+        ),
+    }
+
+
+def levi_order_pairs_by_bruhat(d, sub, scales) -> tuple[int, list]:
+    """(related pairs, failing covers as JSON) of the Levi order check,
+    with each cover compared by the descent recursion in the ambient
+    group on the embedded elements, rather than by ambient length."""
+    ball_m = sub.weyl.coset_ball(scales.levi_ball_length, budget=scales.budget)[
+        : scales.levi_pair_cap
+    ]
+    below = {}
+    image = {}
+    known = {}
+    bad = []
+    for b in ball_m:
+        covers = known[b] = sub.weyl.covers_below(b, known)
+        below[b] = {b}.union(*(below[c] for c in covers))
+        image[b] = sub_element(d, b)
+        for c in covers:
+            if not d.weyl.bruhat_leq(image[c], image[b]):
+                bad.append({"x": sub.weyl.to_json(c), "y": sub.weyl.to_json(b)})
+    return sum(map(len, below.values())), bad

@@ -258,6 +258,27 @@ def test_budget_exceeded():
         adm(d, (1, 1), budget=3)
 
 
+def test_budget_below_the_translation_length_fails_before_the_walk(monkeypatch):
+    # Adm(mu) holds a chain of l(t^mu) + 1 elements, so a budget of
+    # l(t^mu) fails with no cover walked; at l(t^mu) + 1 the closure runs
+    # (and raises the same error itself), and at |Adm| it succeeds.
+    c2 = preset("C2_sc").datum
+    d = RootDatum(c2.rank, c2.simple_roots, c2.simple_coroots, name=c2.name)
+    size = len(adm(d, (1, 1)))
+    top = d.weyl.length(d.weyl.translation((1, 1)))
+    assert size > top + 1
+    walks = []
+    covers_below = d.weyl.covers_below
+    monkeypatch.setattr(
+        d.weyl, "covers_below", lambda *a, **k: walks.append(a) or covers_below(*a, **k)
+    )
+    for budget, walked in ((top, False), (top + 1, True)):
+        with pytest.raises(BudgetExceeded, match=f"^admissible set exceeds node budget {budget}$"):
+            adm(d, (1, 1), budget=budget)
+        assert bool(walks) == walked
+    assert len(adm(d, (1, 1), budget=size)) == size
+
+
 def test_adm_memo_bounded_and_equal_to_cold():
     for p in catalog():
         d = p.datum

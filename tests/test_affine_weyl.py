@@ -186,32 +186,40 @@ def test_bruhat_against_subword_oracle():
 
 
 def test_covers_are_length_one_down():
+    # Every cover is x times an affine reflection: x s_(a,k) for one of
+    # the l(x) levels k with x s_(a,k) < x, one integer range per
+    # positive root, taken where the length falls by exactly one.
     rng = random.Random(5)
     for p in catalog():
         w = p.datum.weyl
         d = w.datum
+        positive = frozenset(d.positive_roots)
         ball = w.ball(5)
         xs = ball if len(ball) <= 150 else sorted(
             {rng.choice(ball) for _ in range(150)}, key=lambda e: e.key()
         )
         for x in xs:
             lx = w.length(x)
-            assert set(w.covers_below(x)) == deletion_covers(w, x)
-            # The levels k with x . s_(a,k) < x, one integer range per
-            # positive root, hold l(x) levels in all.
+            covers = set(w.covers_below(x))
+            assert covers == deletion_covers(w, x)
             m_inv = w.w0_list[w.w0_inv[x.u_idx]]
             levels = 0
+            by_reflection = set()
             for a in d.positive_roots:
                 b = vec_mat(a, m_inv)
                 pb = dot(b, x.lam)
-                if b in d.positive_set:
+                if b in positive:
                     ks = range(0, pb) if pb > 0 else range(pb, 0)
                 else:
                     ks = range(0, pb + 1) if pb >= 0 else range(pb + 1, 0)
                 for k in ks:
-                    assert w.length(x * w.reflection(AffineRoot(a, k))) < lx
+                    y = x * w.reflection(AffineRoot(a, k))
+                    assert w.length(y) < lx
+                    if w.length(y) == lx - 1:
+                        by_reflection.add(y)
                 levels += len(ks)
             assert levels == length_oracle(w, x)
+            assert covers == by_reflection
 
 
 def _count_left_steps(monkeypatch, w) -> Counter:

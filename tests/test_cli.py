@@ -455,6 +455,33 @@ def test_exit_budget_exceeded():
     assert "BudgetExceeded" in json.loads(result.output)["error"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("adm", "--group", "A1_sc", "--mu", "3000000"),
+        ("verify", "--group", "A1_sc", "--mu", "99999999999999999999"),
+        ("bgmu", "--group", "A1_sc", "--mu", "99999999999999999999"),
+    ],
+    ids=["adm", "verify", "bgmu"],
+)
+def test_budget_bounds_a_long_translation(args):
+    # l(t^mu) is past the default budget, so the admissible set fails
+    # before its first descent chain of l(t^mu) elements is walked.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "adlv.cli", *args],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_BUDGET, done.stdout
+    error = json.loads(done.stdout)["error"]
+    assert error == "BudgetExceeded: admissible set exceeds node budget 5000000"
+
+
 def test_parahoric_budget_keeps_its_text():
     # |Adm| = 19 fits the budget; |Adm^K| = 22 does not.
     result = invoke(

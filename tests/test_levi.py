@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -27,11 +28,14 @@ from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, from_cartan_matrix
 from adlv.verify import VerifyScales, check_fixed_point_generators, check_levi_embedding_facts
 
+import helpers
 from helpers import (
     clear_memos,
     deletion_covers,
+    finite_group_by_matrices,
     fixed_subgroup_by_products,
     group_order,
+    levi_order_pairs_by_bruhat,
     tau_orbits_by_walls,
     v_alcove_oracle,
     wall_twist_by_conjugation,
@@ -475,6 +479,59 @@ def _straight_levis(p):
         for x in sigma.straight_elements_in(adm(d, mu).elements):
             levis.setdefault(levi_of(d, sigma.newton_direction(x)))
     return list(levis)
+
+
+def test_levi_of_central_direction_is_the_datum():
+    # Every root vanishes on 0 and on each central direction, so the
+    # Levi is the datum itself, not a second datum of the whole group.
+    for p in catalog():
+        d = p.datum
+        box = itertools.product(range(-2, 3), repeat=d.rank)
+        central = [v for v in box if not any(dot(a, v) for a in d.simple_roots)]
+        assert len(central) > 1 or d.rank == d.n_simple
+        for v in central:
+            assert levi_of(d, v) is d, (p.name, v)
+            assert levi_of(d, tuple(Fraction(c, 3) for c in v)) is d
+
+
+def test_w0_tables_match_matrix_search():
+    # Every preset, and every Levi of the sweep: most are not standard,
+    # so their simple roots are not ambient simple roots.
+    for p in catalog():
+        for datum in [p.datum] + _straight_levis(p):
+            w = datum.weyl
+            got = {name: getattr(w, name) for name in finite_group_by_matrices(datum)}
+            assert got == finite_group_by_matrices(datum), (p.name, datum.name)
+
+
+@pytest.mark.parametrize("scales", [VerifyScales.quick(), VerifyScales()], ids=["quick", "full"])
+def test_levi_order_pairs_match_ambient_bruhat(scales):
+    # Covers compared by ambient length give the counts and violations
+    # of the ambient descent recursion, on every Levi of the sweep.
+    for p in catalog():
+        d = p.datum
+        for sub in _straight_levis(p):
+            got = verify._levi_order_pairs(d, sub, scales)
+            assert got == levi_order_pairs_by_bruhat(d, sub, scales), (p.name, sub.name)
+
+
+def test_levi_order_pairs_match_ambient_bruhat_on_a_broken_embedding(monkeypatch):
+    # x -> x . s_0 still sends c = b t to the image of b times the
+    # reflection s_0 t s_0, so length decides there too: both routes
+    # report the same failing covers.
+    def broken(d, x):
+        return sub_element(d, x) * d.weyl.simple(0)
+
+    monkeypatch.setattr(verify, "sub_element", broken)
+    monkeypatch.setattr(helpers, "sub_element", broken)
+    failing = 0
+    for p in catalog():
+        d = p.datum
+        for sub in _straight_levis(p):
+            got = verify._levi_order_pairs(d, sub, VerifyScales.quick())
+            assert got == levi_order_pairs_by_bruhat(d, sub, VerifyScales.quick())
+            failing += bool(got[1])
+    assert failing
 
 
 def test_interval_closure_matches_bruhat_recursion():

@@ -31,7 +31,7 @@ def orbit_closure_count(d) -> int:
                     if c not in roots and c in d.root_set:
                         roots.add(c)
                         changed = True
-    return sum(1 for a in roots if a in d.positive_set)
+    return len(roots & set(d.positive_roots))
 
 
 def test_preset_examples():
