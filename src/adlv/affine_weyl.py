@@ -72,7 +72,7 @@ def closure(
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineWeylElement:
     group: "AffineWeylGroup"
     lam: IntVec
@@ -319,6 +319,15 @@ class AffineWeylGroup:
         k, b, shift, v_idx, bound = hit
         return tuple(map(operator.sub, lam, shift)), v_idx, k - dot(b, lam) < bound
 
+    def _lowest_descent(self, lam: IntVec, u_idx: int) -> tuple[int, IntVec, int] | None:
+        """(i, lam', u') for the lowest left descent s_i of x = (lam, u),
+        with s_i x = (lam', u'), by left_step; None at length zero."""
+        for i in range(len(self.simple_affine)):
+            lam_i, u_i, fell = self.left_step(i, lam, u_idx)
+            if fell:
+                return i, lam_i, u_i
+        return None
+
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Word (i_1..i_l) and omega with x = s_{i_1} ... s_{i_l} omega,
         peeling the lowest left descent at each step.  The memo of words
@@ -329,15 +338,9 @@ class AffineWeylGroup:
             return hit
         word: list[int] = []
         lam, u = x.lam, x.u_idx
-        while True:
-            for i in range(len(self.simple_affine)):
-                lam_i, u_i, fell = self.left_step(i, lam, u)
-                if fell:
-                    word.append(i)
-                    lam, u = lam_i, u_i
-                    break
-            else:
-                break
+        while (step := self._lowest_descent(lam, u)) is not None:
+            i, lam, u = step
+            word.append(i)
         cur = AffineWeylElement(self, lam, u)
         assert self.length(cur) == 0
         out = (tuple(word), cur)
@@ -419,16 +422,12 @@ class AffineWeylGroup:
         chain is as long as l(y).
 
         Each step takes the lowest left descent s of y and replaces y by
-        s y, and x by s x when s is a descent of x too.  Descents are read
-        off affine-root signs, so l(x) and l(y) are computed once per
-        chain and then decremented with the moves.  The steps are
-        left_step, inlined so that the level c found by the descent
-        search also moves y.
+        s y, and x by s x when s is a descent of x too, both by left_step.
+        Descents are read off affine-root signs, so l(x) and l(y) are
+        computed once per chain and then decremented with the moves.
         """
         chain = []
         lx = ly = None
-        offsets = self.w0_offsets
-        w0_mul = self.w0_mul
         while True:
             if xl == yl and xu == yu:
                 res = True
@@ -446,19 +445,11 @@ class AffineWeylGroup:
                 res = False
                 break
             # ly > lx >= 0, so y has a descent.
-            off = offsets[yu]
-            for a, k, j, flip, av, s_idx in self._descent_data:
-                c = k + dot(a, yl)
-                if c < off[j] ^ flip:
-                    break
-            yl = tuple(l - c * v for l, v in zip(yl, av))
-            yu = w0_mul[s_idx][yu]
+            i, yl, yu = self._lowest_descent(yl, yu)
             ly -= 1
-            c = k + dot(a, xl)
-            if c < offsets[xu][j] ^ flip:
-                xl = tuple(l - c * v for l, v in zip(xl, av))
-                xu = w0_mul[s_idx][xu]
-                lx -= 1
+            sxl, sxu, fell = self.left_step(i, xl, xu)
+            if fell:
+                xl, xu, lx = sxl, sxu, lx - 1
         cache = self._bruhat_cache
         if len(cache) + len(chain) > CACHE_BOUND:
             cache.clear()

@@ -15,7 +15,12 @@ from typing import NoReturn
 
 import click
 
-from .admissible import adm, adm_parahoric
+from .admissible import (
+    adm,
+    adm_parahoric,
+    verify_s_tau_membership,
+    verify_straight_class_containment,
+)
 from .affine_weyl import DEFAULT_BUDGET
 from .errors import (
     AdlvError,
@@ -309,7 +314,7 @@ def _dispatch(spec: JobSpec) -> dict:
         mu = _require_mu(spec, datum)
         elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
         chosen = _select_tag(spec, elements)
-        cert = descent_certificate(sigma, q, chosen.representative, chosen.representative)
+        cert = descent_certificate(sigma, q, chosen.representative)
         return {
             **base,
             "mu": list(mu),
@@ -318,7 +323,8 @@ def _dispatch(spec: JobSpec) -> dict:
             "operator": [[frac_str(v) for v in row] for row in cert.operator],
             "certificate": [frac_str(v) for v in cert.pic_class.values()],
             "difference": [frac_str(v) for v in cert.difference],
-            "invertible": cert.invertible,
+            # descent_certificate raises on a singular operator.
+            "invertible": True,
         }
 
     raise SchemaError(f"/command: unknown command {spec.command!r}")
@@ -326,8 +332,6 @@ def _dispatch(spec: JobSpec) -> dict:
 
 def _targeted_verify(spec: JobSpec) -> dict:
     """Run the two admissible-set lemma verifiers on one datum."""
-    from .admissible import verify_s_tau_membership, verify_straight_class_containment
-
     datum, pre = _resolve_group(spec)
     sigma, _q = _resolve_sigma(spec, datum, pre)
     mu = _require_mu(spec, datum)

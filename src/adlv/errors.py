@@ -62,10 +62,6 @@ class ExtremalityViolation(AdlvError):
     """A poset expected to have a unique extremum does not; implementation bug."""
 
 
-class SupportViolation(AdlvError):
-    """A Picard class has nonzero coefficients inside the parahoric subset."""
-
-
 class SingularOperator(AdlvError):
     """A Picard operator that must avoid eigenvalue 1 has it.
 

@@ -266,19 +266,10 @@ class FinAbGroup:
                 raise ValueError("endomorphism does not preserve relations")
 
     def coinvariants(self, f: Mat) -> "FinAbGroup":
-        """Quotient by the image of (1 - f)."""
-        self._check_endo(f)
+        """Quotient by the image of (1 - f): the relations, then the
+        columns of 1 - f, read off the rows of _crossed_block."""
         n = self.ambient_rank
-        one_minus = tuple(
-            tuple((1 if i == j else 0) - f[i][j] for j in range(n)) for i in range(n)
-        )
-        cols = []
-        old_cols = len(self.relations[0]) if n else 0
-        for j in range(old_cols):
-            cols.append(tuple(self.relations[i][j] for i in range(n)))
-        for j in range(n):
-            cols.append(tuple(one_minus[i][j] for i in range(n)))
-        return FinAbGroup.from_columns(n, cols)
+        return FinAbGroup(n, tuple(row[n:] + row[:n] for row in self._crossed_block(f)))
 
     def _crossed_block(self, f: Mat) -> Mat:
         """The block matrix [1 - f | relations]: a vector (c, r) solves

@@ -15,9 +15,11 @@ M - 1 = (T_x - A_w) A_w^{-1}, the certificate is L = A_w z for the
 solution z of (T_x - A_w) z = (1, ..., 1), and M itself is formed only
 when it is read; the difference (M - 1) L is scale . (1, ..., 1) and is
 kept as integers.  Everything stays in integers: simple reflections are
-applied as column updates, class_certificates builds one action per
-member, and each pair costs one subtraction and one fraction-free
-elimination.
+applied as column updates, and class_certificates, the one routine that
+makes certificates, builds one action per member of a straight class
+and spends one subtraction and one fraction-free elimination per pair.
+descent_certificate is its one-member case, the pair (x, x), and raises
+where the operator is singular.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup
-from .errors import AdlvError, NotStraight, SingularOperator, SupportViolation
+from .errors import AdlvError, NotStraight, SingularOperator
 from .frobenius import FrobeniusDatum, prime_of_residue_cardinality
 from .linalg import Mat, identity_matrix, mat_inv_unimodular, mat_mul, mat_vec, solve_bareiss
 
@@ -126,15 +128,9 @@ class PicardLattice:
         return tuple(zip(*cols))
 
 
-def is_ample(cls: PicClass, k_set: Sequence[int] = ()) -> bool:
-    """Strict positivity outside K; support inside K must vanish."""
-    kk = set(k_set)
-    for i, n in enumerate(cls.nums):
-        if i in kk and n != 0:
-            raise SupportViolation(
-                f"class has coefficient {n}/p^{cls.exps[i]} at parahoric index {i}"
-            )
-    return all(n > 0 for i, n in enumerate(cls.nums) if i not in kk)
+def is_ample(cls: PicClass) -> bool:
+    """Strict positivity of every coefficient."""
+    return all(n > 0 for n in cls.nums)
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,6 @@ class DescentCertificate:
     action: Mat  # A_w, the action of w
     pic_class: PicClass
     difference: tuple[int, ...]  # (M - 1) applied to the class
-    invertible: bool = True
 
     @property
     def operator(self) -> Mat:
@@ -192,32 +187,6 @@ def _certify(twisted: Mat, action: Mat, p: int) -> DescentCertificate | None:
     return DescentCertificate(twisted, action, cls, (scale,) * n)
 
 
-def descent_certificate(
-    sigma: FrobeniusDatum, q: int, w: AffineWeylElement, x: AffineWeylElement
-) -> DescentCertificate:
-    """A Picard class whose twist difference is dominant regular.
-
-    Builds the actions of x . sigma and of w, and solves
-    (M - 1) L = (1, ..., 1) for the operator M of x sigma w^{-1} as
-    _certify does, with no M formed.  Raises SingularOperator unless
-    det(M - 1) != 0, also when the singular system happens to be
-    consistent.  Then scales L by a positive integer so every
-    denominator is a power of p, for q = p^e (else SchemaError).
-    """
-    p = prime_of_residue_cardinality(q)
-    if not sigma.is_straight(w):
-        raise NotStraight("descent certificate is defined at straight elements")
-    pic = PicardLattice(sigma.datum.weyl)
-    twisted = _twist(sigma, q, pic.element_action(x))
-    cert = _certify(twisted, pic.element_action(w), p)
-    if cert is None:
-        raise SingularOperator(
-            "operator has eigenvalue 1; counterexample candidate for the "
-            "no-fixed-line property"
-        )
-    return cert
-
-
 def class_certificates(
     sigma: FrobeniusDatum, q: int, members: Sequence[AffineWeylElement]
 ) -> Iterator[tuple[AffineWeylElement, AffineWeylElement, DescentCertificate | None]]:
@@ -247,3 +216,18 @@ def class_certificates(
     for w, action in zip(members, actions):
         for x, tw in zip(members, twisted):
             yield w, x, _certify(tw, action, p)
+
+
+def descent_certificate(
+    sigma: FrobeniusDatum, q: int, x: AffineWeylElement
+) -> DescentCertificate:
+    """The certificate of the pair (x, x), as class_certificates makes
+    it; raises SingularOperator where det(M - 1) = 0, also when the
+    singular system happens to be consistent."""
+    _w, _x, cert = next(class_certificates(sigma, q, [x]))
+    if cert is None:
+        raise SingularOperator(
+            "operator has eigenvalue 1; counterexample candidate for the "
+            "no-fixed-line property"
+        )
+    return cert

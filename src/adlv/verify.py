@@ -23,11 +23,11 @@ from .admissible import (
 )
 from .affine_weyl import DEFAULT_BUDGET, closure
 from .frobenius import FrobeniusDatum, sigma_of
-from .levi import is_fundamental, levi_of, sub_element, tau_orbits
+from .levi import is_fundamental, levi_of, pi0_predict, sub_element, tau_orbits
 from .linalg import identity_matrix, mat_mul, mat_vec
 from .newton_bg import b_g_mu
 from .picard import PicardLattice, PicClass, class_certificates, is_ample
-from .presets import Preset, catalog
+from .presets import Preset, catalog, preset
 
 SCHEMA_VERSION = 1
 
@@ -78,9 +78,6 @@ def _designated_omegas(d) -> list:
 
 def check_sl2_pipeline(scales: VerifyScales) -> dict:
     """End-to-end SL2 numbers: sizes, straight set, predictions."""
-    from .levi import pi0_predict
-    from .presets import preset
-
     p = preset("A1_sc")
     d = p.datum
     w = d.weyl
@@ -368,7 +365,6 @@ def check_picard_suite(scales: VerifyScales) -> dict:
     bond_from_product = {0: 2, 1: 3, 2: 4, 3: 6}
     runs = []
     ok = True
-    singular = 0
     for p in catalog():
         d = p.datum
         w = d.weyl
@@ -409,12 +405,9 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                     for wx, xx, cert in class_certificates(sigma, q, members):
                         cert_count += 1
                         if cert is None:
-                            singular += 1
-                        elif all(v > 0 for v in cert.difference):
-                            continue
-                        cert_failures.append(
-                            {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
-                        )
+                            cert_failures.append(
+                                {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
+                            )
         ok_here = not relation_failures and ample_bad == 0 and not cert_failures
         ok = ok and ok_here
         runs.append(
@@ -429,7 +422,7 @@ def check_picard_suite(scales: VerifyScales) -> dict:
     return {
         "name": "picard_suite",
         "pass": ok,
-        "counterexample_candidates": singular,
+        "counterexample_candidates": sum(len(r["certificate_failures"]) for r in runs),
         "runs": runs,
     }
 

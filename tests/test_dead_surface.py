@@ -121,3 +121,68 @@ def test_shared_method_names_are_reviewed():
                         owners.setdefault(qual, set()).add(f"{path.name}:{node.name}")
     shared = {name for name, classes in owners.items() if len(classes) > 1}
     assert shared == SHARED_METHOD_NAMES, {name: owners[name] for name in shared}
+
+
+def defaulted_parameters(tree):
+    """(function name, position or None, parameter) for every parameter
+    with a default, of every function and method; the position counts
+    from the first argument a caller writes, so a method's self or cls
+    is not counted, and an __init__ is filed under its class's name."""
+    for cls in [None] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        body = tree.body if cls is None else cls.body
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(
+                isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                for dec in fn.decorator_list
+            )
+            positional = fn.args.posonlyargs + fn.args.args
+            if cls is not None and not static:
+                positional = positional[1:]
+            name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            first = len(positional) - len(fn.args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                yield name, pos, arg.arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, None, arg.arg
+
+
+def calls(tree):
+    """(callee name, positional count, keyword names) of every call;
+    partial(f, ...) counts as a call of f with the remaining arguments,
+    and a starred argument as passing every parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+            func, args = args[0], args[1:]
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if any(isinstance(a, ast.Starred) for a in args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            yield name, float("inf"), None
+        else:
+            yield name, len(args), {k.arg for k in node.keywords}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no package or benchmark call overrides is a
+    # constant dressed as a parameter.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    passed = {}
+    for tree in trees.values():
+        for name, count, keywords in calls(tree):
+            passed.setdefault(name, []).append((count, keywords))
+    unpassed = sorted(
+        f"{path.name}:{name}({param})"
+        for path in PACKAGE
+        for name, pos, param in defaulted_parameters(trees[path])
+        if not any(
+            keywords is None or param in keywords or (pos is not None and count > pos)
+            for count, keywords in passed.get(name, ())
+        )
+    )
+    assert not unpassed, "defaulted but never passed: " + ", ".join(unpassed)

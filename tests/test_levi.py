@@ -658,3 +658,57 @@ def test_levi_order_check_fails_with_all_pairs_on_a_broken_embedding(monkeypatch
     report = check_levi_embedding_facts(VerifyScales.quick())
     assert not report["pass"]
     assert _assert_order_runs_match_all_pairs(report, broken) > 0
+
+
+def test_sigma_supports_of_adm_cover_the_finite_orbits_when_basic_theorem_applies():
+    """The combinatorial step of the basic case, as read from Goertz-He
+    (Cambridge J. Math. 2015, section 2) and He (Annals 2014, section 4);
+    a reading, not the source paper's quoted statement.
+
+    Let tau be the length-zero element of Adm(mu) and tau.sigma its
+    permutation of the affine simple nodes.
+    (a) s_i tau lies in Adm(mu) exactly for the nodes i, the affine node
+        included, of the Dynkin components where mu is noncentral.
+    (b) For x = w tau in Adm(mu), supp_sigma(x) is the tau.sigma-closure
+        of supp(w).  The union of the supp_sigma(x) with W_{supp_sigma(x)}
+        finite contains every finite tau.sigma-orbit exactly when mu is
+        essentially noncentral.  Each such x gives classical
+        Deligne-Lusztig pieces, one per parahoric P_{supp_sigma(x)} of
+        J_tau, and (b) says that these meet every finite orbit.
+    Cases: the catalog grid, mu = 0 for each (preset, sigma), and the
+    central GL2 mu = (1, 1).
+    """
+    cases = [
+        (p, name, mu)
+        for p in catalog()
+        for name in sorted(p.sigmas)
+        for mu in [m for _label, m in p.mu_grid] + [(0,) * p.datum.rank]
+    ]
+    cases.append((preset("GL2"), "split", (1, 1)))
+    answers = []
+    for p, name, mu in cases:
+        d = p.datum
+        w = d.weyl
+        sigma = FrobeniusDatum(d, p.sigmas[name])
+        aset = adm(d, mu)
+        tau = aset.tau.element
+        k = len(d.components)
+        noncentral = {d.component_of_root(a) for a in d.positive_roots if dot(a, mu)}
+        node_component = list(range(k)) + [d.component_of_root(a) for a in d.simple_roots]
+        nodes = range(len(node_component))
+        s_tau = {i for i in nodes if w.simple(i) * tau in aset}
+        assert s_tau == {i for i in nodes if node_component[i] in noncentral}, (p.name, name, mu)
+        perm = w.permute_walls(tau, matrix_inv=sigma.matrix_inv)
+        covered = set()
+        for x in aset.elements:
+            word, omega = w.reduced_word(x)
+            assert omega == tau
+            supp = closure(word, lambda i: (perm[i],))
+            if w.parabolic_is_finite(sorted(supp)):
+                covered |= supp
+        orbits = {frozenset(closure([i], lambda j: (perm[j],))) for i in nodes}
+        finite = [o for o in orbits if w.parabolic_is_finite(sorted(o))]
+        supported = all(o <= covered for o in finite)
+        assert supported == essentially_noncentral(d, sigma, mu), (p.name, name, mu)
+        answers.append(supported)
+    assert len(cases) == 37 and set(answers) == {True, False}
