@@ -485,16 +485,13 @@ class AffineWeylGroup:
         chain = []
         y = x
         while y not in known:
-            lam, u = y.lam, y.u_idx
-            for i in range(len(self.simple_affine)):
-                lam_i, u_i, fell = self.left_step(i, lam, u)
-                if fell:
-                    break
-            else:
+            step = self._lowest_descent(y.lam, y.u_idx)
+            if step is None:
                 known[y] = []
                 break
+            i, lam, u = step
             chain.append((y, i))
-            y = AffineWeylElement(self, lam_i, u_i)
+            y = AffineWeylElement(self, lam, u)
         below = known[y]
         for up, i in reversed(chain):
             covers = [y]

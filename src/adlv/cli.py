@@ -211,6 +211,8 @@ def _dispatch(spec: JobSpec) -> dict:
     datum, pre = _resolve_group(spec)
     w = datum.weyl
     n_affine = len(w.simple_affine)
+    if spec.level and not n_affine:
+        raise SchemaError("/level: the group has no affine simple reflections")
     for i in spec.level:
         if not 0 <= i < n_affine:
             raise SchemaError(

@@ -16,7 +16,7 @@ from operator import add
 from typing import Sequence
 
 from .admissible import in_adm
-from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup, closure
+from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, AffineWeylGroup
 from .errors import InfiniteParabolic, NotStraight, TagNotInBGMu
 from .fgab import FinAbGroup
 from .frobenius import FrobeniusDatum, StraightClassTag
@@ -108,19 +108,34 @@ def is_fundamental(
 # -- tau orbits on the affine simple indices -------------------------------------------
 
 
+def _cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of a permutation of range(n), by least index, each
+    traversed as i, perm[i], perm^2[i], ... from its least index."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return out
+
+
 @dataclass(frozen=True)
 class TauOrbit:
     roots: tuple[AffineRoot, ...]  # orbit in traversal order
     finite: bool
     longest: AffineWeylElement | None  # w0_J when finite
     orbit_type: str | None  # "A" or "B" when finite
-    summing_pairs: tuple[tuple[int, int], ...]
 
 
 def tau_orbits(group: AffineWeylGroup, perm: Sequence[int]) -> list[TauOrbit]:
     """Orbits J of a permutation of the affine simple indices of `group`,
-    each traversed as i, perm[i], perm^2[i], ... from its least index,
-    with whether W_J is finite and, if so, its longest element and type.
+    its `_cycles`, with whether W_J is finite and, if so, its longest
+    element and type: "B" when two roots of J have gradients summing to
+    a root, "A" otherwise.
 
     w0_J is reached by a descent walk: from the identity, step by the
     first j in J that is not a left descent, until every j in J is one.
@@ -129,20 +144,12 @@ def tau_orbits(group: AffineWeylGroup, perm: Sequence[int]) -> list[TauOrbit]:
     l(w0_J) steps, the number of positive roots of the finite root system
     of J's gradients, so at most |Phi^+|.
     """
-    seen: set[int] = set()
     out = []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        orbit = [start]
-        while perm[orbit[-1]] != start:
-            orbit.append(perm[orbit[-1]])
-        seen.update(orbit)
+    for orbit in _cycles(perm):
         roots = tuple(group.simple_affine[i].root for i in orbit)
-        pairs = tuple(
-            (i, j)
-            for i, j in combinations(range(len(roots)), 2)
-            if tuple(map(add, roots[i].gradient, roots[j].gradient)) in group.datum.root_set
+        summing = any(
+            tuple(map(add, a.gradient, b.gradient)) in group.datum.root_set
+            for a, b in combinations(roots, 2)
         )
         finite = group.parabolic_is_finite(orbit)
         longest = None
@@ -162,8 +169,7 @@ def tau_orbits(group: AffineWeylGroup, perm: Sequence[int]) -> list[TauOrbit]:
                 roots=roots,
                 finite=finite,
                 longest=longest,
-                orbit_type=("B" if pairs else "A") if finite else None,
-                summing_pairs=pairs,
+                orbit_type=("B" if summing else "A") if finite else None,
             )
         )
     return out
@@ -177,7 +183,7 @@ class JbShadow:
     """Generator datum of the sigma-centralizer at the Weyl-group level.
 
     The group itself is generated by the tau-fixed points of the Levi
-    Iwahori (present as a marker; not enumerable here), the longest
+    Iwahori (always a generator; not enumerable here), the longest
     elements of the finite tau-orbits, and the tau-fixed length-zero
     part of the Levi.
     """
@@ -186,7 +192,6 @@ class JbShadow:
     orbits: tuple[TauOrbit, ...]  # all orbits; finite ones carry w0_J
     omega_fixed_group: FinAbGroup
     omega_fixed_reps: tuple[AffineWeylElement, ...]
-    iwahori_fixed_part: bool = True
 
 
 def jb_shadow(d: RootDatum, sigma: FrobeniusDatum, x: AffineWeylElement) -> JbShadow:
@@ -228,20 +233,19 @@ def essentially_noncentral(
     d: RootDatum, sigma: FrobeniusDatum | None, mu: Sequence[int]
 ) -> bool:
     """True iff mu pairs nontrivially with each sigma-orbit of Dynkin
-    components; False for a torus."""
+    components; False for a torus.
+
+    A root of component c is an integer combination of the simple roots
+    of c, which are roots of c themselves; so mu pairs nontrivially with
+    some root of c iff it does with some simple root of c.
+    """
     k = len(d.components)
-    if not k:
-        return False
     # Affine simple c is the wall of component c, so sigma permutes the
     # components as it permutes the first k affine simples.
     comp_perm = range(k) if sigma is None else sigma.s_permutation[:k]
-    orbits = {
-        frozenset(closure([start], lambda c: (comp_perm[c],)))
-        for start in range(k)
-    }
-    return all(
-        any(d.component_of_root(a) in orbit and dot(a, mu) != 0 for a in d.positive_roots)
-        for orbit in orbits
+    return k > 0 and all(
+        any(dot(d.simple_roots[i], mu) for c in orbit for i in d.components[c])
+        for orbit in _cycles(comp_perm)
     )
 
 
@@ -257,11 +261,14 @@ class Pi0Stratum:
 @dataclass(frozen=True)
 class Pi0Prediction:
     case: str  # basic | nonbasic-residually-split | unsupported
-    group: FinAbGroup | None
-    strata: tuple[Pi0Stratum, ...]
     level: tuple[int, ...]  # the parahoric subset K
-    upper_bound_only: bool
-    note: str = ""
+    note: str
+    group: FinAbGroup | None = None  # basic case
+    strata: tuple[Pi0Stratum, ...] = ()  # nonbasic case
+
+    @property
+    def upper_bound_only(self) -> bool:
+        return self.case == "nonbasic-residually-split"
 
 
 def pi0_predict(
@@ -290,32 +297,15 @@ def pi0_predict(
 
     if match.basic:
         if essentially_noncentral(d, sigma, mu):
-            fixed, _gens = sigma.pi1_fixed
             return Pi0Prediction(
-                case="basic",
-                group=fixed,
-                strata=(),
-                level=k_tuple,
-                upper_bound_only=False,
-                note="valid at every parahoric level",
+                "basic", k_tuple, "valid at every parahoric level", group=sigma.pi1_fixed[0]
             )
         return Pi0Prediction(
-            case="unsupported",
-            group=None,
-            strata=(),
-            level=k_tuple,
-            upper_bound_only=False,
-            note="mu is essentially central; outside the basic theorem",
+            "unsupported", k_tuple, "mu is essentially central; outside the basic theorem"
         )
-
     if not sigma.residually_split:
         return Pi0Prediction(
-            case="unsupported",
-            group=None,
-            strata=(),
-            level=k_tuple,
-            upper_bound_only=False,
-            note="nonbasic prediction needs a residually split group",
+            "unsupported", k_tuple, "nonbasic prediction needs a residually split group"
         )
 
     w = d.weyl
@@ -338,10 +328,8 @@ def pi0_predict(
     # building a reduced word.
     strata.sort(key=lambda s: (w.length(s.element), s.element.key()))
     return Pi0Prediction(
-        case="nonbasic-residually-split",
-        group=None,
+        "nonbasic-residually-split",
+        k_tuple,
+        "upper bound (surjection domain), not an exact pi_0",
         strata=tuple(strata),
-        level=k_tuple,
-        upper_bound_only=True,
-        note="upper bound (surjection domain), not an exact pi_0",
     )

@@ -200,7 +200,6 @@ class RootDatum:
         self.root_set = frozenset(coroot)
         if 2 * len(self.positive_roots) != len(coroot):
             raise NonReducedSystem("positive roots do not split the system in half")
-        self._root_component: dict[IntVec, int] = {}
 
     def _validate_reduced(self) -> None:
         for a in self.root_set:
@@ -247,18 +246,6 @@ class RootDatum:
 
     def coroot(self, root: Sequence[int]) -> IntVec:
         return self.coroot_table[tuple(root)]
-
-    def component_of_root(self, root: Sequence[int]) -> int:
-        key = tuple(root)
-        hit = self._root_component.get(key)
-        if hit is not None:
-            return hit
-        coeffs = self.simple_coefficients(key)
-        for ci, comp in enumerate(self.components):
-            if any(coeffs[i] for i in comp):
-                self._root_component[key] = ci
-                return ci
-        raise ValueError("zero root has no component")
 
     def is_dominant(self, v: Sequence) -> bool:
         return all(dot(a, v) >= 0 for a in self.simple_roots)
@@ -452,4 +439,7 @@ def build_root_datum(spec) -> RootDatum:
         raise SchemaError(
             f"/simple_roots: {len(roots)} exceeds the maximum of {MAX_SIMPLE_ROOTS} simple roots"
         )
-    return RootDatum(rank, roots, coroots, name=str(spec.get("name", "")))
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError("/name: expected a string")
+    return RootDatum(rank, roots, coroots, name=name)

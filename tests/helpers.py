@@ -190,11 +190,30 @@ def tau_orbits_by_walls(d, tau: dict) -> list[dict]:
                 "roots": tuple(orbit),
                 "finite": finite,
                 "orbit_type": ("B" if pairs else "A") if finite else None,
-                "summing_pairs": pairs,
                 "longest": longest,
             }
         )
     return out
+
+
+def component_of_root(d, root) -> int:
+    """Index of the Dynkin component whose simple roots expand `root`."""
+    coeffs = d.simple_coefficients(root)
+    return next(c for c, comp in enumerate(d.components) if any(coeffs[i] for i in comp))
+
+
+def essentially_noncentral_by_roots(d, sigma, mu) -> bool:
+    """The positive-root scan: some positive root of each sigma-orbit of
+    components pairs nontrivially with mu; False for a torus.  The
+    orbits are closed under sigma's permutation of the affine walls of
+    the components, the first len(d.components) affine simples."""
+    k = len(d.components)
+    perm = range(k) if sigma is None else sigma.s_permutation[:k]
+    orbits = {frozenset(affine_weyl.closure([c], lambda j: (perm[j],))) for c in range(k)}
+    return bool(orbits) and all(
+        any(component_of_root(d, a) in orbit and dot(a, mu) for a in d.positive_roots)
+        for orbit in orbits
+    )
 
 
 def fraction_rank(mat) -> int:

@@ -397,6 +397,15 @@ def test_exit_schema_errors():
         (("adm", "--group",
           '{"rank": 1, "simple_roots": [[2]], "simple_coroots": [[true]]}',
           "--mu", "1"), "/simple_coroots/0/0: expected integer"),
+        # A name that is not a string is not written into the report.
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]], "name": 5}',
+          "--mu", "1"), "/name: expected a string"),
+        (("adm", "--group",
+          '{"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]], "name": null}',
+          "--mu", "1"), "/name: expected a string"),
+        (("adm", "--group", '{"rank": 1, "simple_roots": [], "simple_coroots": []}',
+          "--mu", "1", "--level", "0"), "/level: the group has no affine simple reflections"),
         # Rejected before any rank x rank matrix is allocated.
         (("adm", "--group",
           '{"rank": 100000, "simple_roots": [], "simple_coroots": []}',

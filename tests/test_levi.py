@@ -236,7 +236,8 @@ def test_tau_orbit_types_a_and_b():
     assert by_size[1].orbit_type == "A"
     pair = by_size[2]
     assert pair.finite and pair.orbit_type == "B"
-    assert pair.summing_pairs == ((0, 1),)
+    r0, r1 = pair.roots
+    assert tuple(a + b for a, b in zip(r0.gradient, r1.gradient)) in d2.root_set
     # longest element of the finite A2 parabolic has length 3
     assert d2.weyl.length(pair.longest) == 3
 
@@ -345,7 +346,6 @@ def test_jb_shadow_examples():
     assert jb.levi is d
     assert sorted(len(o.roots) for o in jb.orbits) == [1, 1]
     assert group_order(jb.omega_fixed_group) == 1
-    assert jb.iwahori_fixed_part
     # torus case: no orbits, fixed Omega = lattice
     t = w.translation((1,))
     jb2 = jb_shadow(d, sig, t)
@@ -384,6 +384,27 @@ def test_essentially_noncentral():
     assert essentially_noncentral(d2, split, (1, 1))
     torus = levi_of(d, (1,))
     assert not essentially_noncentral(torus, None, (1,))
+
+
+def test_essentially_noncentral_matches_positive_root_scan():
+    # Simple roots against every positive root: each catalog
+    # (preset, sigma) with its grid and mu = 0, the Levi of every pi0
+    # stratum with sigma = None, as pi0_predict asks, and a bare torus.
+    cases = []
+    for p in catalog():
+        d = p.datum
+        for name in sorted(p.sigmas):
+            sigma = FrobeniusDatum(d, p.sigmas[name])
+            for mu in [m for _label, m in p.mu_grid] + [(0,) * d.rank]:
+                cases.append((d, sigma, mu))
+                for e in b_g_mu(d, sigma, mu):
+                    for s in pi0_predict(d, sigma, mu, e.tag).strata:
+                        levi = levi_of(d, sigma.newton_direction(s.element))
+                        cases.append((levi, None, s.element.lam))
+    cases.append((RootDatum(2, (), ()), None, (1, 0)))
+    answers = [essentially_noncentral(*case) for case in cases]
+    assert answers == [helpers.essentially_noncentral_by_roots(*case) for case in cases]
+    assert set(answers) == {True, False}
 
 
 def test_pi0_predict_basic_and_nonbasic():
@@ -693,8 +714,8 @@ def test_sigma_supports_of_adm_cover_the_finite_orbits_when_basic_theorem_applie
         aset = adm(d, mu)
         tau = aset.tau.element
         k = len(d.components)
-        noncentral = {d.component_of_root(a) for a in d.positive_roots if dot(a, mu)}
-        node_component = list(range(k)) + [d.component_of_root(a) for a in d.simple_roots]
+        noncentral = {helpers.component_of_root(d, a) for a in d.positive_roots if dot(a, mu)}
+        node_component = list(range(k)) + [helpers.component_of_root(d, a) for a in d.simple_roots]
         nodes = range(len(node_component))
         s_tau = {i for i in nodes if w.simple(i) * tau in aset}
         assert s_tau == {i for i in nodes if node_component[i] in noncentral}, (p.name, name, mu)
