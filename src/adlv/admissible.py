@@ -113,19 +113,21 @@ def tau_mu(d: RootDatum, mu: Sequence[int]) -> OmegaElt:
 class AdmissibleSet:
     datum: RootDatum
     mu: IntVec
-    mu_dominant: IntVec
-    maximal: tuple[AffineWeylElement, ...]
     tau: OmegaElt
     elements: frozenset[AffineWeylElement]
 
+    # Built when read, so that the set holds one copy of its maxima.
+    @property
+    def maximal(self) -> tuple[AffineWeylElement, ...]:
+        return maximal_translations(self.datum, self.mu)
+
     @property
     def max_length(self) -> int:
-        return dot(self.datum.two_rho, self.mu_dominant)
+        return dot(self.datum.two_rho, self.datum.dominant_word(self.mu)[0])
 
     @cached_property
     def sorted_elements(self) -> tuple[AffineWeylElement, ...]:
-        w = self.datum.weyl
-        return tuple(sorted(self.elements, key=lambda x: (w.length(x),) + x.key()))
+        return tuple(sorted(self.elements, key=self.datum.weyl.sort_key))
 
     def __contains__(self, x: AffineWeylElement) -> bool:
         return x in self.elements
@@ -150,23 +152,24 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
     datum: equal data built apart have distinct groups, and a set's
     elements are bound to one of them.  A BudgetExceeded is not cached."""
     d = w.datum
-    mu_dom = tuple(d.dominant_word(mu)[0])
-    maxima = maximal_translations(d, mu)
+    # Enumerate first: tau_mu walks a reduced word as long as l(t^mu),
+    # which adm_elements checks against the budget.
+    elements = adm_elements(d, mu, budget)
+    return AdmissibleSet(datum=d, mu=mu, tau=tau_mu(d, mu), elements=frozenset(elements))
+
+
+def adm_elements(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> set:
+    """The elements of Adm({mu}), closed from the maximal translations
+    under covers and not memoized; raises BudgetExceeded past `budget`."""
+    message = f"admissible set exceeds node budget {budget}"
+    # A chain of l(t^mu) + 1 elements from t^mu down to tau lies in Adm.
+    if dot(d.two_rho, d.dominant_word(mu)[0]) >= budget:
+        raise BudgetExceeded(message)
+    covers = partial(d.weyl.covers_below, known={})
     try:
-        # A chain of l(t^mu) + 1 elements from t^mu down to tau lies in Adm.
-        if dot(d.two_rho, mu_dom) >= budget:
-            raise BudgetExceeded
-        elements = closure(maxima, partial(w.covers_below, known={}), budget)
+        return closure(maximal_translations(d, mu), covers, budget)
     except BudgetExceeded:
-        raise BudgetExceeded(f"admissible set exceeds node budget {budget}") from None
-    return AdmissibleSet(
-        datum=d,
-        mu=mu,
-        mu_dominant=mu_dom,
-        maximal=maxima,
-        tau=tau_mu(d, mu),
-        elements=frozenset(elements),
-    )
+        raise BudgetExceeded(message) from None
 
 
 def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
@@ -304,8 +307,7 @@ def adm_parahoric(
             f"Adm^K fails downward closure at {x} -> {below}; implementation bug"
         )
     reps = {w.min_double_coset_rep(x, k_set) for x in closed}
-    reps_sorted = tuple(sorted(reps, key=lambda x: (w.length(x),) + x.key()))
-    return closed, reps_sorted
+    return closed, tuple(sorted(reps, key=w.sort_key))
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -328,30 +330,17 @@ def verify_straight_class_containment(
     if not sigma.residually_split:
         raise HypothesisViolated("straight class containment needs a residually split sigma")
     aset = adm(d, mu, budget=budget)
-    straights = sigma.straight_elements_in(aset.elements)
-    seen: set[AffineWeylElement] = set()
-    classes = 0
-    checked = 0
-    violations = []
-    for x in straights:
-        if x in seen:
-            continue
-        classes += 1
-        members = sigma.plateau(x, budget).members
-        for y in members:
-            seen.add(y)
-            checked += 1
-            if y not in aset.elements:
-                violations.append(
-                    {
-                        "class_of": d.weyl.to_json(x),
-                        "witness": d.weyl.to_json(y),
-                    }
-                )
+    classes = sigma.plateau_classes(sigma.straight_elements_in(aset.elements), budget)
+    violations = [
+        {"class_of": d.weyl.to_json(x), "witness": d.weyl.to_json(y)}
+        for x, members in classes
+        for y in members
+        if y not in aset.elements
+    ]
     return {
         "mu": list(mu),
-        "straight_classes": classes,
-        "straight_elements_checked": checked,
+        "straight_classes": len(classes),
+        "straight_elements_checked": sum(len(members) for _x, members in classes),
         "violations": violations,
         "pass": not violations,
     }

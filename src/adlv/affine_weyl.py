@@ -247,11 +247,15 @@ class AffineWeylGroup:
             raise DatumMismatch("matrix is not an element of the finite Weyl group")
         return AffineWeylElement(self, tuple(int(x) for x in lam), idx)
 
+    def finite_index(self, letters: Iterable[int]) -> int:
+        """The W0 index of s_{i_1} ... s_{i_k}, for finite simple letters i_j."""
+        u = self.w0_identity
+        for i in letters:
+            u = self.w0_mul[u][self.simple_affine[self.n_components + i].element.u_idx]
+        return u
+
     def from_finite_word(self, lam: Sequence[int], word: Sequence[int]) -> AffineWeylElement:
-        m = identity_matrix(self.datum.rank)
-        for i in word:
-            m = mat_mul(m, self.datum.simple_reflections[i])
-        return self.from_matrix(lam, m)
+        return AffineWeylElement(self, tuple(int(x) for x in lam), self.finite_index(word))
 
     def reflection(self, root: AffineRoot) -> AffineWeylElement:
         """s_{(a,k)} = t^{-k a^vee} s_a."""
@@ -273,6 +277,10 @@ class AffineWeylGroup:
 
     def length(self, x: AffineWeylElement) -> int:
         return self.length_of(x.lam, x.u_idx)
+
+    def sort_key(self, x: AffineWeylElement) -> tuple:
+        """(length, canonical key): the order of element lists in reports."""
+        return (self.length(x),) + x.key()
 
     def left_step(self, i: int, lam: IntVec, u_idx: int) -> tuple[IntVec, int, bool]:
         """(lam', u', fell) with s_i x = (lam', u') for x = (lam, u), and

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import NoReturn
 
 import click
@@ -37,13 +37,26 @@ from .newton_bg import b_g_mu, straight_classes
 from .picard import descent_certificate
 from .presets import catalog, preset
 from .root_datum import build_root_datum
-from .verify import SCHEMA_VERSION, VerifyScales, frac_str, run_verify
+from .verify import SCHEMA_VERSION, VerifyScales, frac_str, run_verify, verify_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
 EXIT_COUNTEREXAMPLE = 4
+
+# The JobSpec fields each command reads, and so its CLI options; any
+# other field must keep its default.  verify reads group, sigma and mu
+# only with a group (the targeted run) and scale only without one.
+COMMAND_FIELDS = {
+    "adm": ("group", "mu", "level", "budget", "emit"),
+    "straight": ("group", "sigma", "mu", "budget"),
+    "bgmu": ("group", "sigma", "mu", "budget"),
+    "pi0": ("group", "sigma", "mu", "b", "level", "budget"),
+    "pic-cert": ("group", "sigma", "mu", "b", "budget"),
+    "verify": ("scale", "group", "sigma", "mu", "budget"),
+    "presets": (),
+}
 
 
 @dataclass
@@ -53,12 +66,15 @@ class JobSpec:
     sigma: str = "split"
     mu: tuple[int, ...] | None = None
     b: str | None = None
-    level: tuple[int, ...] = field(default_factory=tuple)
+    level: tuple[int, ...] = ()
     budget: int = DEFAULT_BUDGET
     emit: str = "summary"
     scale: str = "full"
 
     def __post_init__(self):
+        reads = COMMAND_FIELDS.get(self.command) if isinstance(self.command, str) else None
+        if reads is None:
+            raise SchemaError(f"/command: unknown command {self.command!r}")
         if type(self.budget) is not int or self.budget <= 0:
             raise SchemaError("/budget: expected a positive integer")
         if not isinstance(self.sigma, str):
@@ -76,6 +92,15 @@ class JobSpec:
             raise SchemaError("/emit: expected 'summary' or 'elements'")
         if self.scale not in ("full", "quick"):
             raise SchemaError("/scale: expected 'full' or 'quick'")
+        self.level = tuple(self.level)
+        where = ""
+        if self.command == "verify":
+            targeted = self.group is not None
+            reads = ("group", "sigma", "mu", "budget") if targeted else ("scale", "budget")
+            where = " with a group" if targeted else " without a group"
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise SchemaError(f"/{f.name}: not read by {self.command}{where}")
 
 
 def _resolve_group(spec: JobSpec):
@@ -182,11 +207,6 @@ def run(spec: JobSpec) -> tuple[dict, int]:
 
 
 def _dispatch(spec: JobSpec) -> dict:
-    if spec.command == "verify":
-        if spec.group is not None:
-            return _targeted_verify(spec)
-        scales = VerifyScales() if spec.scale == "full" else VerifyScales.quick()
-        return run_verify(replace(scales, budget=spec.budget))
     if spec.command == "presets":
         return {
             "schema_version": SCHEMA_VERSION,
@@ -207,6 +227,9 @@ def _dispatch(spec: JobSpec) -> dict:
                 for p in catalog()
             ],
         }
+    if spec.command == "verify" and spec.group is None:
+        scales = VerifyScales() if spec.scale == "full" else VerifyScales.quick()
+        return run_verify(replace(scales, budget=spec.budget))
 
     datum, pre = _resolve_group(spec)
     w = datum.weyl
@@ -220,25 +243,23 @@ def _dispatch(spec: JobSpec) -> dict:
             )
     if len(set(spec.level)) != len(spec.level):
         raise SchemaError("/level: repeated index")
+    mu = _require_mu(spec, datum)
     base = {
         "schema_version": SCHEMA_VERSION,
         "command": spec.command,
         "group": datum.name or "explicit",
+        "mu": list(mu),
     }
 
     if spec.command == "adm":
-        mu = _require_mu(spec, datum)
         aset = adm(datum, mu, budget=spec.budget)
-        out = dict(base)
-        out.update(
-            {
-                "mu": list(mu),
-                "tau": w.to_json(aset.tau.element),
-                "size": len(aset),
-                "max_length": aset.max_length,
-                "maximal": [w.to_json(t) for t in aset.maximal],
-            }
-        )
+        out = {
+            **base,
+            "tau": w.to_json(aset.tau.element),
+            "size": len(aset),
+            "max_length": aset.max_length,
+            "maximal": [w.to_json(t) for t in aset.maximal],
+        }
         if spec.level:
             closed, reps = adm_parahoric(datum, mu, spec.level, budget=spec.budget)
             out["level"] = list(spec.level)
@@ -250,12 +271,20 @@ def _dispatch(spec: JobSpec) -> dict:
 
     sigma, q = _resolve_sigma(spec, datum, pre)
 
+    if spec.command == "verify":
+        # The two admissible-set lemma verifiers on this datum.
+        containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
+        wall = verify_s_tau_membership(datum, mu, budget=spec.budget)
+        checks = [
+            {"name": name, "pass": rep["pass"], "runs": [rep]}
+            for name, rep in (("straight_class_containment", containment), ("wall_times_tau", wall))
+        ]
+        return {**base, **verify_report(checks)}
+
     if spec.command == "straight":
-        mu = _require_mu(spec, datum)
         classes = straight_classes(datum, sigma, mu, budget=spec.budget)
         return {
             **base,
-            "mu": list(mu),
             "classes": [
                 {
                     "tag": _tag_json(tag),
@@ -266,12 +295,10 @@ def _dispatch(spec: JobSpec) -> dict:
             ],
         }
 
+    elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
     if spec.command == "bgmu":
-        mu = _require_mu(spec, datum)
-        elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
         return {
             **base,
-            "mu": list(mu),
             "elements": [
                 {
                     "tag": _tag_json(e.tag),
@@ -284,17 +311,14 @@ def _dispatch(spec: JobSpec) -> dict:
             ],
         }
 
+    chosen = _select_tag(spec, elements)
+    base["b"] = _tag_json(chosen.tag)
     if spec.command == "pi0":
-        mu = _require_mu(spec, datum)
-        elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
-        chosen = _select_tag(spec, elements)
         pred = pi0_predict(
             datum, sigma, mu, chosen.tag, k_set=spec.level, budget=spec.budget
         )
         return {
             **base,
-            "mu": list(mu),
-            "b": _tag_json(chosen.tag),
             "case": pred.case,
             "group": _group_json(pred.group) if pred.group is not None else None,
             "level": list(pred.level),
@@ -312,45 +336,15 @@ def _dispatch(spec: JobSpec) -> dict:
             ],
         }
 
-    if spec.command == "pic-cert":
-        mu = _require_mu(spec, datum)
-        elements = b_g_mu(datum, sigma, mu, budget=spec.budget)
-        chosen = _select_tag(spec, elements)
-        cert = descent_certificate(sigma, q, chosen.representative)
-        return {
-            **base,
-            "mu": list(mu),
-            "b": _tag_json(chosen.tag),
-            "q": q,
-            "operator": [[frac_str(v) for v in row] for row in cert.operator],
-            "certificate": [frac_str(v) for v in cert.pic_class.values()],
-            "difference": [frac_str(v) for v in cert.difference],
-            # descent_certificate raises on a singular operator.
-            "invertible": True,
-        }
-
-    raise SchemaError(f"/command: unknown command {spec.command!r}")
-
-
-def _targeted_verify(spec: JobSpec) -> dict:
-    """Run the two admissible-set lemma verifiers on one datum."""
-    datum, pre = _resolve_group(spec)
-    sigma, _q = _resolve_sigma(spec, datum, pre)
-    mu = _require_mu(spec, datum)
-    containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
-    wall = verify_s_tau_membership(datum, mu, budget=spec.budget)
-    checks = [
-        {"name": "straight_class_containment", "pass": containment["pass"], "runs": [containment]},
-        {"name": "wall_times_tau", "pass": wall["pass"], "runs": [wall]},
-    ]
+    cert = descent_certificate(sigma, q, chosen.representative)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "group": datum.name or "explicit",
-        "mu": list(mu),
-        "pass": all(c["pass"] for c in checks),
-        "counterexample_candidates": 0,
-        "checks": checks,
+        **base,
+        "q": q,
+        "operator": [[frac_str(v) for v in row] for row in cert.operator],
+        "certificate": [frac_str(v) for v in cert.pic_class.values()],
+        "difference": [frac_str(v) for v in cert.difference],
+        # descent_certificate raises on a singular operator.
+        "invertible": True,
     }
 
 
@@ -370,21 +364,25 @@ def _emit(report: dict, code: int, out_path: str | None = None) -> NoReturn:
     sys.exit(code)
 
 
-_group_opt = click.option("--group", help="preset name or inline JSON root datum")
-_sigma_opt = click.option(
-    "--sigma", default="split", show_default=True,
-    help="sigma option name, name:q, or inline JSON",
-)
-_mu_opt = click.option("--mu", help="cocharacter, comma-separated integers")
-_b_opt = click.option("--b", help="class selector: basic, maximal, or index")
-_level_opt = click.option(
-    "--level", default="", help="parahoric K as comma-separated simple indices"
-)
-_budget_opt = click.option("--budget", default=str(DEFAULT_BUDGET), show_default=True)
-_emit_opt = click.option(
-    "--emit", default="summary", show_default=True, help="summary or elements"
-)
-_out_opt = click.option("--out", default=None, help="write the JSON report here")
+# One click option per JobSpec field, plus --out.
+_OPTIONS = {
+    "scale": click.option("--scale", default="full", show_default=True, help="full or quick"),
+    "group": click.option("--group", help="preset name or inline JSON root datum"),
+    "sigma": click.option(
+        "--sigma", default="split", show_default=True,
+        help="sigma option name, name:q, or inline JSON",
+    ),
+    "mu": click.option("--mu", help="cocharacter, comma-separated integers"),
+    "b": click.option("--b", help="class selector: basic, maximal, or index"),
+    "level": click.option(
+        "--level", default="", help="parahoric K as comma-separated simple indices"
+    ),
+    "budget": click.option("--budget", default=str(DEFAULT_BUDGET), show_default=True),
+    "emit": click.option(
+        "--emit", default="summary", show_default=True, help="summary or elements"
+    ),
+    "out": click.option("--out", default=None, help="write the JSON report here"),
+}
 
 
 def _parse_ints(raw: str | None, name: str) -> tuple[int, ...] | None:
@@ -423,13 +421,13 @@ def main():
     """Combinatorics of unions of affine Deligne-Lusztig varieties."""
 
 
-def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **fields):
+def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **options):
     """Build the JobSpec from the parsed options, run it, write the
     report and exit with its code."""
     try:
         spec = JobSpec(
             command=command, mu=_parse_ints(mu, "mu"), level=_parse_ints(level, "level") or (),
-            budget=_parse_budget(budget), **fields,
+            budget=_parse_budget(budget), **options,
         )
     except SchemaError as exc:
         report, code = _error_report(exc)
@@ -438,46 +436,29 @@ def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **fi
     _emit(report, code, out)
 
 
-def _query(command):
+_HELP = {
+    "verify": """Run every property-verification suite; exit 4 on any violation.
+
+    With --group and --mu, run only the admissible-set lemma verifiers
+    on that datum.  --mu and --sigma need --group; --scale is for the
+    full sweep only.
+    """,
+    "presets": "List the preset catalog.",
+}
+
+
+def _runner(command):
     def runner(**options):
         _execute(command=command, **options)
 
     return runner
 
 
-for _name in ("adm", "straight", "bgmu", "pi0", "pic-cert"):
-    main.command(name=_name)(
-        _group_opt(
-            _sigma_opt(
-                _mu_opt(
-                    _b_opt(_level_opt(_budget_opt(_emit_opt(_out_opt(_query(_name))))))
-                )
-            )
-        )
-    )
-
-
-@main.command()
-@click.option("--scale", default="full", show_default=True, help="full or quick")
-@_group_opt
-@_sigma_opt
-@_mu_opt
-@_budget_opt
-@_out_opt
-def verify(scale, group, sigma, mu, budget, out):
-    """Run every property-verification suite; exit 4 on any violation.
-
-    With --group and --mu, run only the admissible-set lemma verifiers
-    on that datum.
-    """
-    _execute("verify", out, mu=mu, scale=scale, group=group, sigma=sigma, budget=budget)
-
-
-@main.command()
-@_out_opt
-def presets(out):
-    """List the preset catalog."""
-    _execute("presets", out)
+for _name, _fields in COMMAND_FIELDS.items():
+    _command = _runner(_name)
+    for _field in reversed(_fields + ("out",)):
+        _command = _OPTIONS[_field](_command)
+    main.command(name=_name, help=_HELP.get(_name))(_command)
 
 
 if __name__ == "__main__":

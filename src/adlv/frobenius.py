@@ -113,18 +113,14 @@ class FrobeniusDatum:
         self.s_permutation: tuple[int, ...] = self._validate()
         self.residually_split = self.matrix == identity_matrix(datum.rank)
         # sigma(s_i) = s_{pi(i)}, so sigma(u) is u's reduced word with
-        # each letter relabelled by pi.
+        # each letter relabelled by pi; pi keeps levels, so it sends the
+        # finite simple indices k.. among themselves.
         w = datum.weyl
-        letters = [
-            w.simple_affine[j].element.u_idx for j in self.s_permutation[w.n_components:]
-        ]
-        images = []
-        for word in w.w0_words:
-            u = w.w0_identity
-            for i in word:
-                u = w.w0_mul[u][letters[i]]
-            images.append(u)
-        self._u_image: tuple[int, ...] = tuple(images)
+        k = w.n_components
+        finite = [j - k for j in self.s_permutation[k:]]
+        self._u_image: tuple[int, ...] = tuple(
+            w.finite_index(finite[i] for i in word) for word in w.w0_words
+        )
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
 
     def _validate(self) -> tuple[int, ...]:
@@ -318,8 +314,23 @@ class FrobeniusDatum:
         self, elements: Iterable[AffineWeylElement]
     ) -> list[AffineWeylElement]:
         out = [x for x in elements if self.is_straight(x)]
-        out.sort(key=lambda e: (self.datum.weyl.length(e),) + e.key())
+        out.sort(key=self.datum.weyl.sort_key)
         return out
+
+    def plateau_classes(
+        self, straights: Iterable[AffineWeylElement], budget: int = DEFAULT_BUDGET
+    ) -> list[tuple[AffineWeylElement, frozenset]]:
+        """(first element, plateau members) for each straight class that
+        `straights` meets, in the order met: the straight elements of a
+        class form one equal-length plateau."""
+        seen: set[AffineWeylElement] = set()
+        classes = []
+        for x in straights:
+            if x not in seen:
+                members = self.plateau(x, budget).members
+                seen.update(members)
+                classes.append((x, members))
+        return classes
 
     def straight_class_tags(
         self, elements: Iterable[AffineWeylElement]

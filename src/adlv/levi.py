@@ -326,7 +326,7 @@ def pi0_predict(
         )
     # By canonical key, which orders strata of equal length without
     # building a reduced word.
-    strata.sort(key=lambda s: (w.length(s.element), s.element.key()))
+    strata.sort(key=lambda s: w.sort_key(s.element))
     return Pi0Prediction(
         "nonbasic-residually-split",
         k_tuple,

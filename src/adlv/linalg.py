@@ -167,7 +167,7 @@ def solve_fraction(a: Mat, rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def matrix_order(a: Mat, cap: int = 10000) -> int:
+def matrix_order(a: Mat, cap: int) -> int:
     """Multiplicative order of an integer matrix, or ValueError past cap."""
     n = len(a)
     ident = identity_matrix(n)

@@ -409,13 +409,7 @@ def from_cartan_matrix(cartan: Sequence[Sequence[int]], name: str = "") -> RootD
 
 
 def build_root_datum(spec) -> RootDatum:
-    """Build from a preset name or an explicit JSON-style mapping."""
-    if isinstance(spec, str):
-        from .presets import preset
-
-        return preset(spec).datum
-    if isinstance(spec, RootDatum):
-        return spec
+    """Build from an explicit JSON-style mapping."""
     try:
         rank = spec["rank"]
         roots = spec["simple_roots"]

@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .admissible import (
     adm,
-    maximal_translations,
+    adm_elements,
     verify_s_tau_membership,
     verify_straight_class_containment,
 )
@@ -73,6 +72,17 @@ def _designated_omegas(d) -> list:
     return [o.element for o in d.weyl.omega_elements()]
 
 
+def _check(name: str, runs: list, failed, **totals) -> dict:
+    """A catalog check's report: it passes when `failed(run)` is false
+    on every run."""
+    return {"name": name, "pass": not any(map(failed, runs)), **totals, "runs": runs}
+
+
+def _witnesses(*fields: str):
+    """A run fails when any of these witness fields is nonempty (or nonzero)."""
+    return lambda run: any(run[f] for f in fields)
+
+
 # -- end-to-end rank-one pipeline -----------------------------------------------------------------
 
 
@@ -120,14 +130,12 @@ def check_straight_class_containment(scales: VerifyScales) -> dict:
     """Straight classes meeting the admissible set stay inside it
     (ordinary conjugation, every preset, every grid cocharacter)."""
     runs = []
-    ok = True
     for p in catalog():
         sigma = sigma_of(p.datum)
         for label, mu in p.mu_grid:
             rep = verify_straight_class_containment(
                 p.datum, sigma, mu, budget=scales.budget
             )
-            ok = ok and rep["pass"]
             runs.append(
                 {
                     "preset": p.name,
@@ -137,13 +145,12 @@ def check_straight_class_containment(scales: VerifyScales) -> dict:
                     "violations": rep["violations"],
                 }
             )
-    return {"name": "straight_class_containment", "pass": ok, "runs": runs}
+    return _check("straight_class_containment", runs, _witnesses("violations"))
 
 
 def check_wall_times_tau(scales: VerifyScales) -> dict:
     """s_j tau in Adm for connected diagrams and noncentral mu."""
     runs = []
-    ok = True
     for p in catalog():
         if len(p.datum.components) != 1:
             continue
@@ -151,7 +158,6 @@ def check_wall_times_tau(scales: VerifyScales) -> dict:
             if p.datum.is_central(mu):
                 continue
             rep = verify_s_tau_membership(p.datum, mu, budget=scales.budget)
-            ok = ok and rep["pass"]
             runs.append(
                 {
                     "preset": p.name,
@@ -160,7 +166,7 @@ def check_wall_times_tau(scales: VerifyScales) -> dict:
                     "failing": rep["failing_indices"],
                 }
             )
-    return {"name": "wall_times_tau", "pass": ok, "runs": runs}
+    return _check("wall_times_tau", runs, _witnesses("failing"))
 
 
 # -- minimal length reduction --------------------------------------------------------------------
@@ -172,7 +178,6 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
     and sigma option.  The walk never raises length and stays in x's
     W_a-coset, so it never leaves the ball."""
     runs = []
-    ok = True
     # A step s y sigma(s) changes length by at most 2.  Padding the ball
     # by 2 lets each component pass one step above every checked element,
     # so the reduction is compared with minima reached through longer
@@ -206,7 +211,6 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
                 cid = comp_id[x]
                 if comp_id.get(m) != cid or w.length(m) != comp_min[cid]:
                     bad.append(w.to_json(x))
-            ok = ok and not bad
             runs.append(
                 {
                     "preset": p.name,
@@ -216,7 +220,7 @@ def check_min_length_reduction(scales: VerifyScales) -> dict:
                     "violations": bad,
                 }
             )
-    return {"name": "min_length_reduction", "pass": ok, "runs": runs}
+    return _check("min_length_reduction", runs, _witnesses("violations"))
 
 
 # -- class tag separation --------------------------------------------------------------------
@@ -226,21 +230,13 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
     """Distinct straight twisted-conjugacy classes carry distinct
     (Newton, Kottwitz) tags; collisions are counterexample candidates."""
     runs = []
-    ok = True
-    collisions_total = 0
     for p in catalog():
         w = p.datum.weyl
         ball = w.ball(scales.tag_length, _designated_omegas(p.datum), budget=scales.budget)
         for sig_name, sigma in _sigmas(p):
             straights = sigma.straight_elements_in(ball)
-            seen: set = set()
-            classes = []
-            for x in straights:
-                if x in seen:
-                    continue
-                members = sigma.plateau(x, scales.budget).members
-                seen.update(members)
-                classes.append((sigma.tag_of(x), x))
+            plateaus = sigma.plateau_classes(straights, scales.budget)
+            classes = [(sigma.tag_of(x), x) for x, _members in plateaus]
             tags: dict = {}
             collisions = []
             for tag, rep in classes:
@@ -254,8 +250,6 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
                     )
                 else:
                     tags[tag] = rep
-            collisions_total += len(collisions)
-            ok = ok and not collisions
             runs.append(
                 {
                     "preset": p.name,
@@ -265,12 +259,12 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
                     "collisions": collisions,
                 }
             )
-    return {
-        "name": "tag_injectivity",
-        "pass": ok,
-        "counterexample_candidates": collisions_total,
-        "runs": runs,
-    }
+    return _check(
+        "tag_injectivity",
+        runs,
+        _witnesses("collisions"),
+        counterexample_candidates=sum(len(r["collisions"]) for r in runs),
+    )
 
 
 # -- straight versus fundamental --------------------------------------------------------------------
@@ -279,7 +273,6 @@ def check_tag_injectivity(scales: VerifyScales) -> dict:
 def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
     """is_straight(w) iff is_fundamental(w, nu_w) over padded balls."""
     runs = []
-    ok = True
     for p in catalog():
         d = p.datum
         w = d.weyl
@@ -293,7 +286,6 @@ def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
                 if sigma.is_straight(x)
                 != is_fundamental(d, sigma, x, sigma.newton_direction(x))
             ]
-            ok = ok and not bad
             runs.append(
                 {
                     "preset": p.name,
@@ -302,7 +294,7 @@ def check_straight_iff_fundamental(scales: VerifyScales) -> dict:
                     "violations": bad,
                 }
             )
-    return {"name": "straight_iff_fundamental", "pass": ok, "runs": runs}
+    return _check("straight_iff_fundamental", runs, _witnesses("violations"))
 
 
 # -- fixed subgroup generators --------------------------------------------------------------------
@@ -314,7 +306,6 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
     generated side holds only products of the generators; the fixed side
     is filtered independently."""
     runs = []
-    ok = True
     cap = scales.fixed_point_length
     for p in catalog():
         w = p.datum.weyl
@@ -339,8 +330,6 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
 
                 generated = closure([w.identity()], step, scales.budget)
                 fixed = {x for x in ball if tau_elt * sigma.apply(x) == x * tau_elt}
-                ok_here = generated == fixed
-                ok = ok and ok_here
                 runs.append(
                     {
                         "preset": p.name,
@@ -350,10 +339,10 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
                         "orbit_types": sorted(str(o.orbit_type) for o in finite),
                         "generated_in_ball": len(generated),
                         "fixed_in_ball": len(fixed),
-                        "pass": ok_here,
+                        "pass": generated == fixed,
                     }
                 )
-    return {"name": "fixed_point_generators", "pass": ok, "runs": runs}
+    return _check("fixed_point_generators", runs, lambda run: not run["pass"])
 
 
 # -- Picard lattice suite --------------------------------------------------------------------
@@ -364,7 +353,6 @@ def check_picard_suite(scales: VerifyScales) -> dict:
     certificates at every straight element and matching representative."""
     bond_from_product = {0: 2, 1: 3, 2: 4, 3: 6}
     runs = []
-    ok = True
     for p in catalog():
         d = p.datum
         w = d.weyl
@@ -408,8 +396,6 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                             cert_failures.append(
                                 {"q": q, "w": w.to_json(wx), "x": w.to_json(xx)}
                             )
-        ok_here = not relation_failures and ample_bad == 0 and not cert_failures
-        ok = ok and ok_here
         runs.append(
             {
                 "preset": p.name,
@@ -419,12 +405,12 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                 "certificate_failures": cert_failures,
             }
         )
-    return {
-        "name": "picard_suite",
-        "pass": ok,
-        "counterexample_candidates": sum(len(r["certificate_failures"]) for r in runs),
-        "runs": runs,
-    }
+    return _check(
+        "picard_suite",
+        runs,
+        _witnesses("relation_failures", "ample_mismatches", "certificate_failures"),
+        counterexample_candidates=sum(len(r["certificate_failures"]) for r in runs),
+    )
 
 
 # -- Levi embedding facts --------------------------------------------------------------------
@@ -472,7 +458,6 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
     elements are admissible, Levi admissible sets embed, the Levi Bruhat
     order embeds, and straight elements are basic in their Levi."""
     runs = []
-    ok = True
     for p in catalog():
         d = p.datum
         w = d.weyl
@@ -494,11 +479,9 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                 sub = levi_of(d, nu)
                 if w.translation(x.lam) not in aset.elements:
                     t_bad.append(w.to_json(x))
-                # Each Levi set is read once here, so it is closed
-                # directly rather than kept in the admissible-set memo.
-                covers = partial(sub.weyl.covers_below, known={})
-                sub_adm = closure(maximal_translations(sub, x.lam), covers, scales.budget)
-                for y in sub_adm:
+                # Each Levi set is read once here, so it is enumerated
+                # outside the admissible-set memo.
+                for y in adm_elements(sub, x.lam, scales.budget):
                     if sub_element(d, y) not in aset.elements:
                         sub_bad.append({"w": w.to_json(x), "y": sub.weyl.to_json(y)})
                 # Straight elements are length zero in their Levi and fix nu.
@@ -516,8 +499,6 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                 checked, bad = order_by_sub[sub]
                 order_checked += checked
                 order_bad.extend(bad)
-            ok_here = not (t_bad or sub_bad or order_bad or basic_bad)
-            ok = ok and ok_here
             runs.append(
                 {
                     "preset": p.name,
@@ -530,7 +511,16 @@ def check_levi_embedding_facts(scales: VerifyScales) -> dict:
                     "levi_basic_violations": basic_bad,
                 }
             )
-    return {"name": "levi_embedding_facts", "pass": ok, "runs": runs}
+    return _check(
+        "levi_embedding_facts",
+        runs,
+        _witnesses(
+            "translation_violations",
+            "levi_adm_violations",
+            "order_violations",
+            "levi_basic_violations",
+        ),
+    )
 
 
 # -- the orchestrator ---------------------------------------------------------------
@@ -549,14 +539,17 @@ ALL_CHECKS = (
 )
 
 
-def run_verify(scales: VerifyScales | None = None) -> dict:
-    scales = scales or VerifyScales()
-    checks = [fn(scales) for fn in ALL_CHECKS]
-    candidates = sum(c.get("counterexample_candidates", 0) for c in checks)
+def verify_report(checks: list[dict]) -> dict:
+    """The verify report of a list of check reports."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "pass": all(c["pass"] for c in checks),
-        "counterexample_candidates": candidates,
+        "counterexample_candidates": sum(c.get("counterexample_candidates", 0) for c in checks),
         "checks": checks,
     }
+
+
+def run_verify(scales: VerifyScales | None = None) -> dict:
+    scales = scales or VerifyScales()
+    return verify_report([fn(scales) for fn in ALL_CHECKS])

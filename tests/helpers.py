@@ -23,10 +23,12 @@ from adlv.linalg import (
     mat_mul,
     mat_vec,
     principal_minors_positive,
+    solve_bareiss,
     solve_fraction,
     vec_mat,
 )
 from adlv.levi import sub_element
+from adlv.newton_bg import mu_diamond, mu_natural
 from adlv.picard import PicClass
 from adlv.presets import catalog
 
@@ -598,3 +600,64 @@ def levi_order_pairs_by_bruhat(d, sub, scales) -> tuple[int, list]:
             if not d.weyl.bruhat_leq(image[c], image[b]):
                 bad.append({"x": sub.weyl.to_json(c), "y": sub.weyl.to_json(b)})
     return sum(map(len, below.values())), bad
+
+
+def b_g_mu_by_kottwitz(sigma, mu, radius: int) -> set:
+    """The (Newton point, kappa_sigma) pairs of B(G, {mu}) by Kottwitz's
+    classification, with no affine Weyl group, Adm or straightness.
+
+    Kottwitz, "Isocrystals with additional structure. II", Compositio
+    Math. 109 (1997), sections 4-6, paraphrased (the text is not in this
+    repository), for G quasi-split and unramified with Frobenius sigma:
+    - b is determined by (nu_b, kappa_G(b)).
+    - Each b in B(G) comes from exactly one sigma-stable standard Levi
+      M = M_J, as a basic class of M whose Newton point is G-dominant and
+      M-regular: <alpha_i, nu> = 0 exactly for i in J.
+    - The basic classes of M are pi_1(M)_sigma through kappa_M; the class
+      of the image of lambda has Newton point the sigma-average of the
+      projection of lambda to X_*(Z_M)_Q, pr_J(lambda), the point of
+      lambda + Q<alpha_j^vee : j in J> on which every alpha_j, j in J,
+      vanishes; its kappa_G is the image of lambda in pi_1(G)_sigma.
+    - B(G, {mu}) is the set of b with kappa_G(b) = mu-natural and
+      nu_b <= mu-diamond in the dominance order.
+    lambda runs over the box |lambda_i| <= radius of lattice coordinates.
+    That the box holds a lift of every class is not proved here: a
+    caller checks that a larger box gives the same set.
+    """
+    d = sigma.datum
+    n = len(d.simple_roots)
+    # sigma sends alpha_i^vee to alpha_{perm[i]}^vee.
+    perm = [d.simple_coroots.index(mat_vec(sigma.matrix, c)) for c in d.simple_coroots]
+    mu_nat = mu_natural(sigma, mu)
+    mu_dia = mu_diamond(sigma, mu)
+    box = range(-radius, radius + 1)
+    kappas = {lam: sigma.pi1_coinvariants.project(lam) for lam in product(box, repeat=d.rank)}
+    lams = [lam for lam, kappa in kappas.items() if kappa == mu_nat]
+    pairs = set()
+    for mask in range(1 << n):
+        J = [i for i in range(n) if mask >> i & 1]
+        if {perm[i] for i in J} != set(J):
+            continue
+        cartan = [[dot(d.simple_roots[i], d.simple_coroots[j]) for j in J] for i in J]
+        seen = set()
+        for lam in lams:
+            # cartan y = det <alpha_J, lam>, so det pr_J(lam) = det lam - sum y_j alpha_j^vee.
+            y, det = solve_bareiss(cartan, [dot(d.simple_roots[i], lam) for i in J])
+            pr = tuple(
+                det * c - sum(yj * d.simple_coroots[j][r] for yj, j in zip(y, J))
+                for r, c in enumerate(lam)
+            )
+            if pr in seen:
+                continue
+            seen.add(pr)
+            total = [0] * d.rank
+            for _ in range(sigma.order):
+                total = [t + c for t, c in zip(total, pr)]
+                pr = mat_vec(sigma.matrix, pr)
+            nu = tuple(Fraction(t, det * sigma.order) for t in total)
+            pairing = [dot(a, nu) for a in d.simple_roots]
+            dominant = all(p >= 0 for p in pairing)
+            regular = all((p == 0) == (i in J) for i, p in enumerate(pairing))
+            if dominant and regular and d.dominance_leq(nu, mu_dia):
+                pairs.add((nu, kappas[lam]))
+    return pairs

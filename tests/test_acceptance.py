@@ -11,6 +11,11 @@ import time
 
 import pytest
 
+import adlv.admissible as admissible
+import adlv.verify as verify
+from adlv.affine_weyl import DEFAULT_BUDGET
+from adlv.cli import EXIT_COUNTEREXAMPLE, JobSpec, run
+from adlv.frobenius import FrobeniusDatum, Plateau
 from adlv.verify import (
     ALL_CHECKS,
     VerifyScales,
@@ -25,6 +30,8 @@ from adlv.verify import (
     check_wall_times_tau,
     run_verify,
 )
+
+from helpers import clear_memos
 
 SCALES = VerifyScales()
 # sha256 of json.dumps(report, sort_keys=True) for each full-scale check:
@@ -156,3 +163,64 @@ def test_full_scale_report_digest(fn):
     rep, _secs = _run(name, fn)
     blob = json.dumps(rep, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FULL_REPORT_DIGESTS[name]
+
+
+def _with_outsider(plateau):
+    """plateau, with one member far longer than any admissible element."""
+
+    def patched(self, x, budget=DEFAULT_BUDGET):
+        info = plateau(self, x, budget)
+        far = x.group.translation((50,) * len(x.lam))
+        return Plateau(info.members | {far}, info.descent)
+
+    return patched
+
+
+# (check, owner, attribute, patch of the original, witness of a failing run):
+# each patch breaks one primitive a check relies on.
+FAILING_PATHS = (
+    (check_straight_class_containment, FrobeniusDatum, "plateau", _with_outsider,
+     lambda r: r["violations"]),
+    (check_wall_times_tau, admissible, "in_adm", lambda f: lambda d, mu, x: False,
+     lambda r: r["failing"]),
+    (check_min_length_reduction, FrobeniusDatum, "reduce_to_minimal",
+     lambda f: lambda self, x, plateaus, budget=DEFAULT_BUDGET: x,
+     lambda r: r["violations"]),
+    (check_tag_injectivity, FrobeniusDatum, "tag_of", lambda f: lambda self, x: "one tag",
+     lambda r: r["collisions"]),
+    (check_straight_iff_fundamental, verify, "is_fundamental", lambda f: lambda *args: False,
+     lambda r: r["violations"]),
+    (check_fixed_point_generators, verify, "tau_orbits", lambda f: lambda group, perm: [],
+     lambda r: r["generated_in_ball"] < r["fixed_in_ball"]),
+    (check_picard_suite, verify, "is_ample", lambda f: lambda cls: not f(cls),
+     lambda r: r["ample_mismatches"]),
+    (check_levi_embedding_facts, verify, "sub_element",
+     lambda f: lambda d, y: f(d, y) * d.weyl.simple(0),
+     lambda r: r["levi_adm_violations"] and r["order_violations"]),
+)
+
+
+@pytest.fixture
+def fresh_memos():
+    # A patched primitive may feed the admissible-set memos; drop what it left.
+    yield
+    clear_memos()
+
+
+@pytest.mark.parametrize(
+    "fn, owner, attr, patch, witness", FAILING_PATHS, ids=[row[0].__name__ for row in FAILING_PATHS]
+)
+def test_check_fails_with_a_witness(monkeypatch, fresh_memos, fn, owner, attr, patch, witness):
+    # Each catalog check reads its pass off its runs: one broken primitive
+    # gives a run with a witness, and the check fails.
+    monkeypatch.setattr(owner, attr, patch(getattr(owner, attr)))
+    report = fn(VerifyScales.quick())
+    assert report["pass"] is False
+    assert any(witness(run) for run in report["runs"])
+
+
+def test_verify_exits_4_on_a_failing_check(monkeypatch, fresh_memos):
+    monkeypatch.setattr(verify, "is_ample", lambda cls, f=verify.is_ample: not f(cls))
+    report, code = run(JobSpec(command="verify", scale="quick"))
+    assert code == EXIT_COUNTEREXAMPLE
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["picard_suite"]

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import weakref
 import subprocess
 import sys
@@ -89,6 +90,86 @@ def test_straight_golden():
     assert [c["tag"]["nu"] for c in report["classes"]] == [
         ["0", "0"], ["1/2", "1/2"], ["1", "0"],
     ]
+
+
+def test_targeted_verify_golden():
+    report = golden_check(
+        "verify_c2_sc_targeted.json", "verify", "--group", "C2_sc", "--mu", "1,0"
+    )
+    assert [c["name"] for c in report["checks"]] == [
+        "straight_class_containment", "wall_times_tau",
+    ]
+    assert (report["group"], report["mu"]) == ("C2_sc", [1, 0])
+
+
+def test_pi0_level_golden():
+    report = golden_check(
+        "pi0_c2_sc_maximal_level0.json",
+        "pi0", "--group", "C2_sc", "--mu", "1,1", "--b", "maximal", "--level", "0",
+    )
+    assert report["level"] == [0]
+
+
+def test_adm_level_golden():
+    report = golden_check(
+        "adm_c2_sc_level1.json", "adm", "--group", "C2_sc", "--mu", "1,0", "--level", "1"
+    )
+    assert report["level"] == [1]
+
+
+# Options a command never reads, each accepted and ignored at one time.
+UNREAD_OPTIONS = (
+    (("adm", "--group", "A1_sc", "--mu", "1", "--sigma", "bogus"), "--sigma"),
+    (("pic-cert", "--group", "A1_sc", "--mu", "1", "--b", "maximal", "--level", "0"), "--level"),
+    (("bgmu", "--group", "A1_sc", "--mu", "1", "--b", "99"), "--b"),
+    (("straight", "--group", "A1_sc", "--mu", "1", "--emit", "elements"), "--emit"),
+    (("verify", "--scale", "quick", "--mu", "1,0", "--sigma", "flip"),
+     "/sigma: not read by verify without a group"),
+    (("verify", "--group", "C2_sc", "--mu", "1,0", "--scale", "quick"),
+     "/scale: not read by verify with a group"),
+)
+
+
+@pytest.mark.parametrize("args, error", UNREAD_OPTIONS, ids=[a[0] for a, _e in UNREAD_OPTIONS])
+def test_unread_options_are_bad_input(args, error):
+    result = invoke(*args)
+    assert result.exit_code == EXIT_USAGE
+    assert error in json.loads(result.output)["error"]
+
+
+def test_jobspec_rejects_fields_its_command_does_not_read():
+    rejected = [
+        (dict(command="adm", group="A1_sc", mu=(1,), sigma="bogus"), "/sigma: not read by adm"),
+        (dict(command="pic-cert", group="A1_sc", mu=(1,), level=(0,)),
+         "/level: not read by pic-cert"),
+        (dict(command="bgmu", group="A1_sc", mu=(1,), b="99"), "/b: not read by bgmu"),
+        (dict(command="straight", group="A1_sc", mu=(1,), emit="elements"),
+         "/emit: not read by straight"),
+        (dict(command="verify", mu=(1, 0)), "/mu: not read by verify without a group"),
+        (dict(command="verify", group="C2_sc", mu=(1, 0), scale="quick"),
+         "/scale: not read by verify with a group"),
+        (dict(command="presets", budget=3), "/budget: not read by presets"),
+        (dict(command="nope"), "/command: unknown command 'nope'"),
+        (dict(command=["adm"]), "/command: unknown command ['adm']"),
+    ]
+    for kwargs, error in rejected:
+        with pytest.raises(SchemaError) as info:
+            JobSpec(**kwargs)
+        assert str(info.value) == error
+    # The library defaults stay, and an empty level list is the default.
+    spec = JobSpec(command="adm", group="A1_sc", mu=(1,), level=[])
+    assert (spec.sigma, spec.emit, spec.level) == ("split", "summary", ())
+    # Input bad twice over reports mu before sigma.
+    report, code = run(JobSpec(command="bgmu", group="A1_sc", sigma="bogus"))
+    assert (report["error"], code) == ("/mu: missing", EXIT_USAGE)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_FIELDS))
+def test_help_lists_exactly_the_options_read(command):
+    result = invoke(command, "--help")
+    assert result.exit_code == EXIT_OK
+    listed = set(re.findall(r"^  --([a-z]+)", result.output, re.M)) - {"help"}
+    assert listed == set(cli.COMMAND_FIELDS[command]) | {"out"}
 
 
 def test_pi0_strata_order_is_independent_of_earlier_queries():
@@ -764,8 +845,8 @@ def fuzz_specs(draw):
     level = ()
     if kind == "preset" and draw(st.booleans()):
         level = tuple(draw(st.lists(st.integers(-2, 5), max_size=3)))
-    return JobSpec(
-        command=draw(st.sampled_from(["adm", "straight", "bgmu", "pi0", "pic-cert", "verify"])),
+    command = draw(st.sampled_from(["adm", "straight", "bgmu", "pi0", "pic-cert", "verify"]))
+    values = dict(
         group=group,
         sigma=sigma,
         mu=mu,
@@ -774,6 +855,9 @@ def fuzz_specs(draw):
         budget=draw(st.integers(1, 500)),
         emit=draw(st.sampled_from(["summary", "elements"])),
     )
+    # Only the fields the command reads: JobSpec rejects any other.
+    reads = cli.COMMAND_FIELDS[command]
+    return JobSpec(command=command, **{k: v for k, v in values.items() if k in reads})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

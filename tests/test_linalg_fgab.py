@@ -153,7 +153,7 @@ def test_matrix_helpers():
     assert mat_inv_unimodular(((1, 2), (1, 1))) == ((-1, 2), (1, -1))
     with pytest.raises(ValueError):
         mat_inv_unimodular(((2, 0), (0, 1)))
-    assert matrix_order(((0, -1), (1, 0))) == 4
+    assert matrix_order(((0, -1), (1, 0)), cap=10000) == 4
     assert principal_minors_positive(((2, -1), (-1, 2)))
     assert not principal_minors_positive(((2, -2), (-2, 2)))
     assert solve_fraction(((1, 1),), (3,)) == (Fraction(3), Fraction(0))

@@ -16,7 +16,7 @@ from adlv.newton_bg import (
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
 
-from helpers import caches_within_bound, chai_rank
+from helpers import b_g_mu_by_kottwitz, caches_within_bound, chai_rank
 
 
 def test_mu_diamond_split_is_dominant_rep():
@@ -209,3 +209,31 @@ def test_chai_rank_function_is_unit_on_covers():
                             step = rank[c.tag] - rank[b.tag]
                             assert step == 1, (p.name, sig_name, mu, b.tag, c.tag)
     assert (cases, covers) == (22, 58)
+
+
+def test_b_g_mu_matches_kottwitz_classification():
+    # B(G, {mu}) from the straight classes of Adm(mu) against Kottwitz's
+    # classification (helpers.b_g_mu_by_kottwitz, which cites and states
+    # it), as sets of (Newton point, kappa_sigma) pairs, with no two
+    # classes of b_g_mu on one pair.  The box of lattice points is a
+    # heuristic: on the rank <= 2 cases a box one larger gives the same
+    # set.  The test cannot guard two of the classification's filters:
+    # dropping J-regularity or the sigma-stability of J changes no pair
+    # here, since a sigma-invariant nu found through a smaller J is also
+    # found through its centralizer.
+    cases = classes = 0
+    for p in catalog():
+        d = p.datum
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(d, p.sigmas[sig_name])
+            for _label, mu in p.mu_grid:
+                radius = max(map(abs, mu)) + 2
+                want = b_g_mu_by_kottwitz(sig, mu, radius)
+                got = [(e.tag.nu_bar, e.tag.kappa_sigma) for e in b_g_mu(d, sig, mu)]
+                assert len(set(got)) == len(got), (p.name, sig_name, mu)
+                assert set(got) == want, (p.name, sig_name, mu)
+                if d.rank <= 2:
+                    assert b_g_mu_by_kottwitz(sig, mu, radius + 1) == want
+                cases += 1
+                classes += len(got)
+    assert (cases, classes) == (22, 73)

@@ -243,7 +243,7 @@ def test_quasi_minuscule():
 
 def test_build_errors():
     with pytest.raises(UnknownPreset):
-        build_root_datum("E8_oops")
+        preset("E8_oops")
     with pytest.raises(NonIntegralCartan):
         RootDatum(1, ((1,),), ((1,),))  # <a, a^vee> = 1
     with pytest.raises(NonIntegralCartan):
