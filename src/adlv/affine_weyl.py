@@ -88,7 +88,7 @@ class AffineWeylElement:
             raise DatumMismatch("elements live over different root data")
         m = g.w0_list[self.u_idx]
         lam = tuple(a + b for a, b in zip(self.lam, mat_vec(m, other.lam)))
-        return AffineWeylElement(g, lam, g.w0_mul[self.u_idx][other.u_idx])
+        return AffineWeylElement(g, lam, g.finite_index(g.w0_words[self.u_idx], other.u_idx))
 
     def inverse(self) -> "AffineWeylElement":
         g = self.group
@@ -139,6 +139,7 @@ class AffineSimple(NamedTuple):
 class AffineWeylGroup:
     def __init__(self, datum: RootDatum):
         self.datum = datum
+        self.n_components = len(datum.components)
         self._build_finite_group()
         self._build_affine_simples()
         self._bruhat_cache: dict[tuple, bool] = {}
@@ -156,52 +157,44 @@ class AffineWeylGroup:
     def _build_finite_group(self) -> None:
         # W0 acts simply transitively on the orbit of the regular dominant
         # p = 2 rho^vee, the sum of the positive coroots, so u(p) keys u;
-        # s_i q = q - <alpha_i, q> alpha_i^vee.
+        # s_a q = q - <a, q> a^vee.  One queue over the orbit meets the
+        # points in breadth-first order and gives each its matrix and word.
         d = self.datum
+
+        def reflect(q: IntVec, a: IntVec, av: IntVec) -> IntVec:
+            c = dot(a, q)
+            return tuple(x - c * y for x, y in zip(q, av))
+
         gens = list(zip(d.simple_reflections, d.simple_roots, d.simple_coroots))
+        points: list[IntVec] = [d.two_rho_vee]
         index: dict[IntVec, int] = {d.two_rho_vee: 0}
         order: list[Mat] = [identity_matrix(d.rank)]
         words: list[tuple[int, ...]] = [()]
-        # The breadth-first search visits indices in increasing order, so
-        # left[g][k] ends up indexing s_g . order[k].  step[i - 1] =
-        # (g, p) records order[i] = s_g . order[p], with p < i.
-        left: list[list[int]] = [[] for _ in gens]
-        step: list[tuple[int, int]] = []
-        frontier = [(0, d.two_rho_vee)]
-        while frontier:
-            nxt = []
-            for idx, q in frontier:
-                for gi, (gmat, a, av) in enumerate(gens):
-                    c = dot(a, q)
-                    image = tuple(x - c * y for x, y in zip(q, av))
-                    j = index.get(image)
-                    if j is None:
-                        if len(order) == MAX_W0_ORDER:
-                            raise SchemaError(
-                                f"/simple_roots: the finite Weyl group exceeds"
-                                f" the maximum order {MAX_W0_ORDER}"
-                            )
-                        j = index[image] = len(order)
-                        order.append(mat_mul(gmat, order[idx]))
-                        words.append((gi,) + words[idx])
-                        step.append((gi, idx))
-                        nxt.append((j, image))
-                    left[gi].append(j)
-            frontier = nxt
+        for i, q in enumerate(points):
+            for g, (s_g, a, av) in enumerate(gens):
+                image = reflect(q, a, av)
+                if image not in index:
+                    if len(points) == MAX_W0_ORDER:
+                        raise SchemaError(
+                            f"/simple_roots: the finite Weyl group exceeds"
+                            f" the maximum order {MAX_W0_ORDER}"
+                        )
+                    index[image] = len(points)
+                    points.append(image)
+                    order.append(mat_mul(s_g, order[i]))
+                    words.append((g,) + words[i])
         self.w0_list: tuple[Mat, ...] = tuple(order)
         self.w0_index: dict[Mat, int] = {m: i for i, m in enumerate(order)}
         self.w0_words: tuple[tuple[int, ...], ...] = tuple(words)
         self.w0_identity = 0
-        n = len(order)
-        # order[i] . order[k] = s_g . (order[p] . order[k]).
-        self.w0_mul = [list(range(n))]
-        for g, p in step:
-            row = left[g]
-            self.w0_mul.append([row[j] for j in self.w0_mul[p]])
-        self.w0_inv = [row.index(0) for row in self.w0_mul]
+        # One row per wall ((a, k), a^vee): row[u] indexes s_a . u.
+        self._wall_rows: tuple[tuple[int, ...], ...] = tuple(
+            tuple(index[reflect(q, a, av)] for q in points) for (a, _k), av in d.walls
+        )
+        self.w0_inv: tuple[int, ...] = tuple(self.finite_index(word[::-1]) for word in words)
         # Length offsets: 1 when u^{-1}(a) is negative, i.e. <a, u(p)> < 0.
         self.w0_offsets: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(dot(a, q) < 0) for a in d.positive_roots) for q in index
+            tuple(int(dot(a, q) < 0) for a in d.positive_roots) for q in points
         )
 
     def w0_order(self) -> int:
@@ -218,14 +211,13 @@ class AffineWeylGroup:
         assert all(self.length(s.element) == 1 for s in simples), (
             "alcove walls must be length-one reflections"
         )
-        self.n_components = len(d.components)
         self.affine_cartan: Mat = tuple(
             tuple(dot(sj.root.gradient, si.coroot) for sj in simples)
             for si in simples
         )
         # Per affine simple s_i = t^{-k a^vee} s_a: a, k, the index j of the
         # positive root +-a, flip = 1 when a = -theta is negative, a^vee
-        # and the W0 index of s_a (see left_step).
+        # and the W0 index of s_a (see right_step).
         pos_index = {r: j for j, r in enumerate(d.positive_roots)}
         descent_data = []
         for s in simples:
@@ -247,15 +239,13 @@ class AffineWeylGroup:
             raise DatumMismatch("matrix is not an element of the finite Weyl group")
         return AffineWeylElement(self, tuple(int(x) for x in lam), idx)
 
-    def finite_index(self, letters: Iterable[int]) -> int:
-        """The W0 index of s_{i_1} ... s_{i_k}, for finite simple letters i_j."""
-        u = self.w0_identity
-        for i in letters:
-            u = self.w0_mul[u][self.simple_affine[self.n_components + i].element.u_idx]
+    def finite_index(self, letters: Sequence[int], u: int = 0) -> int:
+        """The W0 index of s_{i_1} ... s_{i_k} . u, for finite simple
+        letters i_j, by one wall row per letter, last letter first."""
+        rows = self._wall_rows[self.n_components:]
+        for i in reversed(letters):
+            u = rows[i][u]
         return u
-
-    def from_finite_word(self, lam: Sequence[int], word: Sequence[int]) -> AffineWeylElement:
-        return AffineWeylElement(self, tuple(int(x) for x in lam), self.finite_index(word))
 
     def reflection(self, root: AffineRoot) -> AffineWeylElement:
         """s_{(a,k)} = t^{-k a^vee} s_a."""
@@ -299,7 +289,7 @@ class AffineWeylGroup:
         c = k + dot(a, lam)
         return (
             tuple(l - c * v for l, v in zip(lam, av)),
-            self.w0_mul[s_idx][u_idx],
+            self._wall_rows[i][u_idx],
             c < self.w0_offsets[u_idx][j] ^ flip,
         )
 
@@ -320,7 +310,7 @@ class AffineWeylGroup:
                 k,
                 vec_mat(a, self.w0_list[u_inv]),
                 tuple(k * v for v in mat_vec(self.w0_list[u_idx], av)),
-                self.w0_mul[u_idx][s_idx],
+                self.finite_index(self.w0_words[u_idx], s_idx),
                 self.w0_offsets[u_inv][j] ^ flip,
             )
             self._right_steps[u_idx, i] = hit
@@ -600,4 +590,5 @@ class AffineWeylGroup:
         }
 
     def from_json(self, obj: dict) -> AffineWeylElement:
-        return self.from_finite_word(obj["lambda"], obj["w0_word"])
+        lam = tuple(int(x) for x in obj["lambda"])
+        return AffineWeylElement(self, lam, self.finite_index(obj["w0_word"]))

@@ -272,12 +272,16 @@ def _dispatch(spec: JobSpec) -> dict:
     sigma, q = _resolve_sigma(spec, datum, pre)
 
     if spec.command == "verify":
-        # The two admissible-set lemma verifiers on this datum.
-        containment = verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)
-        wall = verify_s_tau_membership(datum, mu, budget=spec.budget)
+        # The two admissible-set lemma verifiers on this datum; as in the
+        # sweep, s_j tau is checked only for a connected affine diagram
+        # and a noncentral mu.
+        containment = [verify_straight_class_containment(datum, sigma, mu, budget=spec.budget)]
+        wall = []
+        if len(datum.components) == 1 and not datum.is_central(mu):
+            wall.append(verify_s_tau_membership(datum, mu, budget=spec.budget))
         checks = [
-            {"name": name, "pass": rep["pass"], "runs": [rep]}
-            for name, rep in (("straight_class_containment", containment), ("wall_times_tau", wall))
+            {"name": name, "pass": all(rep["pass"] for rep in runs), "runs": runs}
+            for name, runs in (("straight_class_containment", containment), ("wall_times_tau", wall))
         ]
         return {**base, **verify_report(checks)}
 
@@ -341,7 +345,7 @@ def _dispatch(spec: JobSpec) -> dict:
         **base,
         "q": q,
         "operator": [[frac_str(v) for v in row] for row in cert.operator],
-        "certificate": [frac_str(v) for v in cert.pic_class.values()],
+        "certificate": [frac_str(v) for v in cert.pic_class.values],
         "difference": [frac_str(v) for v in cert.difference],
         # descent_certificate raises on a singular operator.
         "invertible": True,

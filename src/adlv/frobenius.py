@@ -119,7 +119,7 @@ class FrobeniusDatum:
         k = w.n_components
         finite = [j - k for j in self.s_permutation[k:]]
         self._u_image: tuple[int, ...] = tuple(
-            w.finite_index(finite[i] for i in word) for word in w.w0_words
+            w.finite_index([finite[i] for i in word]) for word in w.w0_words
         )
         self._newton_cache: dict[int, tuple[Mat, int]] = {}
 

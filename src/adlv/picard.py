@@ -1,8 +1,9 @@
 """The Picard lattice of the affine flag variety and its operators.
 
 The lattice is indexed by the affine simple reflections, with
-coefficients in Z[1/p] (denominators are powers of the residue
-characteristic only, enforced structurally).  Simple reflections act
+coefficients in Z[1/p]: a class holds its coefficients as Fractions,
+and each denominator is checked to be a power of the residue
+characteristic p when the class is made.  Simple reflections act
 through the affine Cartan matrix, length-zero elements permute the
 basis, and Frobenius acts as its diagram permutation scaled by q.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, Sequence
@@ -45,52 +47,23 @@ def _split_p_power(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
-def _p_adic(num: int, den: int, p: int) -> tuple[int, int]:
-    """num / den as (n, e) meaning n / p^e, with p not dividing n (or
-    n = 0, e = 0); den is nonzero and may be negative.  Raises unless
-    the reduced denominator is a power of p."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    if g != 1:
-        num, den = num // g, den // g
-    e, rest = _split_p_power(den, p)
-    if rest != 1:
-        raise AdlvError(
-            f"coefficient {Fraction(num, den)} has a denominator prime to {p}"
-        )
-    return num, e
-
-
 @dataclass(frozen=True)
 class PicClass:
-    """Coefficient vector over the affine simple basis, in Z[1/p].
-
-    Stored as (numerator, exponent) pairs meaning num / p^exp with p not
-    dividing num (or num = 0, exp = 0).
-    """
+    """Coefficient vector over the affine simple basis, in Z[1/p]: its
+    Fractions, each denominator checked to be a power of `prime` here."""
 
     prime: int
-    nums: tuple[int, ...]
-    exps: tuple[int, ...]
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for v in self.values:
+            if _split_p_power(v.denominator, self.prime)[1] != 1:
+                raise AdlvError(f"coefficient {v} has a denominator prime to {self.prime}")
 
     @classmethod
     def from_ratios(cls, prime: int, ratios: Iterable[tuple[int, int]]) -> "PicClass":
-        """From integer (numerator, denominator) pairs, as _p_adic reduces them."""
-        nums, exps = [], []
-        for num, den in ratios:
-            n, e = _p_adic(num, den, prime)
-            nums.append(n)
-            exps.append(e)
-        return cls(prime, tuple(nums), tuple(exps))
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(n, self.prime**e) for n, e in zip(self.nums, self.exps)
-        )
-
-    def __len__(self):
-        return len(self.nums)
+        """From integer (numerator, denominator) pairs."""
+        return cls(prime, tuple(starmap(Fraction, ratios)))
 
 
 class PicardLattice:
@@ -129,8 +102,9 @@ class PicardLattice:
 
 
 def is_ample(cls: PicClass) -> bool:
-    """Strict positivity of every coefficient."""
-    return all(n > 0 for n in cls.nums)
+    """Strict positivity of every coefficient, read off its numerator
+    (a Fraction's denominator is positive)."""
+    return all(v.numerator > 0 for v in cls.values)
 
 
 @dataclass(frozen=True)
@@ -203,9 +177,9 @@ def class_certificates(
     >>> from adlv.presets import preset
     >>> d = preset("A1_sc").datum
     >>> t = d.weyl.translation((1,))
-    >>> [(c.operator, c.pic_class.nums) for _w, _x, c in
+    >>> [(c.operator, c.pic_class.values) for _w, _x, c in
     ...  class_certificates(FrobeniusDatum(d), 2, [t])]
-    [(((2, 0), (0, 2)), (1, 1))]
+    [(((2, 0), (0, 2)), (Fraction(1, 1), Fraction(1, 1)))]
     """
     p = prime_of_residue_cardinality(q)
     if not all(sigma.is_straight(m) for m in members):

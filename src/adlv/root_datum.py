@@ -36,10 +36,11 @@ QVec = tuple[Fraction, ...]
 # Bounds on what an inline root datum may ask for; the presets go up to
 # rank 4, 4 simple roots and |W0| = 192.  MAX_RANK bounds the lattice.
 # The Cartan check takes 2^n determinants for n simple roots, and the
-# group build tabulates |W0| x |W0| products, so these two bound the
-# time and memory a small JSON input can cost.  Every finite Weyl group
-# on n simple roots has |W0| >= 2^n, so MAX_SIMPLE_ROOTS loses nothing
-# that MAX_W0_ORDER would allow.
+# group build keeps a matrix, a word and one row entry per wall for each
+# element of W0, so these two bound the time and memory a small JSON
+# input can cost.  Every finite Weyl group on n simple roots has
+# |W0| >= 2^n, so MAX_SIMPLE_ROOTS loses nothing that MAX_W0_ORDER would
+# allow.
 MAX_RANK = 64
 MAX_SIMPLE_ROOTS = 12
 MAX_W0_ORDER = 5040

@@ -260,13 +260,6 @@ def reflection_action(pic, i: int):
     )
 
 
-def pic_class_from_fractions(prime: int, values) -> PicClass:
-    """A Picard class from Fraction coefficients."""
-    return PicClass.from_ratios(
-        prime, ((f.numerator, f.denominator) for f in map(Fraction, values))
-    )
-
-
 def certificate_by_operator(twisted, inverse, p: int):
     """(operator, class, difference) of the descent certificate by the
     route that forms M: M = twisted . inverse, (M - 1) L = (1, ..., 1)
@@ -288,8 +281,8 @@ def certificate_by_operator(twisted, inverse, p: int):
         while den % p == 0:
             den //= p
         scale = scale * den // gcd(scale, den)
-    cls = pic_class_from_fractions(p, [scale * v for v in values])
-    difference = mat_vec(m_minus_one, cls.values())
+    cls = PicClass(p, tuple(scale * v for v in values))
+    difference = mat_vec(m_minus_one, cls.values)
     return op, cls, difference
 
 
@@ -548,7 +541,9 @@ def finite_group_by_matrices(d) -> dict:
     """The finite Weyl group tables of d by breadth-first search on
     matrices: each product of a simple reflection with a known element
     is formed and looked up by its matrix, and the length offset of u at
-    a positive root a is read off whether a . u is a positive root."""
+    a positive root a is read off whether a . u is a positive root.
+    "mul" is the full product table, mul[u][v] the index of u . v, the
+    reference for W0 products; the group itself keeps no such table."""
     gens = list(d.simple_reflections)
     ident = identity_matrix(d.rank)
     index = {ident: 0}
@@ -572,8 +567,8 @@ def finite_group_by_matrices(d) -> dict:
         "w0_list": tuple(order),
         "w0_index": index,
         "w0_words": tuple(words),
-        "w0_mul": mul,
-        "w0_inv": [row.index(0) for row in mul],
+        "mul": mul,
+        "w0_inv": tuple(row.index(0) for row in mul),
         "w0_offsets": tuple(
             tuple(0 if vec_mat(a, m) in positive else 1 for a in d.positive_roots)
             for m in order

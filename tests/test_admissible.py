@@ -141,7 +141,7 @@ def test_tau_mu_examples():
     assert tau_mu(preset("A1_sc").datum, (1,)).element.is_identity()
     d = preset("A1_ad").datum
     tau = tau_mu(d, (1,))
-    assert tau.element == d.weyl.from_finite_word((1,), (0,))
+    assert tau.element == d.weyl.from_json({"lambda": [1], "w0_word": [0]})
     # GU_odd: the shimura cocharacter has central tau = t^z
     gu = preset("GU_odd(2)").datum
     tau_gu = tau_mu(gu, (1, 0, 1))

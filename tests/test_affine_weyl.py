@@ -109,7 +109,7 @@ def test_reduced_word_examples_and_roundtrip():
     assert word == (0, 1) and om.is_identity()
 
     wad = preset("A1_ad").datum.weyl
-    tau = wad.from_finite_word((1,), (0,))
+    tau = wad.from_json({"lambda": [1], "w0_word": [0]})
     word2, om2 = wad.reduced_word(tau)
     assert word2 == () and om2 == tau
 
@@ -140,7 +140,7 @@ def test_bruhat_examples():
     assert w.bruhat_leq(w.simple(1), t)
     assert not w.bruhat_leq(t, w.simple(0))
     wad = preset("A1_ad").datum.weyl
-    tau = wad.from_finite_word((1,), (0,))
+    tau = wad.from_json({"lambda": [1], "w0_word": [0]})
     assert not wad.bruhat_leq(wad.identity(), tau)  # different Omega cosets
 
 
@@ -553,5 +553,5 @@ from hypothesis import strategies as st
 )
 def test_length_formula_matches_oracle_hypothesis(lam, word):
     w = preset("C2_sc").datum.weyl
-    x = w.from_finite_word(lam, tuple(word))
+    x = w.from_json({"lambda": lam, "w0_word": word})
     assert w.length(x) == length_oracle(w, x)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adlv.cli as cli
-from adlv.admissible import adm
+from adlv.admissible import adm, verify_s_tau_membership
 from adlv.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -28,7 +28,7 @@ from adlv.cli import (
 )
 from adlv import affine_weyl
 from adlv.affine_weyl import AffineWeylGroup
-from adlv.errors import SchemaError
+from adlv.errors import HypothesisViolated, SchemaError
 from adlv.frobenius import FrobeniusDatum
 from adlv.presets import catalog, preset
 from adlv.root_datum import MAX_SIMPLE_ROOTS, MAX_W0_ORDER, build_root_datum
@@ -512,9 +512,12 @@ def inline_datum(cartan):
 
 
 def test_inline_data_past_the_caps_exit_1():
-    # Inline A7 has |W0| = 40,320: its product table would take about
-    # 13 GB, so the group build stops at MAX_W0_ORDER instead.  Inline
-    # 13 x A1 would take 2^13 minors, so it stops at MAX_SIMPLE_ROOTS.
+    # Inline A7 has |W0| = 40,320, eight times the cap.  The group keeps
+    # a matrix, a word, length offsets and one row entry per wall for
+    # each element, so its build alone would take seconds and tens of
+    # MB (3.4 s and 78 MB on a 2-core Xeon, Python 3.11) before any
+    # query; it stops at MAX_W0_ORDER instead.  Inline 13 x A1 would
+    # take 2^13 minors, so it stops at MAX_SIMPLE_ROOTS.
     a7 = [[2 if i == j else -(abs(i - j) == 1) for j in range(7)] for i in range(7)]
     a1_13 = [[2 * (i == j) for j in range(13)] for i in range(13)]
     for cartan, message in (
@@ -527,6 +530,35 @@ def test_inline_data_past_the_caps_exit_1():
         assert time.perf_counter() - start < 5
         assert result.exit_code == EXIT_USAGE
         assert message in json.loads(result.output)["error"]
+
+
+def test_inline_datum_at_the_w0_cap_stays_small():
+    # Inline A6 has |W0| = 5,040 = MAX_W0_ORDER.  The group's storage is
+    # linear in |W0| (no product table), so adm of its minuscule mu stays
+    # well under 100 MB.  The child reports its own peak RSS: the
+    # RUSAGE_CHILDREN figure is the maximum over every earlier child.
+    a6 = [[2 if i == j else -(abs(i - j) == 1) for j in range(6)] for i in range(6)]
+    code = (
+        "import json, resource, sys\n"
+        "from adlv.cli import JobSpec, run\n"
+        "spec = JobSpec(command='adm', group=sys.argv[1], mu=(1, 0, 0, 0, 0, 0))\n"
+        "report, code = run(spec)\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([code, report['size'], rss]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, inline_datum(a6)],
+        capture_output=True, text=True, env=env, timeout=30, check=True,
+    )
+    assert time.perf_counter() - start < 5
+    code, size, rss_kb = json.loads(done.stdout)
+    assert (code, size) == (EXIT_OK, 5153)
+    assert rss_kb < 100 * 1024
 
 
 def test_every_preset_builds_under_the_caps():
@@ -739,12 +771,10 @@ def test_q_reuses_the_memo_entries_of_its_sigma(memo_runs):
 
 
 def test_exit_hypothesis_violated():
-    # Targeted verify on a central cocharacter trips the wall lemma gate.
     # Straight class containment is a lemma for residually split sigma:
     # under the A2 flip, the straight class of t^(-1,-1) holds a straight
     # element of length l(t^mu) that is no translation.
     for group, sigma, mu, message in (
-        ("A1_sc", "split", (0,), "mu is central"),
         ("A2_sc", "flip", (1, 1), "straight class containment needs a residually split sigma"),
         ("D4_sc", "triality", (1, 2, 1, 1),
          "straight class containment needs a residually split sigma"),
@@ -752,6 +782,30 @@ def test_exit_hypothesis_violated():
         report, code = run(JobSpec(command="verify", group=group, sigma=sigma, mu=mu))
         assert code == EXIT_HYPOTHESIS
         assert report["error"] == f"HypothesisViolated: {message}"
+
+
+def test_targeted_verify_skips_wall_times_tau_as_the_sweep_does():
+    # The s_j tau lemma needs a connected affine diagram and a noncentral
+    # mu.  The sweep skips other data, and so does a targeted verify: its
+    # wall_times_tau check has no run and passes, while the library
+    # verifier still refuses such data.  Data the lemma covers keep
+    # their report.
+    for group, mu, message in (
+        ("A1xA1_sc", "1,0", "affine Dynkin diagram is not connected"),
+        ("GL2", "1,1", "mu is central"),
+        ("A1_sc", "0", "mu is central"),
+    ):
+        result = invoke("verify", "--group", group, "--mu", mu)
+        assert result.exit_code == EXIT_OK, result.output
+        report = json.loads(result.output)
+        containment, wall = report["checks"]
+        assert containment["name"] == "straight_class_containment"
+        assert len(containment["runs"]) == 1 and containment["pass"]
+        assert wall == {"name": "wall_times_tau", "pass": True, "runs": []}
+        assert report["pass"] and report["counterexample_candidates"] == 0
+        with pytest.raises(HypothesisViolated, match=f"^{message}$"):
+            verify_s_tau_membership(preset(group).datum, tuple(map(int, mu.split(","))))
+    golden_check("verify_c2_sc_targeted.json", "verify", "--group", "C2_sc", "--mu", "1,0")
 
 
 def test_targeted_verify_ok():

@@ -209,7 +209,7 @@ def test_kottwitz_examples():
     tag = sig.tag_of(d.weyl.translation((1,)))
     assert (tag.kappa0, tag.kappa_sigma) == ((), ())
     d2, sig2 = split("A1_ad")
-    tau = d2.weyl.from_finite_word((1,), (0,))
+    tau = d2.weyl.from_json({"lambda": [1], "w0_word": [0]})
     tag = sig2.tag_of(tau)
     assert (tag.kappa0, tag.kappa_sigma) == ((1,), (1,))
 

@@ -156,7 +156,7 @@ def test_fundamental_examples():
     assert is_fundamental(d, sig, w.identity(), (0,))
     wad = preset("A1_ad").datum.weyl
     sig_ad = FrobeniusDatum(preset("A1_ad").datum)
-    tau = wad.from_finite_word((1,), (0,))
+    tau = wad.from_json({"lambda": [1], "w0_word": [0]})
     assert is_fundamental(preset("A1_ad").datum, sig_ad, tau, (0,))
 
 
@@ -521,8 +521,13 @@ def test_w0_tables_match_matrix_search():
     for p in catalog():
         for datum in [p.datum] + _straight_levis(p):
             w = datum.weyl
-            got = {name: getattr(w, name) for name in finite_group_by_matrices(datum)}
-            assert got == finite_group_by_matrices(datum), (p.name, datum.name)
+            want = finite_group_by_matrices(datum)
+            mul = want.pop("mul")
+            got = {name: getattr(w, name) for name in want}
+            assert got == want, (p.name, datum.name)
+            n = w.w0_order()
+            products = [[w.finite_index(w.w0_words[u], v) for v in range(n)] for u in range(n)]
+            assert products == mul, (p.name, datum.name)
 
 
 @pytest.mark.parametrize("scales", [VerifyScales.quick(), VerifyScales()], ids=["quick", "full"])

@@ -118,7 +118,7 @@ def test_obstruction_residually_split_degenerate():
     d = preset("A1_ad").datum
     sig = FrobeniusDatum(d)
     # sigma trivial: c - sigma(c) = 0, so solvable iff [mu] = kappa(b)
-    tau = d.weyl.from_finite_word((1,), (0,))
+    tau = d.weyl.from_json({"lambda": [1], "w0_word": [0]})
     oc = obstruction_class(sig, (1,), tau)
     assert oc.representative == (0,)
     with pytest.raises(NoSolution):

@@ -2,8 +2,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import adlv.picard as picard_module
 from adlv.errors import AdlvError, NotStraight, SchemaError, SingularOperator
@@ -22,7 +20,6 @@ from adlv.verify import VerifyScales, check_picard_suite
 
 from helpers import (
     certificate_by_operator,
-    pic_class_from_fractions,
     reflection_action,
     s_permutation_by_conjugation,
 )
@@ -46,14 +43,13 @@ def test_prime_of_residue_cardinality():
 
 
 def test_pic_class_p_power_denominators():
-    cls = pic_class_from_fractions(2, [Fraction(3, 4), Fraction(-1), Fraction(0)])
-    assert cls.nums == (3, -1, 0)
-    assert cls.exps == (2, 0, 0)
-    assert cls.values() == (Fraction(3, 4), Fraction(-1), Fraction(0))
-    with pytest.raises(AdlvError):
-        pic_class_from_fractions(2, [Fraction(1, 3)])
-    normalized = pic_class_from_fractions(3, [Fraction(6, 9)])
-    assert normalized.nums == (2,) and normalized.exps == (1,)
+    cls = PicClass(2, (Fraction(3, 4), Fraction(-1), Fraction(0)))
+    assert cls.values == (Fraction(3, 4), Fraction(-1), Fraction(0))
+    with pytest.raises(AdlvError, match="^coefficient 1/3 has a denominator prime to 2$"):
+        PicClass(2, (Fraction(1, 3),))
+    with pytest.raises(AdlvError, match="^coefficient 1/6 has a denominator prime to 3$"):
+        PicClass.from_ratios(3, [(1, 3), (-1, -6)])
+    assert PicClass.from_ratios(3, [(6, 9), (4, -2)]).values == (Fraction(2, 3), Fraction(-2))
 
 
 def test_reflection_action_affine_a1():
@@ -165,7 +161,7 @@ def test_certificates_by_the_element_x_sigma_w_inverse():
                         for row in mat_mul(matrix_action(pic, y), p_sigma)
                     )
                     assert op == cert.operator, (p.name, name, wx, xx)
-                    values = cert.pic_class.values()
+                    values = cert.pic_class.values
                     diff = tuple(
                         sum(m * v for m, v in zip(row, values)) - v_r
                         for row, v_r in zip(op, values)
@@ -233,9 +229,10 @@ def test_class_certificates_build_one_action_per_member(monkeypatch):
 
 
 def test_is_ample():
-    assert is_ample(PicClass(2, (1, 1, 1), (0, 0, 0)))
-    assert not is_ample(pic_class_from_fractions(2, [Fraction(1), Fraction(0)]))
-    assert is_ample(pic_class_from_fractions(2, [Fraction(1, 2), Fraction(2)]))
+    assert is_ample(PicClass(2, (Fraction(1),) * 3))
+    assert not is_ample(PicClass(2, (Fraction(1), Fraction(0))))
+    assert is_ample(PicClass(2, (Fraction(1, 2), Fraction(2))))
+    assert not is_ample(PicClass(2, (Fraction(1, 2), Fraction(-1, 4))))
 
 
 def test_descent_certificate_split_examples():
@@ -246,11 +243,11 @@ def test_descent_certificate_split_examples():
     cert2 = descent_certificate(FrobeniusDatum(d), 2, t)
     assert isinstance(cert2, DescentCertificate)
     assert cert2.operator == ((2, 0), (0, 2))
-    assert cert2.pic_class.values() == (Fraction(1), Fraction(1))
+    assert cert2.pic_class.values == (Fraction(1), Fraction(1))
     assert cert2.difference == (1, 1)
     assert all(type(v) is int for v in cert2.difference)
     cert3 = descent_certificate(FrobeniusDatum(d), 3, t)
-    assert cert3.pic_class.values() == (Fraction(1), Fraction(1))
+    assert cert3.pic_class.values == (Fraction(1), Fraction(1))
     assert cert3.difference == (2, 2)
 
 
@@ -261,7 +258,7 @@ def test_descent_certificate_rotation_case():
     d = p.datum
     w = d.weyl
     sig = FrobeniusDatum(d)
-    tau = w.from_finite_word((1,), (0,))
+    tau = w.from_json({"lambda": [1], "w0_word": [0]})
     cert = descent_certificate(sig, 2, tau)
     assert all(v > 0 for v in cert.difference)
     vals = sorted(x for row in cert.operator for x in row)
@@ -296,22 +293,6 @@ def test_descent_certificate_rejects_zero_determinant(monkeypatch):
     )
     with pytest.raises(SingularOperator):
         descent_certificate(FrobeniusDatum(d), 2, t)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    prime=st.sampled_from([2, 3]),
-    nums=st.lists(st.integers(-200, 200), min_size=1, max_size=5),
-    p_power=st.integers(0, 4),
-    det=st.sampled_from([1, -1, 5, -7]),
-)
-def test_pic_class_integer_path_matches_fractions(prime, nums, p_power, det):
-    # The certificate's path, integer numerators over one common
-    # denominator (which may be negative), normalizes as Fractions do.
-    den = det * prime**p_power
-    cls = PicClass.from_ratios(prime, [(n * abs(det), den) for n in nums])
-    want = pic_class_from_fractions(prime, [Fraction(n * abs(det), den) for n in nums])
-    assert cls == want
 
 
 def test_class_certificates_reject_a_non_straight_member():
@@ -357,7 +338,8 @@ def test_class_certificates_mixed_tag_pairs():
     pairs = {(wx, xx): c for wx, xx, c in class_certificates(sig, 5, [t_plus, t_minus])}
     cert = pairs[t_plus, t_minus]
     assert all(v > 0 for v in cert.difference)
-    assert all(e == 0 or n % 5 != 0 for n, e in zip(cert.pic_class.nums, cert.pic_class.exps))
+    # Every denominator is a power of 5: it divides 5^30.
+    assert all(5**30 % v.denominator == 0 for v in cert.pic_class.values)
 
 
 def test_picard_suite_decomposes_once_per_sigma(monkeypatch):
