@@ -73,7 +73,7 @@ def memo(weigh: Callable[[object], int]):
                 entries[key] = entry
                 return entry[0]
             value = body(group, *args)
-            _keep(entries, key, value, max(1, weigh(value)))
+            _keep(group, key, value, max(1, weigh(value)))
             return value
 
         return memoized
@@ -81,18 +81,21 @@ def memo(weigh: Callable[[object], int]):
     return decorate
 
 
-def _keep(entries: dict, key: tuple, value: object, weight: int) -> None:
+def _keep(group: AffineWeylGroup, key: tuple, value: object, weight: int) -> None:
     """Store a value the body returned, then drop the group's least recent
-    entries while their weights sum past CACHE_BOUND.  A value heavier
-    than the bound is not stored, and an error never reaches here."""
+    entries while their weights sum past CACHE_BOUND; the sum is kept in
+    group.memo_held, so a store reads only the entries it drops.  A value
+    heavier than the bound is not stored, and an error never reaches
+    here."""
     bound = affine_weyl.CACHE_BOUND
     if weight > bound:
         return
+    entries = group.memo_entries
     entries[key] = (value, weight)
-    held = sum(entry[1] for entry in entries.values())
-    while held > bound:
+    group.memo_held += weight
+    while group.memo_held > bound:
         _value, dropped = entries.pop(next(iter(entries)))
-        held -= dropped
+        group.memo_held -= dropped
 
 
 def translation_orbit(d: RootDatum, mu: Sequence[int]) -> list[IntVec]:

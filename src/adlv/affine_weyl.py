@@ -18,8 +18,8 @@ memo); elements are immutable values.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DatumMismatch, InfiniteParabolic, SchemaError
@@ -149,8 +149,9 @@ class AffineWeylGroup:
         self._right_steps: dict[tuple[int, int], tuple] = {}
         # This group's entries of the admissible-set memo (admissible.memo),
         # key -> (value, weight), least recently used first; they go with
-        # the group.
+        # the group.  memo_held is the sum of their weights.
         self.memo_entries: dict[tuple, tuple] = {}
+        self.memo_held = 0
 
     # -- finite Weyl group tables -------------------------------------------
 
@@ -262,8 +263,8 @@ class AffineWeylGroup:
     # -- length and reduced words ---------------------------------------------
 
     def length_of(self, lam: IntVec, u_idx: int) -> int:
-        pairings = [dot(a, lam) for a in self.datum.positive_roots]
-        return sum(map(abs, map(operator.sub, pairings, self.w0_offsets[u_idx])))
+        pairings = [sum(map(mul, a, lam)) for a in self.datum.positive_roots]
+        return sum(map(abs, map(sub, pairings, self.w0_offsets[u_idx])))
 
     def length(self, x: AffineWeylElement) -> int:
         return self.length_of(x.lam, x.u_idx)
@@ -286,7 +287,7 @@ class AffineWeylGroup:
         pairing gives both, with no product or length.
         """
         a, k, j, flip, av, s_idx = self._descent_data[i]
-        c = k + dot(a, lam)
+        c = k + sum(map(mul, a, lam))
         return (
             tuple(l - c * v for l, v in zip(lam, av)),
             self._wall_rows[i][u_idx],
@@ -315,15 +316,18 @@ class AffineWeylGroup:
             )
             self._right_steps[u_idx, i] = hit
         k, b, shift, v_idx, bound = hit
-        return tuple(map(operator.sub, lam, shift)), v_idx, k - dot(b, lam) < bound
+        return tuple(map(sub, lam, shift)), v_idx, k - sum(map(mul, b, lam)) < bound
 
     def _lowest_descent(self, lam: IntVec, u_idx: int) -> tuple[int, IntVec, int] | None:
         """(i, lam', u') for the lowest left descent s_i of x = (lam, u),
-        with s_i x = (lam', u'), by left_step; None at length zero."""
-        for i in range(len(self.simple_affine)):
-            lam_i, u_i, fell = self.left_step(i, lam, u_idx)
-            if fell:
-                return i, lam_i, u_i
+        with s_i x = (lam', u'); None at length zero.  Each wall's bit is
+        read from its one pairing c = k + <a, lam> as in left_step, and
+        lam' is built only for the wall that falls."""
+        offsets = self.w0_offsets[u_idx]
+        for i, (a, k, j, flip, av, _s) in enumerate(self._descent_data):
+            c = k + sum(map(mul, a, lam))
+            if c < offsets[j] ^ flip:
+                return i, tuple(l - c * v for l, v in zip(lam, av)), self._wall_rows[i][u_idx]
         return None
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
@@ -514,8 +518,9 @@ class AffineWeylGroup:
         Breadth-first search from the length-zero element of the coset:
         level k is the set of left steps s . x with x in level k - 1 and s
         an affine simple reflection that is not a left descent of x, so
-        that s . x has length k.  It
-        holds every element s_{i_1} ... s_{i_k} omega of length k, since
+        that s . x has length k; each wall's bit is read from its pairing
+        as in left_step, and only the ascents are built.  It holds every
+        element s_{i_1} ... s_{i_k} omega of length k, since
         dropping the first letter of a reduced word leaves one of length
         k - 1.  Sorted by (length, canonical key); raises BudgetExceeded
         once more than `budget` elements are visited, rather than
@@ -524,14 +529,18 @@ class AffineWeylGroup:
         start = self.identity() if omega is None else self.omega_of(omega)
         level = [start]
         out = [start]
-        for k in range(1, max_length + 1):
+        for _ in range(max_length):
             found: set[AffineWeylElement] = set()
             for x in level:
-                for i in range(len(self.simple_affine)):
-                    lam, u, fell = self.left_step(i, x.lam, x.u_idx)
-                    if fell:
+                lam, u = x.lam, x.u_idx
+                offsets = self.w0_offsets[u]
+                for i, (a, k, j, flip, av, _s) in enumerate(self._descent_data):
+                    c = k + sum(map(mul, a, lam))
+                    if c < offsets[j] ^ flip:
                         continue
-                    y = AffineWeylElement(self, lam, u)
+                    y = AffineWeylElement(
+                        self, tuple(l - c * v for l, v in zip(lam, av)), self._wall_rows[i][u]
+                    )
                     if y not in found:
                         found.add(y)
                         if len(out) + len(found) > budget:

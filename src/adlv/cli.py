@@ -128,12 +128,7 @@ def _resolve_sigma(spec: JobSpec, datum, pre) -> tuple[FrobeniusDatum, int]:
             raise SchemaError(f"/sigma: bad JSON ({exc})") from exc
         return FrobeniusDatum.from_json(datum, obj)
     name, colon, qpart = raw.partition(":")
-    q = 2
-    if colon:
-        try:
-            q = int(qpart)
-        except ValueError:
-            raise SchemaError("/sigma: q suffix must be an integer") from None
+    q = _decimal(qpart, "/sigma: q suffix must be an integer") if colon else 2
     if pre is None and name != "split":
         raise SchemaError("/sigma: explicit data only support 'split' or JSON")
     matrix = None if pre is None else pre.sigma_matrix(name)
@@ -389,22 +384,23 @@ _OPTIONS = {
 }
 
 
+def _decimal(raw: str, error: str) -> int:
+    """raw as an integer if it is ASCII digits with an optional leading
+    `-`, else SchemaError(error): the one spelling of --mu, --level,
+    --budget and a --sigma q suffix (int() also takes '+7', ' 7', '1_000'
+    and non-ASCII digits)."""
+    if not re.fullmatch("-?[0-9]+", raw):
+        raise SchemaError(error)
+    return int(raw)
+
+
 def _parse_ints(raw: str | None, name: str) -> tuple[int, ...] | None:
     """ASCII decimal integers, comma-separated, for option `name`; None
     for an empty option."""
     if raw is None or raw == "":
         return None
-    entries = raw.split(",")
-    if not all(re.fullmatch("-?[0-9]+", e) for e in entries):
-        raise SchemaError(f"/{name}: expected comma-separated integers")
-    return tuple(map(int, entries))
-
-
-def _parse_budget(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("/budget: expected a positive integer") from None
+    error = f"/{name}: expected comma-separated integers"
+    return tuple(_decimal(e, error) for e in raw.split(","))
 
 
 class _Commands(click.Group):
@@ -431,7 +427,7 @@ def _execute(command, out, mu=None, level=None, budget=str(DEFAULT_BUDGET), **op
     try:
         spec = JobSpec(
             command=command, mu=_parse_ints(mu, "mu"), level=_parse_ints(level, "level") or (),
-            budget=_parse_budget(budget), **options,
+            budget=_decimal(budget, "/budget: expected a positive integer"), **options,
         )
     except SchemaError as exc:
         report, code = _error_report(exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable
 
 from .affine_weyl import DEFAULT_BUDGET, AffineWeylElement, closure
@@ -209,8 +210,8 @@ class FrobeniusDatum:
         lam = x.lam
         newton = length = 0
         for a, off in zip(self.datum.positive_roots, self.datum.weyl.w0_offsets[x.u_idx]):
-            newton += abs(dot(a, num))
-            length += abs(dot(a, lam) - off)
+            newton += abs(sum(map(mul, a, num)))
+            length += abs(sum(map(mul, a, lam)) - off)
         return newton == n * length
 
     def tag_of(self, x: AffineWeylElement) -> "StraightClassTag":

@@ -301,18 +301,21 @@ class RootDatum:
     def dominance_leq(self, lam: Sequence, lam2: Sequence) -> bool:
         """lam <= lam2 in dominance order; both must be dominant.
 
-        In integers: D = den (lam2 - lam) over the lcm den of its
-        denominators, and p_i = <det omega_i, D> from the scaled
-        fundamental weights of base_alcove.  sum_i p_i alpha_i^vee is det
-        times the part of D in the span of the coroots, so lam <= lam2
-        exactly when that sum is det D (D has no central part) and every
-        p_i >= 0.
+        In integers: both arguments are scaled by the lcm den of all their
+        denominators (an int's is 1) to a and a2, D = a2 - a, and p_i =
+        <det omega_i, D> from the scaled fundamental weights of
+        base_alcove.  sum_i p_i alpha_i^vee is det times the part of D in
+        the span of the coroots, so lam <= lam2 exactly when that sum is
+        det D (D has no central part) and every p_i >= 0.  Both tests,
+        and the dominance check, are homogeneous, so any common positive
+        scale gives the same answer.
         """
-        if not self.is_dominant(lam) or not self.is_dominant(lam2):
+        den = lcm(*(x.denominator for x in lam), *(x.denominator for x in lam2))
+        a = [x.numerator * (den // x.denominator) for x in lam]
+        a2 = [x.numerator * (den // x.denominator) for x in lam2]
+        if not self.is_dominant(a) or not self.is_dominant(a2):
             raise NotDominantInput("dominance order compares dominant coweights")
-        diff = [Fraction(b) - Fraction(a) for a, b in zip(lam, lam2)]
-        den = lcm(*(x.denominator for x in diff))
-        scaled = [x.numerator * (den // x.denominator) for x in diff]
+        scaled = [y - x for x, y in zip(a, a2)]
         alcove = self.base_alcove
         pairs = [dot(weight, scaled) for weight in alcove.weights]
         span = [

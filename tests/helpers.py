@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from adlv import affine_weyl
 from adlv.affine_weyl import AffineRoot, AffineWeylElement
+from adlv.errors import NotDominantInput
 from adlv.linalg import (
     dot,
     identity_matrix,
@@ -34,9 +35,11 @@ from adlv.presets import catalog
 
 
 def clear_memos() -> None:
-    """Empty the admissible-set memo of every catalog group."""
+    """Empty the admissible-set memo of every catalog group, and zero its
+    held weight."""
     for p in catalog():
         p.datum.weyl.memo_entries.clear()
+        p.datum.weyl.memo_held = 0
 
 
 def memo_weight(group) -> int:
@@ -535,6 +538,61 @@ def dominance_grid_oracle(d, lam, lam2, max_num: int = 12, max_den: int = 4) -> 
         return False
 
     return rec(0, diff)
+
+
+def dominance_leq_by_fractions(d, lam, lam2) -> bool:
+    """dominance_leq by the Fraction route: dominance checked on the
+    arguments as given, then D = lam2 - lam in Fractions, scaled over
+    the lcm of D's own denominators."""
+    if not d.is_dominant(lam) or not d.is_dominant(lam2):
+        raise NotDominantInput("dominance order compares dominant coweights")
+    diff = [Fraction(b) - Fraction(a) for a, b in zip(lam, lam2)]
+    den = lcm(*(x.denominator for x in diff))
+    scaled = [x.numerator * (den // x.denominator) for x in diff]
+    alcove = d.base_alcove
+    pairs = [dot(weight, scaled) for weight in alcove.weights]
+    span = [
+        sum(p * av[r] for p, av in zip(pairs, d.simple_coroots))
+        for r in range(d.rank)
+    ]
+    return span == [alcove.weight_den * x for x in scaled] and all(p >= 0 for p in pairs)
+
+
+def lowest_descent_by_steps(w, lam, u):
+    """(i, lam', u') for the lowest left descent of (lam, u): left_step
+    at every wall i = 0, 1, ... until one falls; None at length zero."""
+    for i in range(len(w.simple_affine)):
+        lam_i, u_i, fell = w.left_step(i, lam, u)
+        if fell:
+            return i, lam_i, u_i
+    return None
+
+
+def reduced_word_by_steps(w, x):
+    """(word, omega) of x by peeling lowest_descent_by_steps."""
+    word = []
+    lam, u = x.lam, x.u_idx
+    while (step := lowest_descent_by_steps(w, lam, u)) is not None:
+        i, lam, u = step
+        word.append(i)
+    return tuple(word), AffineWeylElement(w, lam, u)
+
+
+def coset_ball_by_steps(w, max_length: int, start) -> list:
+    """coset_ball from the length-zero element `start`, with left_step at
+    every wall of every element, keeping the steps that did not fall,
+    each level sorted by key."""
+    level, out = [start], [start]
+    for _ in range(max_length):
+        found = set()
+        for x in level:
+            for i in range(len(w.simple_affine)):
+                lam, u, fell = w.left_step(i, x.lam, x.u_idx)
+                if not fell:
+                    found.add(AffineWeylElement(w, lam, u))
+        level = sorted(found, key=AffineWeylElement.key)
+        out.extend(level)
+    return out
 
 
 def finite_group_by_matrices(d) -> dict:

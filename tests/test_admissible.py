@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import warnings
 import weakref
 from fractions import Fraction
@@ -359,6 +360,53 @@ def test_memo_entries_go_with_their_group(monkeypatch):
     assert memo_weight(d.weyl) == kept
     assert [p.datum for p in catalog() if p.datum.weyl.memo_entries] == [d]
     assert len(d.weyl.memo_entries) == 1
+
+
+def test_memo_keeps_its_held_weight_as_a_running_total(monkeypatch):
+    # A few hundred random stores, hits and evictions under a bound of
+    # 40, some values over it: after each call group.memo_held is the sum
+    # of the entries' weights, and a store reads no more entries than it
+    # drops, so n stores on one group cost O(n), not O(n^2).
+    class Watched(dict):
+        read = 0
+
+        def __iter__(self):
+            for key in super().__iter__():
+                self.read += 1
+                yield key
+
+        def values(self):
+            self.read += len(self)
+            return super().values()
+
+        def items(self):
+            self.read += len(self)
+            return super().items()
+
+    def weight(k):
+        return k % 12 + 1 if k < 22 else 41
+
+    @admissible.memo(lambda value: value)
+    def weighed(group, k):
+        return weight(k)
+
+    d = preset("A1_sc").datum
+    group = RootDatum(d.rank, d.simple_roots, d.simple_coroots, name=d.name).weyl
+    entries = group.memo_entries = Watched()
+    monkeypatch.setattr(affine_weyl, "CACHE_BOUND", 40)
+    rng = random.Random(11)
+    hits = drops = 0
+    for _ in range(400):
+        k = rng.randrange(24)
+        hit = (weighed.__wrapped__, (k,)) in entries
+        before, read = len(entries), entries.read
+        assert weighed(group, k) == weight(k)
+        dropped = before + (not hit and k < 22) - len(entries)
+        assert entries.read - read <= dropped
+        assert group.memo_held == memo_weight(group) <= 40
+        hits += hit
+        drops += dropped
+    assert hits > 50 and drops > 100
 
 
 def test_one_groups_memo_never_evicts_anothers(monkeypatch):

@@ -23,10 +23,13 @@ from adlv.verify import VerifyScales, run_verify
 from helpers import (
     affine_root_image,
     ball_length_counts_oracle,
+    coset_ball_by_steps,
     deletion_covers,
     is_right_descent,
     length_oracle,
+    lowest_descent_by_steps,
     preimage_affine_root,
+    reduced_word_by_steps,
     s_permutation_by_conjugation,
     subword_set,
 )
@@ -37,6 +40,45 @@ SMALL = ["A1_sc", "A1_ad", "A2_sc", "C2_sc", "G2_sc", "GL2", "A1xA1_sc", "GU_odd
 def random_elements(w, rng, count, max_len=6):
     ball = w.ball(max_len, [o.element for o in w.omega_elements()])
     return [rng.choice(ball) for _ in range(count)]
+
+
+def test_descent_kernels_match_a_step_every_wall_oracle():
+    # _lowest_descent and coset_ball read each wall's descent bit from
+    # its pairing and build only the step they take; the oracles call
+    # left_step at every wall.  Every preset, every coset ball of radius
+    # <= 4 over Omega.  The neutral ball comes first and by the oracle, so
+    # that a wrong descent fails here before Omega's reduced words run.
+    # Asserts compare keys computed beforehand: pytest's report of a
+    # failing assert reprs its operands, and an element's repr is its
+    # reduced word.
+    def keys(elements):
+        return [x.key() for x in elements]
+
+    checked = 0
+    for p in catalog():
+        w = p.datum.weyl
+        for x in coset_ball_by_steps(w, 4, w.identity()):
+            got = w._lowest_descent(x.lam, x.u_idx)
+            want = lowest_descent_by_steps(w, x.lam, x.u_idx)
+            assert got == want, (p.name, x.key())
+        for om in w.omega_elements():
+            for r in range(5):
+                got = keys(w.coset_ball(r, om.element))
+                want = keys(coset_ball_by_steps(w, r, om.element))
+                assert got == want, (p.name, r)
+            for x in w.coset_ball(4, om.element):
+                at = (p.name, x.key())
+                got = w._lowest_descent(x.lam, x.u_idx)
+                want = lowest_descent_by_steps(w, x.lam, x.u_idx)
+                assert got == want, at
+                word, omega = w.reduced_word(x)
+                want_word, want_omega = reduced_word_by_steps(w, x)
+                got, want = (word, omega.key()), (want_word, want_omega.key())
+                assert got == want, at
+                got = w.assemble(word, omega).key()
+                assert got == at[1]
+                checked += 1
+    assert checked == 477
 
 
 def test_multiply_invert_roundtrip():

@@ -326,7 +326,7 @@ def test_caches_past_a_small_bound_give_the_same_reports(monkeypatch):
     for w in groups:
         w._bruhat_cache.clear()
         w._rw_cache.clear()
-        w.memo_entries.clear()
+    clear_memos()
     for spec in specs:
         assert json.dumps(run(spec), sort_keys=True) == expected.pop(0), spec
         assert caches_within_bound(), spec
@@ -720,6 +720,18 @@ def test_int_lists_read_only_ascii_decimals(option, raw):
     assert json.loads(result.output)["error"] == (
         f"/{option[2:]}: expected comma-separated integers"
     )
+
+
+@pytest.mark.parametrize("raw", ["\u0663", "+3", " 3", "3\n", "1_1"])
+def test_budget_and_q_suffix_read_only_ascii_decimals(raw):
+    # int() takes each of these; --budget and a --sigma q suffix are read
+    # by the ASCII-decimal rule of --mu and --level.
+    budget = invoke("adm", "--group", "A1_sc", "--mu", "1", "--budget", raw)
+    assert budget.exit_code == EXIT_USAGE, raw
+    assert json.loads(budget.output)["error"] == "/budget: expected a positive integer"
+    q = invoke("pic-cert", "--group", "A1_sc", "--mu", "1", "--sigma", f"split:{raw}")
+    assert q.exit_code == EXIT_USAGE, raw
+    assert json.loads(q.output)["error"] == "/sigma: q suffix must be an integer"
 
 
 def test_int_lists_keep_signed_decimals():

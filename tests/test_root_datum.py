@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -7,11 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlv.errors import NonIntegralCartan, NonReducedSystem, NotDominantInput, UnknownPreset
+from adlv.frobenius import FrobeniusDatum
 from adlv.linalg import dot, mat_vec
+from adlv.newton_bg import b_g_mu
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum, build_root_datum, from_cartan_matrix
 
-from helpers import alcove_vertices, dominance_grid_oracle, dominant_rep_oracle
+from helpers import (
+    alcove_vertices,
+    dominance_grid_oracle,
+    dominance_leq_by_fractions,
+    dominant_rep_oracle,
+)
 
 
 def orbit_closure_count(d) -> int:
@@ -201,6 +209,68 @@ def test_dominance_with_central_directions_against_oracle():
     assert not gl2.dominance_leq((0, 0), (1, 0))
     assert gu.dominance_leq((0, 0, 0), (1, 0, 0))
     assert not gu.dominance_leq((0, 0, 0), (1, 0, Fraction(1, 2)))
+
+
+def test_dominance_matches_the_fraction_route_on_newton_points():
+    # dominance_leq scales both arguments over one common denominator;
+    # the oracle takes the difference in Fractions.  Every ordered pair of
+    # Newton points of the catalog's B(G, mu) classes.
+    pairs = 0
+    for p in catalog():
+        d = p.datum
+        for sig_name in sorted(p.sigmas):
+            sig = FrobeniusDatum(d, p.sigmas[sig_name])
+            for _label, mu in p.mu_grid:
+                nus = [e.tag.nu_bar for e in b_g_mu(d, sig, mu)]
+                for nu in nus:
+                    for nu2 in nus:
+                        assert d.dominance_leq(nu, nu2) == dominance_leq_by_fractions(
+                            d, nu, nu2
+                        ), (p.name, sig_name, mu, nu, nu2)
+                        pairs += 1
+    assert pairs == 313
+    # Either position non-dominant; equal coroot parts with equal and
+    # with different central parts (GL2).
+    gl2, half = preset("GL2").datum, Fraction(1, 2)
+    for lam, lam2 in (((-half, half), (1, 0)), ((1, 0), (-half, half))):
+        for route in (gl2.dominance_leq, partial(dominance_leq_by_fractions, gl2)):
+            with pytest.raises(NotDominantInput):
+                route(lam, lam2)
+    for lam, lam2, want in (((half, half), (1, 0), True), ((half, half), (1, half), False)):
+        assert gl2.dominance_leq(lam, lam2) == dominance_leq_by_fractions(gl2, lam, lam2) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dominance_matches_the_fraction_route_on_mixed_denominators(data):
+    # lam is the dominant representative of a vector whose entries have
+    # their own denominators, and lam2 is lam plus a nonnegative rational
+    # combination of coroots, or another such representative; integral
+    # entries are sometimes ints.  A lam2 that is not dominant raises on
+    # both routes.
+    d = data.draw(st.sampled_from([p.datum for p in catalog()]))
+    entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+    def mixed(v):
+        return tuple(int(c) if c.denominator == 1 and data.draw(st.booleans()) else c for c in v)
+
+    lam = d.dominant_rep([data.draw(entry) for _ in range(d.rank)])[0]
+    if data.draw(st.booleans()):
+        lam2 = list(lam)
+        for av in d.simple_coroots:
+            c = data.draw(entry.map(abs))
+            lam2 = [x + c * y for x, y in zip(lam2, av)]
+    else:
+        lam2 = d.dominant_rep([data.draw(entry) for _ in range(d.rank)])[0]
+    lam, lam2 = mixed(lam), mixed(lam2)
+    if d.is_dominant(lam2):
+        assert d.dominance_leq(lam, lam2) == dominance_leq_by_fractions(d, lam, lam2)
+    else:
+        for route in (d.dominance_leq, partial(dominance_leq_by_fractions, d)):
+            with pytest.raises(NotDominantInput):
+                route(lam, lam2)
+            with pytest.raises(NotDominantInput):
+                route(lam2, lam)
 
 
 def test_dominance_partial_order():
