@@ -164,15 +164,11 @@ def _adm(w: AffineWeylGroup, mu: IntVec, budget: int) -> AdmissibleSet:
 def adm_elements(d: RootDatum, mu: Sequence[int], budget: int = DEFAULT_BUDGET) -> set:
     """The elements of Adm({mu}), closed from the maximal translations
     under covers and not memoized; raises BudgetExceeded past `budget`."""
-    message = f"admissible set exceeds node budget {budget}"
     # A chain of l(t^mu) + 1 elements from t^mu down to tau lies in Adm.
     if dot(d.two_rho, d.dominant_word(mu)[0]) >= budget:
-        raise BudgetExceeded(message)
+        raise BudgetExceeded("admissible set", budget)
     covers = partial(d.weyl.covers_below, known={})
-    try:
-        return closure(maximal_translations(d, mu), covers, budget)
-    except BudgetExceeded:
-        raise BudgetExceeded(message) from None
+    return closure(maximal_translations(d, mu), covers, budget, "admissible set")
 
 
 def in_adm(d: RootDatum, mu: Sequence[int], x: AffineWeylElement) -> bool:
@@ -299,10 +295,7 @@ def adm_parahoric(
     def step(x):
         return [cand for g in gens for cand in (g * x, x * g)]
 
-    try:
-        closed = frozenset(closure(base.elements, step, budget))
-    except BudgetExceeded:
-        raise BudgetExceeded(f"Adm^K exceeds node budget {budget}") from None
+    closed = frozenset(closure(base.elements, step, budget, "Adm^K"))
     escapes = audit_downward_closed(d, closed)
     if escapes:
         x, below = escapes[0]

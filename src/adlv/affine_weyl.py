@@ -46,7 +46,10 @@ CACHE_BOUND = DEFAULT_BUDGET
 
 
 def closure(
-    seeds: Iterable, step: Callable[[object], Iterable], budget: int = DEFAULT_BUDGET
+    seeds: Iterable,
+    step: Callable[[object], Iterable],
+    budget: int = DEFAULT_BUDGET,
+    what: str = "closure",
 ) -> set:
     """The least set holding `seeds` and closed under `step`, by
     breadth-first search, one frontier at a time: Bruhat intervals (step
@@ -54,10 +57,12 @@ def closure(
     length each frontier is one length level), Weyl orbits, Adm^K and
     twisted-conjugation plateaus.
 
-    Raises BudgetExceeded once a step takes the set past `budget`
-    elements, rather than truncating.
+    Raises BudgetExceeded, naming the set `what`, once the seeds or a
+    step take the set past `budget` elements, rather than truncating.
     """
     seen = set(seeds)
+    if len(seen) > budget:
+        raise BudgetExceeded(what, budget)
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -67,7 +72,7 @@ def closure(
                     seen.add(y)
                     nxt.append(y)
                     if len(seen) > budget:
-                        raise BudgetExceeded(f"closure exceeds node budget {budget}")
+                        raise BudgetExceeded(what, budget)
         frontier = nxt
     return seen
 
@@ -115,9 +120,8 @@ class AffineWeylElement:
         return hash((self.lam, self.u_idx))
 
     def __repr__(self):
-        word, omega = self.group.reduced_word(self)
-        tail = f"*omega{omega.lam}" if not omega.is_identity() else ""
-        return f"W[{'.'.join(map(str, word)) or 'e'}{tail}]"
+        """lambda and the W0 word, as to_json gives them: no group work."""
+        return f"W(lambda={self.lam}, w0_word={self.group.w0_words[self.u_idx]})"
 
 
 @dataclass(frozen=True)
@@ -507,47 +511,51 @@ class AffineWeylGroup:
 
     # -- ball enumeration ----------------------------------------------------------
 
-    def coset_ball(
-        self,
-        max_length: int,
-        omega: AffineWeylElement | None = None,
-        budget: int = DEFAULT_BUDGET,
+    def _ball(
+        self, max_length: int, starts: Iterable[AffineWeylElement], budget: int
     ) -> list[AffineWeylElement]:
-        """All elements of length <= max_length in the W_a-coset of omega.
+        """All elements of length <= max_length in the W_a-cosets of the
+        length-zero `starts`, one coset after another.
 
-        Breadth-first search from the length-zero element of the coset:
-        level k is the set of left steps s . x with x in level k - 1 and s
-        an affine simple reflection that is not a left descent of x, so
-        that s . x has length k; each wall's bit is read from its pairing
-        as in left_step, and only the ascents are built.  It holds every
-        element s_{i_1} ... s_{i_k} omega of length k, since
-        dropping the first letter of a reduced word leaves one of length
-        k - 1.  Sorted by (length, canonical key); raises BudgetExceeded
-        once more than `budget` elements are visited, rather than
-        truncating.
+        Breadth-first search from each start: level k is the set of left
+        steps s . x with x in level k - 1 and s an affine simple reflection
+        that is not a left descent of x, so that s . x has length k; each
+        wall's bit is read from its pairing as in left_step, and only the
+        ascents are built.  It holds every element s_{i_1} ... s_{i_k} omega
+        of length k, since dropping the first letter of a reduced word
+        leaves one of length k - 1.  Each coset sorted by (length, canonical
+        key); one count spans every coset, starts included, and raises
+        BudgetExceeded once it passes `budget`, rather than truncating.
         """
-        start = self.identity() if omega is None else self.omega_of(omega)
-        level = [start]
-        out = [start]
-        for _ in range(max_length):
-            found: set[AffineWeylElement] = set()
-            for x in level:
-                lam, u = x.lam, x.u_idx
-                offsets = self.w0_offsets[u]
-                for i, (a, k, j, flip, av, _s) in enumerate(self._descent_data):
-                    c = k + sum(map(mul, a, lam))
-                    if c < offsets[j] ^ flip:
-                        continue
-                    y = AffineWeylElement(
-                        self, tuple(l - c * v for l, v in zip(lam, av)), self._wall_rows[i][u]
-                    )
-                    if y not in found:
-                        found.add(y)
-                        if len(out) + len(found) > budget:
-                            raise BudgetExceeded(f"ball exceeds node budget {budget}")
-            level = sorted(found, key=AffineWeylElement.key)
-            out.extend(level)
+        out: list[AffineWeylElement] = []
+        for start in starts:
+            out.append(start)
+            if len(out) > budget:
+                raise BudgetExceeded("ball", budget)
+            level = [start]
+            for _ in range(max_length):
+                found: set[AffineWeylElement] = set()
+                for x in level:
+                    lam, u = x.lam, x.u_idx
+                    offsets = self.w0_offsets[u]
+                    for i, (a, k, j, flip, av, _s) in enumerate(self._descent_data):
+                        c = k + sum(map(mul, a, lam))
+                        if c < offsets[j] ^ flip:
+                            continue
+                        y = AffineWeylElement(
+                            self, tuple(l - c * v for l, v in zip(lam, av)), self._wall_rows[i][u]
+                        )
+                        if y not in found:
+                            found.add(y)
+                            if len(out) + len(found) > budget:
+                                raise BudgetExceeded("ball", budget)
+                level = sorted(found, key=AffineWeylElement.key)
+                out.extend(level)
         return out
+
+    def coset_ball(self, max_length: int, budget: int = DEFAULT_BUDGET) -> list[AffineWeylElement]:
+        """The elements of W_a, the neutral coset, of length <= max_length."""
+        return self._ball(max_length, [self.identity()], budget)
 
     def ball(
         self,
@@ -555,13 +563,10 @@ class AffineWeylGroup:
         omegas: Iterable[AffineWeylElement] | None = None,
         budget: int = DEFAULT_BUDGET,
     ) -> list[AffineWeylElement]:
-        """Union of coset balls; defaults to the neutral coset only."""
-        if omegas is None:
-            omegas = [self.identity()]
-        out = []
-        for om in omegas:
-            out.extend(self.coset_ball(max_length, om, budget=budget))
-        return out
+        """The elements of length <= max_length in the W_a-cosets of `omegas`,
+        the neutral one by default, coset by coset; they share one budget."""
+        omegas = [self.identity()] if omegas is None else omegas
+        return self._ball(max_length, map(self.omega_of, omegas), budget)
 
     # -- parabolic quotients ---------------------------------------------------------
 

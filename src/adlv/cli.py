@@ -37,7 +37,7 @@ from .newton_bg import b_g_mu, straight_classes
 from .picard import descent_certificate
 from .presets import catalog, preset
 from .root_datum import build_root_datum
-from .verify import SCHEMA_VERSION, VerifyScales, frac_str, run_verify, verify_report
+from .verify import SCHEMA_VERSION, VerifyScales, _check, frac_str, run_verify, verify_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -275,7 +275,7 @@ def _dispatch(spec: JobSpec) -> dict:
         if len(datum.components) == 1 and not datum.is_central(mu):
             wall.append(verify_s_tau_membership(datum, mu, budget=spec.budget))
         checks = [
-            {"name": name, "pass": all(rep["pass"] for rep in runs), "runs": runs}
+            _check(name, runs, lambda run: not run["pass"])
             for name, runs in (("straight_class_containment", containment), ("wall_times_tau", wall))
         ]
         return {**base, **verify_report(checks)}

@@ -42,8 +42,12 @@ class PeriodOverflow(AdlvError):
 class BudgetExceeded(AdlvError):
     """An enumeration would exceed the configured node budget.
 
-    Raised instead of returning a silently truncated set.
+    Raised instead of returning a silently truncated set; `what` names
+    the set, and the message is built here only.
     """
+
+    def __init__(self, what: str, budget: int):
+        super().__init__(f"{what} exceeds node budget {budget}")
 
 
 class HypothesisViolated(AdlvError):

@@ -276,10 +276,7 @@ class FrobeniusDatum:
                 elif fell == 2:
                     descents.append((y, i))
 
-        try:
-            members = closure([x], step, budget)
-        except BudgetExceeded:
-            raise BudgetExceeded(f"plateau exceeds node budget {budget}") from None
+        members = closure([x], step, budget, "plateau")
         descent = min(descents, key=lambda d: (d[0].key(), d[1]), default=None)
         return Plateau(frozenset(members), descent)
 
@@ -303,7 +300,7 @@ class FrobeniusDatum:
                 for m in info.members:
                     plateaus[m] = info
             elif len(info.members) > budget:
-                raise BudgetExceeded(f"plateau exceeds node budget {budget}")
+                raise BudgetExceeded("plateau", budget)
             if info.descent is None:
                 return cur
             y, i = info.descent

@@ -18,9 +18,9 @@ from adlv.admissible import (
     verify_s_tau_membership,
     verify_straight_class_containment,
 )
-from adlv.affine_weyl import AffineWeylGroup
+from adlv.affine_weyl import DEFAULT_BUDGET, AffineWeylGroup, closure
 from adlv.errors import BudgetExceeded, HypothesisViolated, InfiniteParabolic, SchemaError
-from adlv.frobenius import FrobeniusDatum
+from adlv.frobenius import FrobeniusDatum, sigma_of
 from adlv.newton_bg import b_g_mu, mu_diamond, mu_natural, obstruction_class, straight_classes
 from adlv.presets import catalog, preset
 from adlv.root_datum import RootDatum
@@ -279,6 +279,46 @@ def test_budget_below_the_translation_length_fails_before_the_walk(monkeypatch):
             adm(d, (1, 1), budget=budget)
         assert bool(walks) == walked
     assert len(adm(d, (1, 1), budget=size)) == size
+
+
+def test_every_enumeration_meets_its_budget_exactly():
+    # A budget equal to the size of the set returns it; one below raises,
+    # naming the set and the caller's budget.  Seeds and coset starts
+    # count, and the cosets of one ball share its budget.
+    c2 = preset("C2_sc").datum
+    a2 = preset("A2_sc").datum
+    sigma = sigma_of(a2)
+    x = a2.weyl.translation((-1, -1))
+    filed = {}
+    assert sigma.reduce_to_minimal(x, filed) == x
+
+    def orbit_step(z):
+        return [z + 1] if z < 9 else []
+
+    cases = [
+        ("closure", 3, lambda b: closure([1, 2, 3], lambda z: (), b)),
+        ("orbit", 10, lambda b: closure([0], orbit_step, b, "orbit")),
+        ("ball", 13, lambda b: preset("A1_ad").datum.weyl.coset_ball(6, budget=b)),
+        ("admissible set", 41, lambda b: adm(c2, (1, 1), budget=b).elements),
+        ("Adm^K", 22, lambda b: adm_parahoric(c2, (1, 0), (1,), budget=b)[0]),
+        ("plateau", 6, lambda b: sigma.plateau(x, b).members),
+        # The plateau filed above, under the default budget, read again.
+        ("plateau", 6, lambda b: filed[sigma.reduce_to_minimal(x, filed, b)].members),
+    ]
+    for name in ("A1_ad", "GL2"):
+        w = preset(name).datum.weyl
+        omegas = [o.element for o in w.omega_elements()]
+        cases.append(("ball", 26, lambda b, w=w, omegas=omegas: w.ball(6, omegas, budget=b)))
+        with pytest.raises(BudgetExceeded, match="^ball exceeds node budget 20$"):
+            w.ball(6, omegas, budget=20)
+        e = w.identity()
+        cases.append(("ball", 2, lambda b, w=w, e=e: w.ball(0, [e, e], budget=b)))
+    for what, size, run in cases:
+        got = run(size)
+        assert len(got) == size and got == run(DEFAULT_BUDGET), what
+        with pytest.raises(BudgetExceeded) as caught:
+            run(size - 1)
+        assert str(caught.value) == f"{what} exceeds node budget {size - 1}"
 
 
 def test_adm_memo_bounded_and_equal_to_cold():

@@ -48,12 +48,6 @@ def test_descent_kernels_match_a_step_every_wall_oracle():
     # left_step at every wall.  Every preset, every coset ball of radius
     # <= 4 over Omega.  The neutral ball comes first and by the oracle, so
     # that a wrong descent fails here before Omega's reduced words run.
-    # Asserts compare keys computed beforehand: pytest's report of a
-    # failing assert reprs its operands, and an element's repr is its
-    # reduced word.
-    def keys(elements):
-        return [x.key() for x in elements]
-
     checked = 0
     for p in catalog():
         w = p.datum.weyl
@@ -63,22 +57,33 @@ def test_descent_kernels_match_a_step_every_wall_oracle():
             assert got == want, (p.name, x.key())
         for om in w.omega_elements():
             for r in range(5):
-                got = keys(w.coset_ball(r, om.element))
-                want = keys(coset_ball_by_steps(w, r, om.element))
-                assert got == want, (p.name, r)
-            for x in w.coset_ball(4, om.element):
-                at = (p.name, x.key())
+                got = w.ball(r, [om.element])
+                assert got == coset_ball_by_steps(w, r, om.element), (p.name, r)
+            for x in w.ball(4, [om.element]):
+                at = (p.name, x)
                 got = w._lowest_descent(x.lam, x.u_idx)
-                want = lowest_descent_by_steps(w, x.lam, x.u_idx)
-                assert got == want, at
+                assert got == lowest_descent_by_steps(w, x.lam, x.u_idx), at
                 word, omega = w.reduced_word(x)
-                want_word, want_omega = reduced_word_by_steps(w, x)
-                got, want = (word, omega.key()), (want_word, want_omega.key())
-                assert got == want, at
-                got = w.assemble(word, omega).key()
-                assert got == at[1]
+                assert (word, omega) == reduced_word_by_steps(w, x), at
+                assert w.assemble(word, omega) == x
                 checked += 1
     assert checked == 477
+
+
+def test_reads_of_an_element_leave_every_group_cache_unchanged():
+    # repr, keys, length and kappa read the element and the W0 tables
+    # only; a repr that walked reduced words would file them, and with a
+    # wrong descent kernel would never return.
+    caches = ("_rw_cache", "_bruhat_cache", "_right_steps", "memo_entries")
+    for p in catalog():
+        w = AffineWeylGroup(p.datum)
+        ball = w.ball(3, [o.element for o in w.omega_elements()])
+        before = {name: dict(getattr(w, name)) for name in caches}
+        held = w.memo_held
+        for x in ball:
+            repr(x), x.key(), w.sort_key(x), w.to_json(x), w.length(x), w.kappa(x)
+        assert {name: dict(getattr(w, name)) for name in caches} == before, p.name
+        assert w.memo_held == held
 
 
 def test_multiply_invert_roundtrip():
@@ -472,7 +477,7 @@ def test_kappa_homomorphism():
 
 
 def assert_ball_matches_bott_formula(w, max_length, omega):
-    ball = w.coset_ball(max_length, omega)
+    ball = w.ball(max_length, [omega])
     assert ball == sorted(ball, key=lambda x: (w.length(x),) + x.key())
     assert len(set(ball)) == len(ball)
     assert all(w.kappa(x) == w.kappa(omega) for x in ball)
@@ -491,7 +496,7 @@ def test_coset_ball_counts_match_bott_formula():
     torus = build_root_datum({"rank": 1, "simple_roots": [], "simple_coroots": []})
     tw = torus.weyl
     for lam in ((0,), (3,)):
-        assert tw.coset_ball(12, tw.translation(lam)) == [tw.translation(lam)]
+        assert tw.ball(12, [tw.translation(lam)]) == [tw.translation(lam)]
         assert_ball_matches_bott_formula(tw, 12, tw.translation(lam))
 
 
@@ -501,7 +506,7 @@ def test_coset_ball_of_any_coset_element():
         for o in w.omega_elements():
             x = w.simple(0) * o.element
             assert w.length(x) == 1
-            assert w.coset_ball(4, x) == w.coset_ball(4, o.element)
+            assert w.ball(4, [x]) == w.ball(4, [o.element])
 
 
 def test_coset_ball_budget_raises_never_truncates():

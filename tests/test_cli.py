@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -612,6 +613,14 @@ def test_parahoric_budget_keeps_its_text():
     assert result.exit_code == EXIT_BUDGET
     error = json.loads(result.output)["error"]
     assert error == "BudgetExceeded: Adm^K exceeds node budget 20"
+
+
+def test_large_mu_verify_report_keeps_its_digest():
+    # The report that long translations are checked against, byte for byte.
+    result = invoke("verify", "--group", "A1_sc", "--mu", "1000")
+    assert result.exit_code == EXIT_OK, result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest.startswith("b879a10a9caa8dac")
 
 
 def test_catalog_verify_honours_budget():
