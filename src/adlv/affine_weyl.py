@@ -564,9 +564,10 @@ class AffineWeylGroup:
         budget: int = DEFAULT_BUDGET,
     ) -> list[AffineWeylElement]:
         """The elements of length <= max_length in the W_a-cosets of `omegas`,
-        the neutral one by default, coset by coset; they share one budget."""
+        the neutral one by default, each coset once, in the order of its
+        first omega; they share one budget."""
         omegas = [self.identity()] if omegas is None else omegas
-        return self._ball(max_length, map(self.omega_of, omegas), budget)
+        return self._ball(max_length, dict.fromkeys(map(self.omega_of, omegas)), budget)
 
     # -- parabolic quotients ---------------------------------------------------------
 

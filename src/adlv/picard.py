@@ -13,9 +13,11 @@ x . sigma . w^{-1}, where A_w is w's action and T_x the action of
 x . sigma; invertibility of M - 1 is the no-eigenvalue-one property and
 a singular operator is reported as a counterexample candidate.  Since
 M - 1 = (T_x - A_w) A_w^{-1}, the certificate is L = A_w z for the
-solution z of (T_x - A_w) z = (1, ..., 1), and M itself is formed only
-when it is read; the difference (M - 1) L is scale . (1, ..., 1) and is
-kept as integers.  Everything stays in integers: simple reflections are
+solution z of (T_x - A_w) z = (1, ..., 1).  A certificate keeps L as
+integer numerators over one denominator, whose p-power denominators are
+checked in integers, and forms its PicClass, like M, only when it is
+read; the difference (M - 1) L is scale . (1, ..., 1) and is kept as
+integers.  Everything stays in integers: simple reflections are
 applied as column updates, and class_certificates, the one routine that
 makes certificates, builds one action per member of a straight class
 and spends one subtraction and one fraction-free elimination per pair.
@@ -47,6 +49,13 @@ def _split_p_power(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+def _check_p_power(num: int, den: int, p: int) -> None:
+    """Raise AdlvError unless num / den, reduced, has a power of p as its
+    denominator."""
+    if _split_p_power(abs(den) // gcd(num, den), p)[1] != 1:
+        raise AdlvError(f"coefficient {Fraction(num, den)} has a denominator prime to {p}")
+
+
 @dataclass(frozen=True)
 class PicClass:
     """Coefficient vector over the affine simple basis, in Z[1/p]: its
@@ -57,8 +66,7 @@ class PicClass:
 
     def __post_init__(self):
         for v in self.values:
-            if _split_p_power(v.denominator, self.prime)[1] != 1:
-                raise AdlvError(f"coefficient {v} has a denominator prime to {self.prime}")
+            _check_p_power(v.numerator, v.denominator, self.prime)
 
     @classmethod
     def from_ratios(cls, prime: int, ratios: Iterable[tuple[int, int]]) -> "PicClass":
@@ -107,19 +115,29 @@ def is_ample(cls: PicClass) -> bool:
     return all(v.numerator > 0 for v in cls.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentCertificate:
     """The class L of a pair (w, x), with the two actions that define
     the operator M = twisted . action^{-1} of x . sigma . w^{-1}.
 
-    difference is (M - 1) L, which is scale . (1, ..., 1) by
-    construction, as integers; operator forms M when it is read.
+    L is kept in integers, as numerators over one denominator, and
+    pic_class forms its PicClass when it is read; difference is
+    (M - 1) L, which is scale . (1, ..., 1) by construction, as
+    integers; operator forms M when it is read.
     """
 
     twisted: Mat  # T_x, the action of x . sigma
     action: Mat  # A_w, the action of w
-    pic_class: PicClass
+    prime: int
+    numerators: tuple[int, ...]  # L = numerators / denominator
+    denominator: int
     difference: tuple[int, ...]  # (M - 1) applied to the class
+
+    @property
+    def pic_class(self) -> PicClass:
+        """L as a PicClass, formed on each read."""
+        d = self.denominator
+        return PicClass.from_ratios(self.prime, [(v, d) for v in self.numerators])
 
     @property
     def operator(self) -> Mat:
@@ -143,7 +161,9 @@ def _certify(twisted: Mat, action: Mat, p: int) -> DescentCertificate | None:
     (twisted - action) z = d * (1, ..., 1) with d = det(twisted - action),
     checked in integers, so L = action . z / d; then scales L by the least
     positive integer that leaves only powers of p, the residue
-    characteristic, in its denominators.
+    characteristic, in its denominators.  L stays as its numerators over
+    d, each checked in integers as PicClass checks its coefficients, so
+    no Fraction is built until pic_class is read.
     """
     n = len(action)
     gap = tuple(
@@ -157,8 +177,10 @@ def _certify(twisted: Mat, action: Mat, p: int) -> DescentCertificate | None:
     for v in y:
         _e, rest = _split_p_power(abs(d) // gcd(v, d), p)
         scale = lcm(scale, rest)
-    cls = PicClass.from_ratios(p, [(v * scale, d) for v in y])
-    return DescentCertificate(twisted, action, cls, (scale,) * n)
+    numerators = tuple(v * scale for v in y)
+    for v in numerators:
+        _check_p_power(v, d, p)
+    return DescentCertificate(twisted, action, p, numerators, d, (scale,) * n)
 
 
 def class_certificates(
@@ -169,7 +191,9 @@ def class_certificates(
 
     Each member's straightness and its action are computed once, not
     once per pair, and its twisted action is read off that action; each
-    pair then costs one subtraction and one solve (see _certify).
+    pair then costs one subtraction and one solve (see _certify).  A
+    certificate holds its class in integers and builds no PicClass:
+    pic_class and operator are formed when they are read.
     Before any certificate, raises SchemaError unless q is a prime power
     and NotStraight unless every member is straight; the certificate is
     None where det(M - 1) = 0.

@@ -9,9 +9,9 @@ strings).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .admissible import (
@@ -39,7 +39,6 @@ class VerifyScales:
     fixed_point_length: int = 10
     picard_length: int = 8
     picard_qs: tuple = (2, 3, 5)
-    ample_samples: int = 1000
     levi_ball_length: int = 4
     levi_pair_cap: int = 120
     budget: int = DEFAULT_BUDGET
@@ -53,7 +52,6 @@ class VerifyScales:
             fixed_point_length=6,
             picard_length=4,
             picard_qs=(2,),
-            ample_samples=100,
             levi_ball_length=3,
             levi_pair_cap=60,
         )
@@ -348,9 +346,20 @@ def check_fixed_point_generators(scales: VerifyScales) -> dict:
 # -- Picard lattice suite --------------------------------------------------------------------
 
 
+def _sign_ratio(i: int, s: int) -> tuple[int, int]:
+    """An unreduced ratio for s / 2^i, s in {-1, 0, 1}, with a negative
+    denominator at odd i."""
+    flip = -1 if i % 2 else 1
+    return flip * 2 * s, flip * 2 ** (i + 1)
+
+
 def check_picard_suite(scales: VerifyScales) -> dict:
     """Coxeter relations on Pic, the ample sign test, and descent
-    certificates at every straight element and matching representative."""
+    certificates at every straight element and matching representative.
+
+    is_ample reads only signs, so the ample test builds one class per
+    sign pattern over the affine nodes, its coordinates from unreduced
+    ratios and, at odd nodes, negative denominators (_sign_ratio)."""
     bond_from_product = {0: 2, 1: 3, 2: 4, 3: 6}
     runs = []
     for p in catalog():
@@ -375,12 +384,10 @@ def check_picard_suite(scales: VerifyScales) -> dict:
                     power = mat_mul(power, rirj)
                 if power != identity_matrix(n):
                     relation_failures.append(f"(s{i}s{j})^{m}")
-        rng = random.Random(8261)
         ample_bad = 0
-        for _ in range(scales.ample_samples):
-            ratios = [(rng.randint(-3, 3), 2 ** rng.randint(0, 2)) for _ in range(n)]
-            cls = PicClass.from_ratios(2, ratios)
-            if is_ample(cls) != all(num > 0 for num, _den in ratios):
+        for signs in product((-1, 0, 1), repeat=n):
+            cls = PicClass.from_ratios(2, map(_sign_ratio, range(n), signs))
+            if is_ample(cls) != all(s > 0 for s in signs):
                 ample_bad += 1
         cert_count = 0
         cert_failures = []

@@ -235,6 +235,57 @@ def test_is_ample():
     assert not is_ample(PicClass(2, (Fraction(1, 2), Fraction(-1, 4))))
 
 
+def test_picard_suite_builds_one_class_per_sign_pattern(monkeypatch):
+    # The ample test builds one class per pattern in {-1, 0, 1}^n, and
+    # the 8,047 certificates build none: each keeps its class in integers.
+    built = []
+    post_init = PicClass.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PicClass, "__post_init__", counting)
+    report = check_picard_suite(VerifyScales(picard_qs=(2,)))
+    nodes = {p.name: len(p.datum.weyl.simple_affine) for p in catalog()}
+    assert len(built) == sum(3**n for n in nodes.values()) == 549
+    assert sum(r["certificates"] for r in report["runs"]) == 8047
+    assert report["pass"] and all(r["ample_mismatches"] == 0 for r in report["runs"])
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [lambda num, den: Fraction(num, abs(den)), lambda num, den: Fraction(abs(num), den)],
+    ids=["denominator_sign", "numerator_sign"],
+)
+def test_ample_check_fails_when_from_ratios_loses_a_sign(monkeypatch, ratio):
+    # Every preset has a node with a negative denominator and a pattern
+    # with a negative sign, so either lost sign shows on every run.
+    def from_ratios(cls, prime, ratios):
+        return cls(prime, tuple(ratio(num, den) for num, den in ratios))
+
+    monkeypatch.setattr(PicClass, "from_ratios", classmethod(from_ratios))
+    report = check_picard_suite(VerifyScales.quick())
+    assert all(r["ample_mismatches"] > 0 for r in report["runs"])
+    assert report["pass"] is False
+
+
+def test_certificates_check_p_power_denominators_in_integers(monkeypatch):
+    # With the scaling of L taken out (scale stays 1), some class on the
+    # catalog keeps a denominator prime to p, and the integer check
+    # raises the error PicClass raises for it.
+    monkeypatch.setattr(picard_module, "lcm", lambda a, b: 1)
+    with pytest.raises(AdlvError, match="^coefficient 55/7 has a denominator prime to 2$"):
+        for p in catalog():
+            w = p.datum.weyl
+            for name in sorted(p.sigmas):
+                sigma = FrobeniusDatum(p.datum, p.sigmas[name])
+                omegas = [o.element for o in w.omega_elements()]
+                for _tag, members in sigma.straight_class_tags(w.ball(8, omegas)):
+                    for _w, _x, _cert in class_certificates(sigma, 2, members):
+                        pass
+
+
 def test_descent_certificate_split_examples():
     p = preset("A1_sc")
     d = p.datum
